@@ -3,12 +3,16 @@
 // Three row kinds land in BENCH_batched_crypto.json (schema 2, see
 // docs/PERFORMANCE.md "Benchmark JSON"):
 //
-//   kind=hmac_micro   scalar one-shot HMAC-SHA256 epoch derivation vs
-//                     the 8-lane batch kernel over the same pairs, one
-//                     thread. `speedup` is the acceptance metric: >= 4x
-//                     batched-vs-scalar on AVX2 hardware.
-//   kind=fp256_mul    portable u128 Barrett multiply vs the ADX/BMI2
-//                     recompile, same operands.
+//   kind=hmac_micro   HM256 epoch derivation over the same pairs, one
+//                     thread, three ways: the portable compression body
+//                     (forced), the dispatched one-shot PRF
+//                     (EpochPrfSha256Into) and the dispatched batch
+//                     kernel (EpochPrfSha256Batch). `speedup` is portable
+//                     over the faster accelerated path; the standing
+//                     target is >= 4x wherever SHA-NI or AVX2 exists.
+//   kind=hm1_micro    HM1 epoch derivation (the share PRF), portable
+//                     (forced) vs the dispatched one-shot; SHA-1 has no
+//                     batch form. Same >= 4x target on SHA-NI hardware.
 //   kind=cold_start   the fig6a querier cold start at N = 10^6 (smoke:
 //                     4096): one full epoch — per-source PSR creation
 //                     into a PsrArena, contiguous aggregation, then a
@@ -23,6 +27,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -32,8 +37,9 @@
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "crypto/cpu_features.h"
-#include "crypto/fp256.h"
 #include "crypto/hmac.h"
+#include "crypto/sha1.h"
+#include "crypto/sha256.h"
 #include "crypto/sha256x8.h"
 #include "sies/aggregator.h"
 #include "sies/psr_arena.h"
@@ -63,20 +69,23 @@ int main(int argc, char** argv) {
   }
 
   const crypto::CpuFeatures& cpu = crypto::Cpu();
-  const char* kernel = cpu.avx2 ? "avx2" : "scalar";
+  // The batch kernel kAuto resolves to (SHA-NI > AVX2 > portable), and
+  // the body every one-shot HMAC compresses through.
+  const char* kernel = cpu.sha ? "sha_ni" : cpu.avx2 ? "avx2" : "scalar";
+  const char* oneshot_kernel = cpu.sha ? "sha_ni" : "scalar";
   bench::BenchReport report("batched_crypto");
   report.config().Add("seed", kSeed);
   report.config().Add("smoke", smoke);
   report.config().Add("kernel", kernel);
   report.config().Add("avx2", cpu.avx2);
-  report.config().Add("adx", cpu.adx && cpu.bmi2);
+  report.config().Add("sha", cpu.sha);
   report.config().Add("hw_threads",
                       static_cast<uint64_t>(common::HardwareConcurrency()));
 
   Stopwatch watch;
   std::printf("=== batched crypto (dispatch: %s) ===\n", kernel);
 
-  // --- kind=hmac_micro: the derivation kernel itself, one thread ------
+  // --- kind=hmac_micro / hm1_micro: the PRF kernels, one thread -------
   {
     const size_t pairs = smoke ? 2'000 : 100'000;
     const int reps = smoke ? 2 : 5;
@@ -88,115 +97,111 @@ int main(int argc, char** argv) {
       views[i] = crypto::ByteView(keys[i]);
     }
     const uint64_t epoch = 1;
-
-    double scalar_ms = 0;
-    {
-      Bytes sink(32);
-      watch.Restart();
-      for (int r = 0; r < reps; ++r) {
-        for (size_t i = 0; i < pairs; ++i) {
-          sink = crypto::EpochPrfSha256(keys[i], epoch);
-        }
-      }
-      scalar_ms = watch.ElapsedMillis() / reps;
-      if (sink.size() != 32) return 1;  // keep the loop observable
-    }
+    uint8_t epoch_be[8];
+    StoreBigEndian64(epoch, epoch_be);
+    const crypto::ByteView epoch_view(epoch_be, sizeof(epoch_be));
 
     // The "keys" are per-run throwaway randomness timed in a benchmark,
     // never real key material, so the derived digests need no wipe.
     std::vector<uint8_t> out(32 * pairs);
-    watch.Restart();
-    for (int r = 0; r < reps; ++r) {
-      crypto::EpochPrfSha256Batch(pairs, views.data(), epoch, out.data());  // lint:allow(zeroize)
-    }
-    double batched_ms = watch.ElapsedMillis() / reps;
+    auto time_ms = [&](auto&& derive_all) {
+      watch.Restart();
+      for (int r = 0; r < reps; ++r) derive_all();
+      return watch.ElapsedMillis() / reps;
+    };
+    // Every path must agree with the portable reference (spot check
+    // here; the exhaustive differentials live in tests/crypto/).
+    auto agree = [&](const uint8_t* a, const uint8_t* b, size_t len) {
+      // Equality spot-check on throwaway bench digests; nothing secret
+      // to leak through timing here.
+      return std::memcmp(a, b, len) == 0;  // lint:allow(ct-compare)
+    };
 
-    // The batch must agree with the scalar reference (spot check here;
-    // the exhaustive differential lives in tests/crypto/sha256x8_test).
-    Bytes ref = crypto::EpochPrfSha256(keys[0], epoch);
-    // Equality spot-check on throwaway bench digests; nothing secret to
-    // leak through timing here.
-    if (std::memcmp(ref.data(), out.data(), 32) != 0) {  // lint:allow(ct-compare)
-      std::fprintf(stderr, "batched digest mismatch!\n");
+    const double hm256_portable_ms = time_ms([&] {
+      for (size_t i = 0; i < pairs; ++i) {
+        crypto::hmac_internal::HmacSha256With(
+            crypto::sha256_internal::CompressPortable, views[i], epoch_view,
+            out.data() + 32 * i);
+      }
+    });
+    std::vector<uint8_t> ref(out.begin(), out.begin() + 32);
+    const double hm256_oneshot_ms = time_ms([&] {
+      for (size_t i = 0; i < pairs; ++i) {
+        crypto::EpochPrfSha256Into(views[i], epoch, out.data() + 32 * i);  // lint:allow(zeroize)
+      }
+    });
+    if (!agree(ref.data(), out.data(), 32)) {
+      std::fprintf(stderr, "one-shot HM256 digest mismatch!\n");
       return 1;
     }
+    const double hm256_batched_ms = time_ms([&] {
+      crypto::EpochPrfSha256Batch(pairs, views.data(), epoch, out.data());  // lint:allow(zeroize)
+    });
+    if (!agree(ref.data(), out.data(), 32)) {
+      std::fprintf(stderr, "batched HM256 digest mismatch!\n");
+      return 1;
+    }
+    const double hm256_best_ms = std::min(hm256_oneshot_ms, hm256_batched_ms);
+    const double hm256_speedup =
+        hm256_best_ms > 0 ? hm256_portable_ms / hm256_best_ms : 0;
+    std::printf("hmac_micro  %zu HM256: portable %.2f ms, one-shot %.2f ms "
+                "(%s), batched %.2f ms (%s): %.2fx accelerated over "
+                "portable (target >= 4x: %s)\n",
+                pairs, hm256_portable_ms, hm256_oneshot_ms, oneshot_kernel,
+                hm256_batched_ms, kernel, hm256_speedup,
+                hm256_speedup >= 4.0 ? "met" : "NOT met");
+    {
+      bench::JsonObject row;
+      row.Add("kind", "hmac_micro");
+      row.Add("pairs", static_cast<uint64_t>(pairs));
+      row.Add("reps", reps);
+      row.Add("kernel", kernel);
+      row.Add("oneshot_kernel", oneshot_kernel);
+      row.Add("portable_ms", hm256_portable_ms);
+      row.Add("oneshot_ms", hm256_oneshot_ms);
+      row.Add("batched_ms", hm256_batched_ms);
+      row.Add("oneshot_speedup", hm256_oneshot_ms > 0
+                                     ? hm256_portable_ms / hm256_oneshot_ms
+                                     : 0);
+      row.Add("batched_speedup", hm256_batched_ms > 0
+                                     ? hm256_portable_ms / hm256_batched_ms
+                                     : 0);
+      row.Add("speedup", hm256_speedup);
+      report.AddRow(std::move(row));
+    }
 
-    double speedup = batched_ms > 0 ? scalar_ms / batched_ms : 0;
-    std::printf("hmac_micro  %zu pairs: scalar %.2f ms, batched %.2f ms "
-                "(%.2fx, kernel=%s)\n",
-                pairs, scalar_ms, batched_ms, speedup, kernel);
+    const double hm1_portable_ms = time_ms([&] {
+      for (size_t i = 0; i < pairs; ++i) {
+        crypto::hmac_internal::HmacSha1With(
+            crypto::sha1_internal::CompressPortable, views[i], epoch_view,
+            out.data() + 20 * i);
+      }
+    });
+    ref.assign(out.begin(), out.begin() + 20);
+    const double hm1_oneshot_ms = time_ms([&] {
+      for (size_t i = 0; i < pairs; ++i) {
+        crypto::EpochPrfSha1Into(views[i], epoch, out.data() + 20 * i);  // lint:allow(zeroize)
+      }
+    });
+    if (!agree(ref.data(), out.data(), 20)) {
+      std::fprintf(stderr, "one-shot HM1 digest mismatch!\n");
+      return 1;
+    }
+    const double hm1_speedup =
+        hm1_oneshot_ms > 0 ? hm1_portable_ms / hm1_oneshot_ms : 0;
+    std::printf("hm1_micro   %zu HM1: portable %.2f ms, one-shot %.2f ms "
+                "(%s): %.2fx accelerated over portable (target >= 4x: "
+                "%s)\n",
+                pairs, hm1_portable_ms, hm1_oneshot_ms, oneshot_kernel,
+                hm1_speedup, hm1_speedup >= 4.0 ? "met" : "NOT met");
     bench::JsonObject row;
-    row.Add("kind", "hmac_micro");
+    row.Add("kind", "hm1_micro");
     row.Add("pairs", static_cast<uint64_t>(pairs));
     row.Add("reps", reps);
-    row.Add("kernel", kernel);
-    row.Add("scalar_ms", scalar_ms);
-    row.Add("batched_ms", batched_ms);
-    row.Add("speedup", speedup);
-    report.AddRow(std::move(row));
-  }
-
-  // --- kind=fp256_mul: portable vs ADX Barrett multiply ---------------
-  {
-    const size_t ops = smoke ? 20'000 : 2'000'000;
-    auto params = core::MakeParams(1024, kSeed).value();
-    const crypto::Fp256* fp = params.Fp();
-    if (fp == nullptr) return 1;
-    crypto::Fp256 portable = *fp;
-    portable.SetUseAdxForTest(false);
-    crypto::Fp256 adx = *fp;
-    const bool have_adx = crypto::CpuDetected().adx &&
-                          crypto::CpuDetected().bmi2;
-    if (have_adx) adx.SetUseAdxForTest(true);
-
-    Xoshiro256 rng(kSeed + 1);
-    // Independent multiplies (the decrypt/verify shape: distinct
-    // operands each time) so the ADX dual carry chains can overlap; a
-    // serial dependent chain would measure latency only.
-    constexpr size_t kOperands = 1024;
-    std::vector<crypto::U256> xs(kOperands);
-    for (crypto::U256& v : xs) {
-      for (uint64_t& limb : v.v) limb = rng.Next();
-      v = fp->Reduce(v);
-    }
-    crypto::U256 y;
-    for (uint64_t& limb : y.v) limb = rng.Next();
-    y = fp->Reduce(y);
-
-    uint64_t sink = 0;
-    auto time_mul = [&](const crypto::Fp256& ctx) {
-      uint64_t low = 0;
-      watch.Restart();
-      for (size_t i = 0; i < ops; ++i) {
-        low += ctx.Mul(xs[i % kOperands], y).Low64();
-      }
-      double ms = watch.ElapsedMillis();
-      sink = low;  // keep the products observable
-      return ms;
-    };
-    double portable_ms = time_mul(portable);
-    uint64_t portable_sink = sink;
-    double adx_ms = have_adx ? time_mul(adx) : 0;
-    if (have_adx && sink != portable_sink) {
-      std::fprintf(stderr, "adx products diverged!\n");
-      return 1;
-    }
-    double speedup = (have_adx && adx_ms > 0) ? portable_ms / adx_ms : 1.0;
-    if (have_adx) {
-      std::printf("fp256_mul   %zu muls: portable %.2f ms, adx %.2f ms "
-                  "(%.2fx)\n",
-                  ops, portable_ms, adx_ms, speedup);
-    } else {
-      std::printf("fp256_mul   %zu muls: portable %.2f ms, adx n/a\n", ops,
-                  portable_ms);
-    }
-    bench::JsonObject row;
-    row.Add("kind", "fp256_mul");
-    row.Add("ops", static_cast<uint64_t>(ops));
-    row.Add("portable_ms", portable_ms);
-    row.Add("adx_available", have_adx);
-    row.Add("adx_ms", adx_ms);
-    row.Add("speedup", speedup);
+    row.Add("oneshot_kernel", oneshot_kernel);
+    row.Add("portable_ms", hm1_portable_ms);
+    row.Add("oneshot_ms", hm1_oneshot_ms);
+    row.Add("speedup", hm1_speedup);
     report.AddRow(std::move(row));
   }
 

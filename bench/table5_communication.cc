@@ -124,8 +124,23 @@ int main() {
 
   std::printf(
       "\npaper reference: CMT 20 B; SECOA_S 37.8 KiB (S-A/A-A), 832 B "
-      "actual A-Q; SIES 32 B on every edge.\n"
-      "shape check: SIES constant 32 B; CMT constant 20 B; SECOA_S 3 "
-      "orders of magnitude above on S-A/A-A.\n");
-  return 0;
+      "actual A-Q; SIES 32 B on every edge.\n");
+
+  // Shape check, asserted. Every SIES message is the 32-byte PSR plus
+  // the ceil(N/8)-byte contributor bitmap (DESIGN.md §9), so the
+  // measured SIES edge is 32 + ceil(N/8) bytes, not the paper's 32;
+  // CMT's is its 20-byte HM1 ciphertext.
+  const double sies_edge = 32.0 + (base.num_sources + 7) / 8;
+  bool shape_ok = true;
+  for (int e = 0; e < 3; ++e) {
+    shape_ok = shape_ok && measured[2][e] == sies_edge &&
+               measured[0][e] == 20.0;
+  }
+  std::printf(
+      "shape check: SIES %.0f B on every edge = 32 B PSR + %u B "
+      "contributor bitmap (ceil(N/8), N=%u); CMT 20 B on every edge: "
+      "%s\n",
+      sies_edge, (base.num_sources + 7) / 8, base.num_sources,
+      shape_ok ? "OK" : "FAILED");
+  return shape_ok ? 0 : 1;
 }

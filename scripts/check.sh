@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
-# Full local check: configure, build, run every test, example, and bench.
+# Full local check: configure, build, run every test (including the
+# SIES_NATIVE=scalar `_portable` twins), example, and bench, plus the
+# repo benchmark's equivalence check (bench_e2e/run.py --check).
 # Usage: scripts/check.sh [--skip-bench] [--sanitize] [--tsan] [--tidy]
 #                         [--lint] [--telemetry-smoke] [--fault-smoke]
 #                         [--engine-smoke] [--bench-smoke] [--ops-smoke]
@@ -750,6 +752,13 @@ done
 "./$BUILD/examples/sies_sim" --scheme=sies --sources=64 --epochs=2 > /dev/null
 "./$BUILD/examples/sies_sim" --scheme=sies --sources=64 --epochs=2 \
     --threads=1 > /dev/null
+
+# The repo benchmark's own equivalence check (bench_e2e/README.md):
+# benchmark == runner outcomes, UDP == simulator, traced == untraced, every
+# BENCHMARK.json metric emitted. It builds its own tree (.bench_build/)
+# from src/, and nothing else reruns it after src/ changes.
+echo "== bench_e2e check =="
+python3 bench_e2e/run.py --check
 
 telemetry_smoke "$BUILD"
 fault_smoke "$BUILD"

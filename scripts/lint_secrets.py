@@ -21,12 +21,16 @@ without leaking timing) across src/. Three rules:
                (HmacSha*/EpochPrf*/DeriveMacKey/HmacDrbg::Generate) is
                key material: it must be owned by crypto::SecureBytes or
                explicitly wiped (SecureWipe/SecureZero/.Wipe()) in the
-               same file before it can be flagged clean. The batch
-               derivation kernels (HmacSha256Batch / HmacSha256x8 /
-               EpochPrfSha256Batch) are covered too: a locally declared
-               buffer passed as their output must be SecureZero'd in the
-               same file — 8-lane staging arrays hold eight keys' worth
-               of digest material at once.
+               same file before it can be flagged clean. The
+               output-buffer derivations (the heap-free PRFs
+               HmacSha*Into / EpochPrfSha*Into and the batch kernels
+               HmacSha256Batch / HmacSha256x8 / EpochPrfSha256Batch) are
+               covered too: a locally declared buffer passed as their
+               output must be SecureZero'd in the same file — a stack
+               digest is a derived key, and 8-lane staging arrays hold
+               eight keys' worth at once. So is every HMAC pad: a local
+               array filled with key bytes XOR ipad/opad (0x36 / 0x5c)
+               in a PRF helper must be wiped before the frame dies.
 
 Escape hatch: a finding on line N is suppressed when line N or N-1
 carries `// lint:allow(<rule>)` -- use only with a justifying comment,
@@ -89,18 +93,33 @@ DERIVATION_RE = re.compile(
     r"EpochPrfSha256Batch)\s*\(|\b\w+\.Generate\s*\("
 )
 
-# Batch derivation kernels: the final argument receives the digests (one
-# 32-byte derived key per lane). A local staging buffer passed there must
-# be wiped in the same file.
+# Output-buffer derivations (heap-free PRFs and batch kernels): the final
+# argument receives the digests (one derived key per call or lane). A
+# local staging buffer passed there must be wiped in the same file.
 BATCH_DERIVATION_RE = re.compile(
     r"\b(HmacSha256Batch|HmacSha256x8|EpochPrfSha256Batch|"
-    r"HmacSha256BatchWithKernel)\s*\("
+    r"HmacSha256BatchWithKernel|HmacSha1Into|HmacSha256Into|"
+    r"EpochPrfSha1Into|EpochPrfSha256Into)\s*\("
 )
-# Type tokens only appear in declarations/definitions of the kernels
-# themselves, never at call sites — used to skip prototypes.
-TYPE_TOKEN_RE = re.compile(r"\bconst\b|\bByteView\b|\buint8_t\b|\bsize_t\b")
+# HMAC pad construction: key bytes XOR the ipad/opad constants, written
+# either element-wise (`pad[j] = k[j] ^ 0x36`) or through a range-for
+# (`for (uint8_t& b : pad) b ^= 0x36`).
+PAD_CONST_RE = re.compile(r"\b0x(36|5[cC])\b")
+PAD_TARGET_RES = (
+    re.compile(r"for\s*\(\s*(?:uint8_t|auto)\s*&\s*\w+\s*:\s*(\w+)\s*\)"),
+    re.compile(r"(\w+)\s*(?:\[[^\]]*\])+\s*\^?=(?!=)"),
+)
+# A type token followed by a parameter name only appears in declarations
+# and definitions of the kernels themselves, never at call sites (where
+# `ByteView(buf, n)` is a temporary, not a parameter) — used to skip
+# prototypes.
+TYPE_TOKEN_RE = re.compile(
+    r"\b(?:const|ByteView|uint8_t|uint64_t|size_t)\b[\s*&]+\w+")
+# A local declaration, not a parameter: arrays must end in `;`, `=` or an
+# aggregate initializer (a `uint8_t out[32]` parameter ends in `,`/`)`).
 LOCAL_BUF_FMT = (
-    r"(uint8_t\s+{name}\s*\[|std::array<[^;]*>\s+{name}\b|"
+    r"(uint8_t\s+{name}\s*(?:\[[^\]]*\])+\s*[;={{]|"
+    r"std::array<[^;]*>\s+{name}\b|"
     r"Bytes\s+{name}\b|std::vector<uint8_t>\s+{name}\b)"
 )
 # `Bytes name = <derivation>(...)` declarations; the name decides whether
@@ -286,10 +305,11 @@ def check_zeroize(path, code_text, code_lines):
 
 
 def check_zeroize_batch(path, code_text, code_lines):
-    """A locally declared buffer receiving a batch kernel's digests must
-    be SecureZero'd in the same file. Prototypes/definitions (recognized
-    by type tokens in the argument list) and out-parameters declared
-    elsewhere are the caller's responsibility and are skipped."""
+    """A locally declared buffer receiving an output-buffer derivation's
+    digests must be SecureZero'd in the same file. Prototypes/definitions
+    (recognized by type tokens in the argument list), out-parameters
+    declared elsewhere and buffers returned to the caller are the
+    caller's responsibility and are skipped."""
     findings = []
     for lineno, line in enumerate(code_lines, 1):
         m = BATCH_DERIVATION_RE.search(line)
@@ -310,13 +330,42 @@ def check_zeroize_batch(path, code_text, code_lines):
         local_re = re.compile(LOCAL_BUF_FMT.format(name=re.escape(name)))
         if not local_re.search(code_text):
             continue  # out-param or member owned by the caller
+        if re.search(r"\breturn\s+" + re.escape(name) + r"\s*;", code_text):
+            continue  # handed to the caller, who owns the wipe
         wipe_re = re.compile(WIPE_FMT.format(name=re.escape(name)))
         if not wipe_re.search(code_text):
             findings.append(Finding(
                 path, lineno, "zeroize",
-                f"'{name}' receives batch-derived key digests but is "
-                f"never wiped; SecureZero it after the derived keys are "
+                f"'{name}' receives derived key digests but is never "
+                f"wiped; SecureZero it after the derived keys are "
                 f"consumed"))
+    return findings
+
+
+def check_zeroize_pads(path, code_text, code_lines):
+    """A local array built as key XOR ipad/opad (an HMAC pad block, i.e.
+    the key itself under a fixed mask) must be SecureZero'd in the same
+    file; out-parameters are the caller's responsibility."""
+    findings = []
+    for lineno, line in enumerate(code_lines, 1):
+        if not PAD_CONST_RE.search(line):
+            continue
+        for target_re in PAD_TARGET_RES:
+            m = target_re.search(line)
+            if m:
+                break
+        if not m:
+            continue
+        name = m.group(1)
+        local_re = re.compile(LOCAL_BUF_FMT.format(name=re.escape(name)))
+        if not local_re.search(code_text):
+            continue
+        wipe_re = re.compile(WIPE_FMT.format(name=re.escape(name)))
+        if not wipe_re.search(code_text):
+            findings.append(Finding(
+                path, lineno, "zeroize",
+                f"'{name}' is an HMAC pad (key XOR ipad/opad) but is never "
+                f"wiped; SecureZero it before the PRF helper returns"))
     return findings
 
 
@@ -332,6 +381,7 @@ def lint_file(path):
     findings += check_secret_log(path, code_text)
     findings += check_zeroize(path, code_text, code_lines)
     findings += check_zeroize_batch(path, code_text, code_lines)
+    findings += check_zeroize_pads(path, code_text, code_lines)
     return [f for f in findings if f.rule not in allows.get(f.line, set())]
 
 

@@ -61,29 +61,6 @@ Status XorInto(Bytes& dst, const Bytes& src) {
   return Status::OK();
 }
 
-void StoreBigEndian32(uint32_t v, uint8_t* out) {
-  out[0] = static_cast<uint8_t>(v >> 24);
-  out[1] = static_cast<uint8_t>(v >> 16);
-  out[2] = static_cast<uint8_t>(v >> 8);
-  out[3] = static_cast<uint8_t>(v);
-}
-
-void StoreBigEndian64(uint64_t v, uint8_t* out) {
-  StoreBigEndian32(static_cast<uint32_t>(v >> 32), out);
-  StoreBigEndian32(static_cast<uint32_t>(v), out + 4);
-}
-
-uint32_t LoadBigEndian32(const uint8_t* in) {
-  return (static_cast<uint32_t>(in[0]) << 24) |
-         (static_cast<uint32_t>(in[1]) << 16) |
-         (static_cast<uint32_t>(in[2]) << 8) | static_cast<uint32_t>(in[3]);
-}
-
-uint64_t LoadBigEndian64(const uint8_t* in) {
-  return (static_cast<uint64_t>(LoadBigEndian32(in)) << 32) |
-         LoadBigEndian32(in + 4);
-}
-
 Bytes EncodeUint64(uint64_t v) {
   Bytes out(8);
   StoreBigEndian64(v, out.data());

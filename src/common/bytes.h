@@ -31,14 +31,32 @@ bool ConstantTimeEqual(const Bytes& a, const Bytes& b);
 /// XORs `src` into `dst` (`dst[i] ^= src[i]`). Lengths must match.
 Status XorInto(Bytes& dst, const Bytes& src);
 
+// The endian helpers are inline: the SHA compression bodies and the
+// PRF padding call them per word.
+
 /// Big-endian store of a 32-bit value into 4 bytes.
-void StoreBigEndian32(uint32_t v, uint8_t* out);
+inline void StoreBigEndian32(uint32_t v, uint8_t* out) {
+  out[0] = static_cast<uint8_t>(v >> 24);
+  out[1] = static_cast<uint8_t>(v >> 16);
+  out[2] = static_cast<uint8_t>(v >> 8);
+  out[3] = static_cast<uint8_t>(v);
+}
 /// Big-endian store of a 64-bit value into 8 bytes.
-void StoreBigEndian64(uint64_t v, uint8_t* out);
+inline void StoreBigEndian64(uint64_t v, uint8_t* out) {
+  StoreBigEndian32(static_cast<uint32_t>(v >> 32), out);
+  StoreBigEndian32(static_cast<uint32_t>(v), out + 4);
+}
 /// Big-endian load of 4 bytes.
-uint32_t LoadBigEndian32(const uint8_t* in);
+inline uint32_t LoadBigEndian32(const uint8_t* in) {
+  return (static_cast<uint32_t>(in[0]) << 24) |
+         (static_cast<uint32_t>(in[1]) << 16) |
+         (static_cast<uint32_t>(in[2]) << 8) | static_cast<uint32_t>(in[3]);
+}
 /// Big-endian load of 8 bytes.
-uint64_t LoadBigEndian64(const uint8_t* in);
+inline uint64_t LoadBigEndian64(const uint8_t* in) {
+  return (static_cast<uint64_t>(LoadBigEndian32(in)) << 32) |
+         LoadBigEndian32(in + 4);
+}
 
 /// Encodes a uint64 as an 8-byte big-endian byte string (e.g. an epoch
 /// number fed to a PRF).

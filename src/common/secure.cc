@@ -1,12 +1,16 @@
 #include "common/secure.h"
 
-#include <cstdint>
+#include <cstring>
 
 namespace sies::common {
 
 void SecureZero(void* data, size_t len) {
-  volatile uint8_t* p = static_cast<volatile uint8_t*>(data);
-  for (size_t i = 0; i < len; ++i) p[i] = 0;
+  if (len == 0) return;
+  std::memset(data, 0, len);
+  // Compiler barrier: the asm claims to read the buffer through `data`,
+  // so the memset above is an observable store the optimizer must keep
+  // even when the buffer is dead (freed or out of scope) right after.
+  __asm__ __volatile__("" : : "r"(data) : "memory");
 }
 
 }  // namespace sies::common

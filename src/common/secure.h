@@ -18,9 +18,10 @@
 
 namespace sies::common {
 
-/// Overwrites `len` bytes at `data` with zeros through a volatile
-/// pointer, which the optimizer must treat as observable — the store
-/// survives even when the buffer is freed immediately afterwards.
+/// Overwrites `len` bytes at `data` with zeros at memset speed. A
+/// compiler barrier after the memset (the OPENSSL_cleanse pattern) makes
+/// the store observable, so it survives even when the buffer is freed
+/// or goes out of scope immediately afterwards.
 void SecureZero(void* data, size_t len);
 
 }  // namespace sies::common

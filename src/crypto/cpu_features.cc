@@ -18,8 +18,14 @@ CpuFeatures Detect() {
   unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
   if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) != 0) {
     f.avx2 = (ebx & (1u << 5)) != 0;
-    f.bmi2 = (ebx & (1u << 8)) != 0;
-    f.adx = (ebx & (1u << 19)) != 0;
+    f.sha = (ebx & (1u << 29)) != 0;
+  }
+  // The SHA-NI bodies also shuffle and blend with SSSE3/SSE4.1 (leaf 1
+  // ECX bits 9 and 19); every SHA-NI CPU has both, but check anyway.
+  if (f.sha) {
+    unsigned a1 = 0, b1 = 0, c1 = 0, d1 = 0;
+    f.sha = __get_cpuid(1, &a1, &b1, &c1, &d1) != 0 &&
+            (c1 & (1u << 9)) != 0 && (c1 & (1u << 19)) != 0;
   }
   // AVX2 additionally needs OS support for YMM state (XSAVE/OSXSAVE,
   // XCR0 bits 1-2). Leaf 1 ECX bit 27 = OSXSAVE.

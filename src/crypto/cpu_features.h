@@ -1,11 +1,13 @@
 // Runtime CPU feature detection for the accelerated crypto kernels.
 //
-// Two kernels dispatch on this module: the 8-lane AVX2 SHA-256
-// multi-buffer kernel (crypto/sha256x8.*) and the ADX/BMI2-compiled
-// Fp256 mul/reduce path (crypto/fp256.*). Both are bit-identical to
-// their portable fallbacks — dispatch only ever changes speed, never
-// output — so the choice is made once per process from CPUID and the
-// SIES_NATIVE environment override (policy: docs/PERFORMANCE.md).
+// Two kernels dispatch on this module: the SHA-NI compression bodies of
+// SHA-1 and SHA-256 (crypto/sha1.*, crypto/sha256.*), which every HMAC,
+// one-shot or batched, runs on where the CPU has them, and the 8-lane
+// AVX2 SHA-256 multi-buffer kernel (crypto/sha256x8.*) for hosts with
+// AVX2 but no SHA extensions. Both are bit-identical to their portable
+// fallbacks — dispatch only ever changes speed, never output — so the
+// choice is made once per process from CPUID and the SIES_NATIVE
+// environment override (policy: docs/PERFORMANCE.md).
 //
 //   SIES_NATIVE unset / "auto" / "1"   use every feature CPUID reports
 //   SIES_NATIVE "0" / "off" / "scalar" force the portable fallbacks
@@ -22,8 +24,7 @@ namespace sies::crypto {
 /// is true only when the CPU supports it AND SIES_NATIVE allows it.
 struct CpuFeatures {
   bool avx2 = false;  ///< 8-lane SHA-256 multi-buffer kernel
-  bool bmi2 = false;  ///< MULX (flag-free widening multiply)
-  bool adx = false;   ///< ADCX/ADOX (dual carry chains)
+  bool sha = false;   ///< SHA-NI (with the SSSE3/SSE4.1 its bodies use)
 };
 
 /// Detected once on first call (thread-safe); identical for the whole
@@ -32,8 +33,9 @@ struct CpuFeatures {
 const CpuFeatures& Cpu();
 
 /// Raw CPUID detection, ignoring SIES_NATIVE. Only for test hooks that
-/// force a specific kernel (differential tests run scalar vs AVX2 side
-/// by side even when the override pins production dispatch to scalar).
+/// force a specific kernel (differential tests run portable vs SHA-NI vs
+/// AVX2 side by side even when the override pins production dispatch to
+/// the portable bodies).
 const CpuFeatures& CpuDetected();
 
 }  // namespace sies::crypto

@@ -3,14 +3,6 @@
 #include <cassert>
 #include <cstring>
 
-#include "crypto/cpu_features.h"
-
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define SIES_FP256_ADX 1
-#else
-#define SIES_FP256_ADX 0
-#endif
-
 namespace sies::crypto {
 
 // ---------------------------------------------------------------------------
@@ -127,32 +119,8 @@ StatusOr<Fp256> Fp256::Create(const BigUint& prime) {
   const std::vector<uint64_t>& limbs = mu.limbs();
   assert(limbs.size() <= 5);
   for (size_t i = 0; i < limbs.size(); ++i) fp.mu_[i] = limbs[i];
-#if SIES_FP256_ADX
-  fp.use_adx_ = Cpu().adx && Cpu().bmi2;
-#endif
   return fp;
 }
-
-#if SIES_FP256_ADX
-// The portable inline Mul/ReduceWide bodies from fp256.h, re-instantiated
-// here under target("adx,bmi2"): GCC/Clang inline the default-target
-// helpers into this function and lower the u128 schoolbook rows and
-// Barrett passes to MULX plus ADCX/ADOX dual carry chains. The
-// arithmetic is the same expression DAG, so results are bit-identical
-// to the portable path (pinned by tests/crypto/fp256_adx_test.cc).
-__attribute__((target("adx,bmi2"))) U256 Fp256::MulAdx(const U256& a,
-                                                       const U256& b) const {
-  uint64_t prod[8];
-  U256::Mul(a, b, prod);
-  return ReduceWide(prod);
-}
-#else
-U256 Fp256::MulAdx(const U256& a, const U256& b) const {
-  uint64_t prod[8];
-  U256::Mul(a, b, prod);
-  return ReduceWide(prod);
-}
-#endif
 
 StatusOr<U256> Fp256::Inverse(const U256& a) const {
   auto inv = BigUint::ModInverse(a.ToBigUint(), prime_big_);

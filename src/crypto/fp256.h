@@ -105,29 +105,12 @@ class Fp256 {
   /// the result per epoch). Fails if gcd(a, p) != 1.
   StatusOr<U256> Inverse(const U256& a) const;
 
-  /// True when Mul runs the ADX/BMI2-compiled kernel (set by Create from
-  /// crypto::Cpu(), so the SIES_NATIVE override pins it to the portable
-  /// path). Same schoolbook + Barrett arithmetic either way — the kernel
-  /// only changes which carry-chain instructions the compiler emits.
-  bool UsesAdx() const { return use_adx_; }
-
-  /// Test hook: force the mul kernel. `use_adx = true` requires ADX/BMI2
-  /// hardware (crypto::CpuDetected()); differential tests run both
-  /// kernels side by side regardless of the SIES_NATIVE override.
-  void SetUseAdxForTest(bool use_adx) { use_adx_ = use_adx; }
-
  private:
   Fp256() = default;
-
-  /// Mul recompiled with target("adx,bmi2") (fp256.cc) so the compiler
-  /// emits MULX/ADCX/ADOX dual carry chains for the 4x4 product and the
-  /// Barrett pass; bit-identical to the portable inline path.
-  U256 MulAdx(const U256& a, const U256& b) const;
 
   U256 p_;
   uint64_t mu_[5] = {0, 0, 0, 0, 0};  // floor(2^512 / p), <= 257 bits
   BigUint prime_big_;
-  bool use_adx_ = false;
 };
 
 // --- inline hot path -------------------------------------------------------
@@ -290,7 +273,6 @@ inline U256 Fp256::ReduceWide(const uint64_t x[8]) const {
 }
 
 inline U256 Fp256::Mul(const U256& a, const U256& b) const {
-  if (use_adx_) return MulAdx(a, b);
   uint64_t prod[8];
   U256::Mul(a, b, prod);
   return ReduceWide(prod);

@@ -1,26 +1,39 @@
 #include "crypto/sha1.h"
 
+#include <algorithm>
+#include <cstdlib>
 #include <cstring>
+#include <utility>
+
+#include "common/secure.h"
+#include "crypto/cpu_features.h"
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define SIES_SHA1_NI 1
+#include <immintrin.h>
+#else
+#define SIES_SHA1_NI 0
+#endif
 
 namespace sies::crypto {
 
+namespace sha1_internal {
+
+const std::array<uint32_t, 5> kInitState = {
+    0x67452301u, 0xEFCDAB89u, 0x98BADCFEu, 0x10325476u, 0xC3D2E1F0u};
+
 namespace {
+
 inline uint32_t Rotl32(uint32_t x, int k) { return (x << k) | (x >> (32 - k)); }
-}  // namespace
 
-void Sha1::Reset() {
-  h_ = {0x67452301u, 0xEFCDAB89u, 0x98BADCFEu, 0x10325476u, 0xC3D2E1F0u};
-  buffer_len_ = 0;
-  total_len_ = 0;
-}
-
-void Sha1::ProcessBlock(const uint8_t block[kBlockSize]) {
+void CompressBlock(uint32_t state[5], const uint8_t block[64]) {
   uint32_t w[80];
   for (int i = 0; i < 16; ++i) w[i] = LoadBigEndian32(block + 4 * i);
   for (int i = 16; i < 80; ++i) {
     w[i] = Rotl32(w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16], 1);
   }
-  uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3], e = h_[4];
+  uint32_t a = state[0], b = state[1], c = state[2], d = state[3],
+           e = state[4];
   for (int i = 0; i < 80; ++i) {
     uint32_t f, k;
     if (i < 20) {
@@ -43,11 +56,122 @@ void Sha1::ProcessBlock(const uint8_t block[kBlockSize]) {
     b = a;
     a = temp;
   }
-  h_[0] += a;
-  h_[1] += b;
-  h_[2] += c;
-  h_[3] += d;
-  h_[4] += e;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+}
+
+#if SIES_SHA1_NI
+
+#define SIES_SHA_NI_TARGET __attribute__((target("sha,sse4.1,ssse3")))
+#define SIES_SHA_NI_INLINE \
+  __attribute__((target("sha,sse4.1,ssse3"), always_inline)) inline
+
+// Four rounds (group G of 20) of the SHA-NI transform. `msg[G % 4]`
+// holds W[4G..4G+3]; `e_in` carries E into this group's SHA1RNDS4 and
+// `e_out` captures A for the next group's SHA1NEXTE, the two registers
+// swapping roles every group. The schedule for later groups advances
+// in the rolling 4-register window exactly as Intel's SHA extensions
+// reference does (SHA1MSG1 three groups ahead, XOR two ahead,
+// SHA1MSG2 one ahead).
+template <int G>
+SIES_SHA_NI_INLINE void Sha1NiGroup(__m128i& abcd, __m128i& e_in,
+                                    __m128i& e_out, __m128i msg[4]) {
+  if constexpr (G == 0) {
+    e_in = _mm_add_epi32(e_in, msg[0]);
+  } else {
+    e_in = _mm_sha1nexte_epu32(e_in, msg[G & 3]);
+  }
+  e_out = abcd;
+  if constexpr (G >= 3 && G <= 18) {
+    msg[(G + 1) & 3] = _mm_sha1msg2_epu32(msg[(G + 1) & 3], msg[G & 3]);
+  }
+  abcd = _mm_sha1rnds4_epu32(abcd, e_in, G / 5);
+  if constexpr (G >= 1 && G <= 16) {
+    msg[(G - 1) & 3] = _mm_sha1msg1_epu32(msg[(G - 1) & 3], msg[G & 3]);
+  }
+  if constexpr (G >= 2 && G <= 17) {
+    msg[(G - 2) & 3] = _mm_xor_si128(msg[(G - 2) & 3], msg[G & 3]);
+  }
+}
+
+template <int... G>
+SIES_SHA_NI_INLINE void Sha1NiRounds(std::integer_sequence<int, G...>,
+                                     __m128i& abcd, __m128i& e0, __m128i& e1,
+                                     __m128i msg[4]) {
+  // Even groups feed E from e0 and leave A in e1; odd groups the reverse.
+  (Sha1NiGroup<G>(abcd, G % 2 == 0 ? e0 : e1, G % 2 == 0 ? e1 : e0, msg),
+   ...);
+}
+
+SIES_SHA_NI_TARGET void CompressShaNiImpl(uint32_t state[5],
+                                          const uint8_t* blocks,
+                                          size_t nblocks) {
+  // Whole-block byte reversal: big-endian words, W0 in the top lane.
+  const __m128i bswap =
+      _mm_set_epi64x(0x0001020304050607LL, 0x08090a0b0c0d0e0fLL);
+  __m128i abcd = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state)), 0x1B);
+  __m128i e0 = _mm_set_epi32(static_cast<int>(state[4]), 0, 0, 0);
+  __m128i e1 = _mm_setzero_si128();
+
+  __m128i msg[4];
+  for (size_t b = 0; b < nblocks; ++b, blocks += 64) {
+    const __m128i abcd_save = abcd;
+    const __m128i e_save = e0;
+    for (int i = 0; i < 4; ++i) {
+      msg[i] = _mm_shuffle_epi8(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks + 16 * i)),
+          bswap);
+    }
+    Sha1NiRounds(std::make_integer_sequence<int, 20>{}, abcd, e0, e1, msg);
+    // After the last (odd) group e0 holds that group's input A.
+    e0 = _mm_sha1nexte_epu32(e0, e_save);
+    abcd = _mm_add_epi32(abcd, abcd_save);
+  }
+
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_shuffle_epi32(abcd, 0x1B));
+  state[4] = static_cast<uint32_t>(_mm_extract_epi32(e0, 3));
+}
+
+#undef SIES_SHA_NI_INLINE
+#undef SIES_SHA_NI_TARGET
+
+#endif  // SIES_SHA1_NI
+
+}  // namespace
+
+void CompressPortable(uint32_t state[5], const uint8_t* blocks,
+                      size_t nblocks) {
+  for (size_t b = 0; b < nblocks; ++b) CompressBlock(state, blocks + 64 * b);
+}
+
+void CompressShaNi(uint32_t state[5], const uint8_t* blocks, size_t nblocks) {
+#if SIES_SHA1_NI
+  CompressShaNiImpl(state, blocks, nblocks);
+#else
+  (void)state;
+  (void)blocks;
+  (void)nblocks;
+  std::abort();  // no SHA-NI body on this architecture
+#endif
+}
+
+md_internal::CompressFn Compress() {
+  static const md_internal::CompressFn selected =
+      Cpu().sha ? CompressShaNi : CompressPortable;
+  return selected;
+}
+
+}  // namespace sha1_internal
+
+void Sha1::Reset() {
+  h_ = sha1_internal::kInitState;
+  buffer_len_ = 0;
+  total_len_ = 0;
 }
 
 void Sha1::Update(const uint8_t* data, size_t len) {
@@ -59,14 +183,14 @@ void Sha1::Update(const uint8_t* data, size_t len) {
     data += take;
     len -= take;
     if (buffer_len_ == kBlockSize) {
-      ProcessBlock(buffer_);
+      compress_(h_.data(), buffer_, 1);
       buffer_len_ = 0;
     }
   }
-  while (len >= kBlockSize) {
-    ProcessBlock(data);
-    data += kBlockSize;
-    len -= kBlockSize;
+  if (len >= kBlockSize) {
+    compress_(h_.data(), data, len / kBlockSize);
+    data += len - len % kBlockSize;
+    len %= kBlockSize;
   }
   if (len > 0) {
     std::memcpy(buffer_, data, len);
@@ -75,15 +199,9 @@ void Sha1::Update(const uint8_t* data, size_t len) {
 }
 
 void Sha1::Final(uint8_t out[kDigestSize]) {
-  uint64_t bit_len = total_len_ * 8;
-  uint8_t pad = 0x80;
-  Update(&pad, 1);
-  uint8_t zero = 0x00;
-  while (buffer_len_ != 56) Update(&zero, 1);
-  uint8_t len_be[8];
-  StoreBigEndian64(bit_len, len_be);
-  Update(len_be, 8);
-  for (int i = 0; i < 5; ++i) StoreBigEndian32(h_[i], out + 4 * i);
+  md_internal::Finish(compress_, h_.data(), buffer_, buffer_len_, total_len_);
+  common::SecureZero(buffer_, sizeof(buffer_));
+  md_internal::StoreWords(h_.data(), 5, out);
 }
 
 Bytes Sha1::Hash(const Bytes& data) {

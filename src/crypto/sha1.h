@@ -12,8 +12,29 @@
 #include <cstdint>
 
 #include "common/bytes.h"
+#include "crypto/md_internal.h"
 
 namespace sies::crypto {
+
+namespace sha1_internal {
+
+/// Initial hash value H(0) (FIPS 180-4 §5.3.1).
+extern const std::array<uint32_t, 5> kInitState;
+
+/// The SHA-1 compression function over `nblocks` consecutive 64-byte
+/// blocks. Two bodies compute it bit-identically: the portable C++
+/// reference, and the SHA-NI body (x86 SHA extensions; only callable
+/// when crypto::CpuDetected().sha). Pinned against each other by
+/// tests/crypto/sha_kernels_test.cc.
+void CompressPortable(uint32_t state[5], const uint8_t* blocks,
+                      size_t nblocks);
+void CompressShaNi(uint32_t state[5], const uint8_t* blocks, size_t nblocks);
+
+/// The body this process runs, chosen once from crypto::Cpu(): SHA-NI
+/// where the CPU has it and SIES_NATIVE allows it, portable otherwise.
+md_internal::CompressFn Compress();
+
+}  // namespace sha1_internal
 
 /// Streaming SHA-1 hasher.
 class Sha1 {
@@ -23,7 +44,11 @@ class Sha1 {
   /// Internal block size in bytes (needed by HMAC).
   static constexpr size_t kBlockSize = 64;
 
-  Sha1() { Reset(); }
+  Sha1() : Sha1(sha1_internal::Compress()) {}
+  /// Test hook: a hasher pinned to one compression body.
+  explicit Sha1(md_internal::CompressFn compress) : compress_(compress) {
+    Reset();
+  }
 
   /// Resets to the initial state.
   void Reset();
@@ -31,16 +56,15 @@ class Sha1 {
   void Update(const uint8_t* data, size_t len);
   /// Absorbs a byte string.
   void Update(const Bytes& data) { Update(data.data(), data.size()); }
-  /// Finalizes and writes the 20-byte digest. The object must be Reset()
-  /// before reuse.
+  /// Finalizes (padding in one pass) and writes the 20-byte digest. The
+  /// buffered tail is wiped; the object must be Reset() before reuse.
   void Final(uint8_t out[kDigestSize]);
 
   /// One-shot convenience.
   static Bytes Hash(const Bytes& data);
 
  private:
-  void ProcessBlock(const uint8_t block[kBlockSize]);
-
+  md_internal::CompressFn compress_;
   std::array<uint32_t, 5> h_;
   uint8_t buffer_[kBlockSize];
   size_t buffer_len_ = 0;

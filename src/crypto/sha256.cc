@@ -1,6 +1,19 @@
 #include "crypto/sha256.h"
 
+#include <algorithm>
+#include <cstdlib>
 #include <cstring>
+#include <utility>
+
+#include "common/secure.h"
+#include "crypto/cpu_features.h"
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define SIES_SHA256_NI 1
+#include <immintrin.h>
+#else
+#define SIES_SHA256_NI 0
+#endif
 
 namespace sies::crypto {
 
@@ -29,7 +42,9 @@ const uint32_t kRoundConstants[64] = {
     0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
     0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
 
-void Compress(uint32_t state[8], const uint8_t block[64]) {
+namespace {
+
+void CompressBlock(uint32_t state[8], const uint8_t block[64]) {
   uint32_t w[64];
   for (int i = 0; i < 16; ++i) w[i] = LoadBigEndian32(block + 4 * i);
   for (int i = 16; i < 64; ++i) {
@@ -65,16 +80,112 @@ void Compress(uint32_t state[8], const uint8_t block[64]) {
   state[7] += h;
 }
 
+#if SIES_SHA256_NI
+
+#define SIES_SHA_NI_TARGET __attribute__((target("sha,sse4.1,ssse3")))
+#define SIES_SHA_NI_INLINE \
+  __attribute__((target("sha,sse4.1,ssse3"), always_inline)) inline
+
+// Four rounds (group G of 16) of the SHA-NI transform. `msg[G % 4]`
+// holds W[4G..4G+3]; the schedule for later groups is advanced in the
+// rolling 4-register window exactly as Intel's SHA extensions reference
+// does (SHA256MSG1 three groups ahead, SHA256MSG2 one group ahead).
+template <int G>
+SIES_SHA_NI_INLINE void Sha256NiGroup(__m128i& abef, __m128i& cdgh,
+                                      __m128i msg[4]) {
+  __m128i wk = _mm_add_epi32(
+      msg[G & 3], _mm_loadu_si128(reinterpret_cast<const __m128i*>(
+                      &kRoundConstants[4 * G])));
+  cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+  if constexpr (G >= 3 && G <= 14) {
+    const __m128i carry = _mm_alignr_epi8(msg[G & 3], msg[(G - 1) & 3], 4);
+    msg[(G + 1) & 3] = _mm_sha256msg2_epu32(
+        _mm_add_epi32(msg[(G + 1) & 3], carry), msg[G & 3]);
+  }
+  wk = _mm_shuffle_epi32(wk, 0x0E);
+  abef = _mm_sha256rnds2_epu32(abef, cdgh, wk);
+  if constexpr (G >= 1 && G <= 12) {
+    msg[(G - 1) & 3] = _mm_sha256msg1_epu32(msg[(G - 1) & 3], msg[G & 3]);
+  }
+}
+
+template <int... G>
+SIES_SHA_NI_INLINE void Sha256NiRounds(std::integer_sequence<int, G...>,
+                                       __m128i& abef, __m128i& cdgh,
+                                       __m128i msg[4]) {
+  (Sha256NiGroup<G>(abef, cdgh, msg), ...);
+}
+
+SIES_SHA_NI_TARGET void CompressShaNiImpl(uint32_t state[8],
+                                          const uint8_t* blocks,
+                                          size_t nblocks) {
+  const __m128i bswap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  // The SHA-NI round instructions keep the state as ABEF / CDGH.
+  __m128i tmp = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state)), 0xB1);
+  __m128i cdgh = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4)), 0x1B);
+  __m128i abef = _mm_alignr_epi8(tmp, cdgh, 8);
+  cdgh = _mm_blend_epi16(cdgh, tmp, 0xF0);
+
+  __m128i msg[4];
+  for (size_t b = 0; b < nblocks; ++b, blocks += 64) {
+    const __m128i abef_save = abef;
+    const __m128i cdgh_save = cdgh;
+    for (int i = 0; i < 4; ++i) {
+      msg[i] = _mm_shuffle_epi8(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks + 16 * i)),
+          bswap);
+    }
+    Sha256NiRounds(std::make_integer_sequence<int, 16>{}, abef, cdgh, msg);
+    abef = _mm_add_epi32(abef, abef_save);
+    cdgh = _mm_add_epi32(cdgh, cdgh_save);
+  }
+
+  tmp = _mm_shuffle_epi32(abef, 0x1B);
+  cdgh = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_blend_epi16(tmp, cdgh, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
+                   _mm_alignr_epi8(cdgh, tmp, 8));
+}
+
+#undef SIES_SHA_NI_INLINE
+#undef SIES_SHA_NI_TARGET
+
+#endif  // SIES_SHA256_NI
+
+}  // namespace
+
+void CompressPortable(uint32_t state[8], const uint8_t* blocks,
+                      size_t nblocks) {
+  for (size_t b = 0; b < nblocks; ++b) CompressBlock(state, blocks + 64 * b);
+}
+
+void CompressShaNi(uint32_t state[8], const uint8_t* blocks, size_t nblocks) {
+#if SIES_SHA256_NI
+  CompressShaNiImpl(state, blocks, nblocks);
+#else
+  (void)state;
+  (void)blocks;
+  (void)nblocks;
+  std::abort();  // no SHA-NI body on this architecture
+#endif
+}
+
+md_internal::CompressFn Compress() {
+  static const md_internal::CompressFn selected =
+      Cpu().sha ? CompressShaNi : CompressPortable;
+  return selected;
+}
+
 }  // namespace sha256_internal
 
 void Sha256::Reset() {
   h_ = sha256_internal::kInitState;
   buffer_len_ = 0;
   total_len_ = 0;
-}
-
-void Sha256::ProcessBlock(const uint8_t block[kBlockSize]) {
-  sha256_internal::Compress(h_.data(), block);
 }
 
 void Sha256::Update(const uint8_t* data, size_t len) {
@@ -86,14 +197,14 @@ void Sha256::Update(const uint8_t* data, size_t len) {
     data += take;
     len -= take;
     if (buffer_len_ == kBlockSize) {
-      ProcessBlock(buffer_);
+      compress_(h_.data(), buffer_, 1);
       buffer_len_ = 0;
     }
   }
-  while (len >= kBlockSize) {
-    ProcessBlock(data);
-    data += kBlockSize;
-    len -= kBlockSize;
+  if (len >= kBlockSize) {
+    compress_(h_.data(), data, len / kBlockSize);
+    data += len - len % kBlockSize;
+    len %= kBlockSize;
   }
   if (len > 0) {
     std::memcpy(buffer_, data, len);
@@ -102,15 +213,9 @@ void Sha256::Update(const uint8_t* data, size_t len) {
 }
 
 void Sha256::Final(uint8_t out[kDigestSize]) {
-  uint64_t bit_len = total_len_ * 8;
-  uint8_t pad = 0x80;
-  Update(&pad, 1);
-  uint8_t zero = 0x00;
-  while (buffer_len_ != 56) Update(&zero, 1);
-  uint8_t len_be[8];
-  StoreBigEndian64(bit_len, len_be);
-  Update(len_be, 8);
-  for (int i = 0; i < 8; ++i) StoreBigEndian32(h_[i], out + 4 * i);
+  md_internal::Finish(compress_, h_.data(), buffer_, buffer_len_, total_len_);
+  common::SecureZero(buffer_, sizeof(buffer_));
+  md_internal::StoreWords(h_.data(), 8, out);
 }
 
 Bytes Sha256::Hash(const Bytes& data) {

@@ -10,6 +10,7 @@
 #include <cstdint>
 
 #include "common/bytes.h"
+#include "crypto/md_internal.h"
 
 namespace sies::crypto {
 
@@ -21,11 +22,20 @@ extern const std::array<uint32_t, 8> kInitState;
 /// Round constants K (FIPS 180-4 §4.2.2).
 extern const uint32_t kRoundConstants[64];
 
-/// One application of the SHA-256 compression function: absorbs a single
-/// 64-byte block into `state`. Shared by the streaming hasher below and
-/// the 8-lane multi-buffer kernel (crypto/sha256x8.*), which keeps the
-/// two paths identical by construction.
-void Compress(uint32_t state[8], const uint8_t block[64]);
+/// The SHA-256 compression function over `nblocks` consecutive 64-byte
+/// blocks. Two bodies compute it bit-identically: the portable C++
+/// reference, and the SHA-NI body (x86 SHA extensions; only callable
+/// when crypto::CpuDetected().sha). Pinned against each other by
+/// tests/crypto/sha_kernels_test.cc.
+void CompressPortable(uint32_t state[8], const uint8_t* blocks,
+                      size_t nblocks);
+void CompressShaNi(uint32_t state[8], const uint8_t* blocks, size_t nblocks);
+
+/// The body this process runs, chosen once from crypto::Cpu(): SHA-NI
+/// where the CPU has it and SIES_NATIVE allows it, portable otherwise.
+/// Every SHA-256 in the library — streaming, HMAC, the batch kernel's
+/// per-lane path — compresses through it.
+md_internal::CompressFn Compress();
 
 }  // namespace sha256_internal
 
@@ -37,7 +47,11 @@ class Sha256 {
   /// Internal block size in bytes (needed by HMAC).
   static constexpr size_t kBlockSize = 64;
 
-  Sha256() { Reset(); }
+  Sha256() : Sha256(sha256_internal::Compress()) {}
+  /// Test hook: a hasher pinned to one compression body.
+  explicit Sha256(md_internal::CompressFn compress) : compress_(compress) {
+    Reset();
+  }
 
   /// Resets to the initial state.
   void Reset();
@@ -45,16 +59,15 @@ class Sha256 {
   void Update(const uint8_t* data, size_t len);
   /// Absorbs a byte string.
   void Update(const Bytes& data) { Update(data.data(), data.size()); }
-  /// Finalizes and writes the 32-byte digest. The object must be Reset()
-  /// before reuse.
+  /// Finalizes (padding in one pass) and writes the 32-byte digest. The
+  /// buffered tail is wiped; the object must be Reset() before reuse.
   void Final(uint8_t out[kDigestSize]);
 
   /// One-shot convenience.
   static Bytes Hash(const Bytes& data);
 
  private:
-  void ProcessBlock(const uint8_t block[kBlockSize]);
-
+  md_internal::CompressFn compress_;
   std::array<uint32_t, 8> h_;
   uint8_t buffer_[kBlockSize];
   size_t buffer_len_ = 0;

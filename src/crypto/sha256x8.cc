@@ -19,8 +19,8 @@ namespace sies::crypto {
 
 namespace {
 
-// One lane of the 8-wide run. A lane's padded message is enumerated as
-// a virtual block sequence without ever concatenating it:
+// One lane of the 8-wide AVX2 run. A lane's padded message is
+// enumerated as a virtual block sequence without ever concatenating it:
 //
 //   [prefix?] [msg full blocks...] [tail: remainder + 0x80 pad + length]
 //
@@ -28,8 +28,8 @@ namespace {
 // tail holds the final 1-2 blocks of FIPS 180-4 padding, with the bit
 // length covering prefix + message. Lanes in one run may have different
 // block counts; a lane past its end is inactive and its state is left
-// untouched (blend mask on the AVX2 path, loop bound on the scalar
-// path), so every digest is independent of its co-scheduled lanes.
+// untouched (blend mask), so every digest is independent of its
+// co-scheduled lanes.
 struct Lane {
   const uint8_t* msg = nullptr;
   size_t msg_len = 0;
@@ -81,15 +81,6 @@ const uint8_t* BlockPtr(const Lane& ln, size_t b) {
 
 void ExtractDigest(const Lane& ln, uint8_t out[32]) {
   for (int j = 0; j < 8; ++j) StoreBigEndian32(ln.state[j], out + 4 * j);
-}
-
-void RunLanesScalar(Lane lanes[8]) {
-  for (int i = 0; i < 8; ++i) {
-    Lane& ln = lanes[i];
-    for (size_t b = 0; b < ln.total_blocks; ++b) {
-      sha256_internal::Compress(ln.state, BlockPtr(ln, b));
-    }
-  }
 }
 
 #if SIES_SHA256X8_AVX2
@@ -262,45 +253,53 @@ __attribute__((target("avx2"))) void RunLanesAvx2(Lane lanes[8]) {
 
 Sha256Kernel Resolve(Sha256Kernel kernel) {
   if (kernel != Sha256Kernel::kAuto) return kernel;
+  if (Cpu().sha) return Sha256Kernel::kShaNi;
 #if SIES_SHA256X8_AVX2
   if (Cpu().avx2) return Sha256Kernel::kAvx2;
 #endif
   return Sha256Kernel::kScalar;
 }
 
-void Run(Sha256Kernel kernel, Lane lanes[8]) {
-  switch (Resolve(kernel)) {
-    case Sha256Kernel::kScalar:
-      RunLanesScalar(lanes);
-      return;
-    case Sha256Kernel::kAvx2:
+// The compression body a per-lane kernel runs.
+md_internal::CompressFn LaneBody(Sha256Kernel kernel) {
+  return kernel == Sha256Kernel::kShaNi ? sha256_internal::CompressShaNi
+                                        : sha256_internal::CompressPortable;
+}
+
+void RunLanes(Lane lanes[8]) {
 #if SIES_SHA256X8_AVX2
-      RunLanesAvx2(lanes);
-      return;
+  RunLanesAvx2(lanes);
 #else
-      std::abort();  // forced an unavailable kernel
+  (void)lanes;
+  std::abort();  // forced an unavailable kernel
 #endif
-    case Sha256Kernel::kAuto:
-      break;
-  }
-  std::abort();  // Resolve never returns kAuto
 }
 
 void Sha256x8Impl(Sha256Kernel kernel, const ByteView msgs[8],
                   uint8_t out[8][32]) {
+  kernel = Resolve(kernel);
+  if (kernel != Sha256Kernel::kAvx2) {
+    for (int i = 0; i < 8; ++i) {
+      Sha256 hasher(LaneBody(kernel));
+      hasher.Update(msgs[i].data, msgs[i].len);
+      hasher.Final(out[i]);
+    }
+    return;
+  }
   Lane lanes[8];
   for (int i = 0; i < 8; ++i) {
     InitLane(&lanes[i], nullptr, msgs[i].data, msgs[i].len);
   }
-  Run(kernel, lanes);
+  RunLanes(lanes);
   for (int i = 0; i < 8; ++i) ExtractDigest(lanes[i], out[i]);
   common::SecureZero(lanes, sizeof(lanes));
 }
 
-// One 8-wide HMAC group with `nlanes` live pairs (trailing lanes idle).
-// Two lockstep passes: inner = H(ipad || msg), outer = H(opad || inner).
-void Hmac8(Sha256Kernel kernel, size_t nlanes, const ByteView* keys,
-           const ByteView* msgs, uint8_t* out) {
+// One 8-wide AVX2 HMAC group with `nlanes` live pairs (trailing lanes
+// idle). Two lockstep passes: inner = H(ipad || msg), outer = H(opad ||
+// inner).
+void Hmac8(size_t nlanes, const ByteView* keys, const ByteView* msgs,
+           uint8_t* out) {
   uint8_t pads[8][128];  // [i]: ipad block at +0, opad block at +64
   uint8_t inner[8][32];
   Lane lanes[8];
@@ -324,7 +323,7 @@ void Hmac8(Sha256Kernel kernel, size_t nlanes, const ByteView* keys,
     common::SecureZero(kblock, sizeof(kblock));
     InitLane(&lanes[i], pads[i], msgs[i].data, msgs[i].len);
   }
-  Run(kernel, lanes);
+  RunLanes(lanes);
   for (size_t i = 0; i < nlanes; ++i) ExtractDigest(lanes[i], inner[i]);
 
   for (size_t i = 0; i < 8; ++i) {
@@ -334,7 +333,7 @@ void Hmac8(Sha256Kernel kernel, size_t nlanes, const ByteView* keys,
       InitIdleLane(&lanes[i]);
     }
   }
-  Run(kernel, lanes);
+  RunLanes(lanes);
   for (size_t i = 0; i < nlanes; ++i) ExtractDigest(lanes[i], out + 32 * i);
 
   common::SecureZero(pads, sizeof(pads));
@@ -344,9 +343,17 @@ void Hmac8(Sha256Kernel kernel, size_t nlanes, const ByteView* keys,
 
 void HmacBatchImpl(Sha256Kernel kernel, size_t n, const ByteView* keys,
                    const ByteView* msgs, uint8_t* out) {
+  kernel = Resolve(kernel);
+  if (kernel != Sha256Kernel::kAvx2) {
+    const md_internal::CompressFn body = LaneBody(kernel);
+    for (size_t i = 0; i < n; ++i) {
+      hmac_internal::HmacSha256With(body, keys[i], msgs[i], out + 32 * i);
+    }
+    return;
+  }
   for (size_t off = 0; off < n; off += 8) {
     const size_t take = std::min<size_t>(8, n - off);
-    Hmac8(kernel, take, keys + off, msgs + off, out + 32 * off);
+    Hmac8(take, keys + off, msgs + off, out + 32 * off);
   }
 }
 
@@ -358,7 +365,7 @@ void Sha256x8(const ByteView msgs[8], uint8_t out[8][32]) {
 
 void HmacSha256x8(const ByteView keys[8], const ByteView msgs[8],
                   uint8_t out[8][32]) {
-  Hmac8(Sha256Kernel::kAuto, 8, keys, msgs, &out[0][0]);
+  HmacBatchImpl(Sha256Kernel::kAuto, 8, keys, msgs, &out[0][0]);
 }
 
 void HmacSha256Batch(size_t n, const ByteView* keys, const ByteView* msgs,
@@ -372,10 +379,10 @@ void EpochPrfSha256Batch(size_t n, const ByteView* keys, uint64_t epoch,
   StoreBigEndian64(epoch, enc);
   const ByteView epoch_view(enc, sizeof(enc));
   ByteView msgs[8];
-  for (int i = 0; i < 8; ++i) msgs[i] = epoch_view;
+  for (ByteView& m : msgs) m = epoch_view;
   for (size_t off = 0; off < n; off += 8) {
     const size_t take = std::min<size_t>(8, n - off);
-    Hmac8(Sha256Kernel::kAuto, take, keys + off, msgs, out + 32 * off);
+    HmacBatchImpl(Sha256Kernel::kAuto, take, keys + off, msgs, out + 32 * off);
   }
 }
 
@@ -392,6 +399,8 @@ bool KernelAvailable(Sha256Kernel kernel) {
 #else
       return false;
 #endif
+    case Sha256Kernel::kShaNi:
+      return CpuDetected().sha;
   }
   return false;
 }

@@ -1,25 +1,30 @@
-// 8-way multi-buffer SHA-256 / HMAC-SHA256 (the batched PRF kernel).
+// Batched SHA-256 / HMAC-SHA256 (the batched PRF kernel).
 //
 // SIES epoch setup derives one HM256 output per source (k_{i,t} =
 // HMAC-SHA256(k_i, t)), so a cold start at N sources is N independent
-// short HMACs. This module hashes 8 independent messages in lockstep:
-// on AVX2 hardware each __m256i holds one SHA-256 word per lane, so
-// eight compression functions run for the price of one sequential pass
-// (~arithmetic density of one scalar compression amortized 8 ways);
-// elsewhere a scalar ×8 loop over the same shared compression function
-// (sha256_internal::Compress) is used. Both paths are bit-identical by
-// construction — the AVX2 transform performs the same FIPS 180-4 round
-// schedule with the lanes transposed — and are pinned against each
-// other by differential tests (tests/crypto/sha256x8_test.cc).
+// short HMACs. Three transforms run a batch, all bit-identical:
 //
-// Lanes may have different ("ragged") message lengths: each lane keeps
-// its own block count and an inactive lane's state is preserved via a
-// per-block blend mask, so digests never depend on what the other lanes
-// are doing.
+//   kShaNi   one lane at a time through the SHA-NI compression body —
+//            the fastest per HMAC wherever the CPU has SHA extensions
+//   kAvx2    8 lanes in lockstep: each __m256i holds one SHA-256 word
+//            per lane, so eight compressions run for the price of one
+//            sequential pass (for AVX2 hosts without SHA-NI)
+//   kScalar  one lane at a time through the portable compression body
 //
-// Dispatch is runtime (crypto/cpu_features.h): `Cpu().avx2` selects the
-// AVX2 transform, the SIES_NATIVE environment variable can force the
-// scalar fallback. See docs/PERFORMANCE.md for the policy.
+// kShaNi and kScalar are the one-shot HMAC (crypto/hmac.h) per lane;
+// the AVX2 transform performs the same FIPS 180-4 round schedule with
+// the lanes transposed. They are pinned against each other by
+// differential tests (tests/crypto/sha256x8_test.cc).
+//
+// AVX2 lanes may have different ("ragged") message lengths: each lane
+// keeps its own block count and an inactive lane's state is preserved
+// via a per-block blend mask, so digests never depend on what the other
+// lanes are doing.
+//
+// Dispatch is runtime (crypto/cpu_features.h): kAuto resolves to kShaNi
+// where `Cpu().sha`, else kAvx2 where `Cpu().avx2`, else kScalar; the
+// SIES_NATIVE environment variable can force the portable body. See
+// docs/PERFORMANCE.md for the policy.
 //
 // Secret hygiene: all lane state, padded key blocks, and inner digests
 // are zeroized (common::SecureZero) before the batch entry points
@@ -32,22 +37,13 @@
 #include <cstdint>
 
 #include "common/bytes.h"
+#include "crypto/hmac.h"  // ByteView
 
 namespace sies::crypto {
 
-/// Borrowed byte range for the batch APIs (no ownership, no copy).
-struct ByteView {
-  const uint8_t* data = nullptr;
-  size_t len = 0;
-
-  ByteView() = default;
-  ByteView(const uint8_t* d, size_t l) : data(d), len(l) {}
-  // NOLINTNEXTLINE(google-explicit-constructor): adapter by design.
-  ByteView(const Bytes& b) : data(b.data()), len(b.size()) {}
-};
-
-/// Which transform the batch entry points run. kAuto follows Cpu().
-enum class Sha256Kernel { kAuto, kScalar, kAvx2 };
+/// Which transform the batch entry points run. kAuto follows Cpu():
+/// SHA-NI > AVX2 > portable.
+enum class Sha256Kernel { kAuto, kScalar, kAvx2, kShaNi };
 
 /// Hashes 8 independent messages (any lengths, including 0) into
 /// `out[i]` = SHA-256(msgs[i]).

@@ -140,12 +140,13 @@ std::shared_ptr<const EpochKeyCache::SourceEntry> EpochKeyCache::Sources(
     entry->keys.resize(n);
     entry->shares.resize(n);
   }
-  // Sources are derived in groups so the 8-lane HMAC kernel always sees
-  // full batches, and the pool fans out over *groups* in one flat
-  // ParallelFor — never a nested dispatch per index. (When Sources is
-  // itself reached from inside a pool lane — e.g. the engine's
-  // per-channel Evaluate fan-out — ThreadPool runs this loop inline on
-  // that lane; lane batching keeps even that path on the fast kernel.)
+  // Sources are derived in groups so the batch HMAC kernel (8-lane on
+  // AVX2-only hosts) always sees full batches, and the pool fans out
+  // over *groups* in one flat ParallelFor — never a nested dispatch per
+  // index. (When Sources is itself reached from inside a pool lane —
+  // e.g. the engine's per-channel Evaluate fan-out — ThreadPool runs
+  // this loop inline on that lane; lane batching keeps even that path
+  // on the fast kernel.)
   constexpr size_t kGroup = 256;
   const size_t num_groups = (n + kGroup - 1) / kGroup;
   auto derive_group = [&](size_t g) {
@@ -154,7 +155,7 @@ std::shared_ptr<const EpochKeyCache::SourceEntry> EpochKeyCache::Sources(
     if (fp != nullptr) {
       DeriveEpochSourceKeysFpBatch(*fp, keys, begin, count, epoch,
                                    entry->keys_fp.data() + begin);
-      // HM1 shares are SHA-1; no batch kernel exists for them.
+      // HM1 shares are SHA-1: one heap-free HMAC each, no batch form.
       for (size_t i = begin; i < begin + count; ++i) {
         entry->shares_fp[i] = DeriveEpochShareFp(keys[i], epoch);
       }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "common/secure.h"
 #include "crypto/hmac.h"
@@ -107,14 +108,24 @@ StatusOr<SourceKeys> KeysForSource(const QuerierKeys& keys, uint32_t index) {
   return SourceKeys{keys.global_key, keys.source_keys[index]};
 }
 
+namespace {
+
+// The hardened profile's domain-separated share input "share" || t,
+// distinct from the plain HM256(k_i, t) that derives k_{i,t}.
+constexpr size_t kShareInputBytes = 13;
+
+void ShareInput(uint64_t epoch, uint8_t out[kShareInputBytes]) {
+  std::memcpy(out, "share", 5);
+  StoreBigEndian64(epoch, out + 5);
+}
+
+}  // namespace
+
 crypto::BigUint DeriveEpochGlobalKey(const Params& params,
                                      const Bytes& global_key,
                                      uint64_t epoch) {
-  Bytes prf = crypto::EpochPrfSha256(global_key, epoch);
-  crypto::BigUint raw = crypto::BigUint::FromBytes(prf);
-  SecureWipe(prf);
-  crypto::BigUint k = crypto::BigUint::Mod(raw, params.prime).value();
-  raw.Wipe();
+  // HM256(K, t) mod p is the k_{i,t} derivation applied to K.
+  crypto::BigUint k = DeriveEpochSourceKey(params, global_key, epoch);
   if (k.IsZero()) k = crypto::BigUint(1);  // K_t must be invertible
   return k;
 }
@@ -122,9 +133,10 @@ crypto::BigUint DeriveEpochGlobalKey(const Params& params,
 crypto::BigUint DeriveEpochSourceKey(const Params& params,
                                      const Bytes& source_key,
                                      uint64_t epoch) {
-  Bytes prf = crypto::EpochPrfSha256(source_key, epoch);
-  crypto::BigUint raw = crypto::BigUint::FromBytes(prf);
-  SecureWipe(prf);
+  uint8_t prf[32];
+  crypto::EpochPrfSha256Into(source_key, epoch, prf);
+  crypto::BigUint raw = crypto::BigUint::FromBytes(prf, sizeof(prf));
+  common::SecureZero(prf, sizeof(prf));
   crypto::BigUint k = crypto::BigUint::Mod(raw, params.prime).value();
   raw.Wipe();
   return k;
@@ -135,45 +147,46 @@ crypto::BigUint DeriveEpochShare(const Params& params,
   if (params.share_prf == SharePrf::kHmacSha1) {
     return DeriveEpochShare(source_key, epoch);
   }
-  // Domain separation from DeriveEpochSourceKey (plain HM256(k_i, t)).
-  Bytes input = {'s', 'h', 'a', 'r', 'e'};
-  Bytes e = EncodeUint64(epoch);
-  input.insert(input.end(), e.begin(), e.end());
-  Bytes prf = crypto::HmacSha256(source_key, input);
-  crypto::BigUint share = crypto::BigUint::FromBytes(prf);
-  SecureWipe(prf);
+  uint8_t input[kShareInputBytes];
+  ShareInput(epoch, input);
+  uint8_t prf[32];
+  crypto::HmacSha256Into(source_key, crypto::ByteView(input, sizeof(input)),
+                         prf);
+  crypto::BigUint share = crypto::BigUint::FromBytes(prf, sizeof(prf));
+  common::SecureZero(prf, sizeof(prf));
   return share;
 }
 
 crypto::BigUint DeriveEpochShare(const Bytes& source_key, uint64_t epoch) {
-  Bytes prf = crypto::EpochPrfSha1(source_key, epoch);
-  crypto::BigUint share = crypto::BigUint::FromBytes(prf);
-  SecureWipe(prf);
+  uint8_t prf[20];
+  crypto::EpochPrfSha1Into(source_key, epoch, prf);
+  crypto::BigUint share = crypto::BigUint::FromBytes(prf, sizeof(prf));
+  common::SecureZero(prf, sizeof(prf));
   return share;
 }
 
 crypto::U256 DeriveEpochGlobalKeyFp(const crypto::Fp256& fp,
                                     const Bytes& global_key, uint64_t epoch) {
-  Bytes prf = crypto::EpochPrfSha256(global_key, epoch);
-  crypto::U256 k =
-      fp.Reduce(crypto::U256::FromBytesBE(prf.data(), prf.size()));
-  SecureWipe(prf);
+  // HM256(K, t) mod p is the k_{i,t} derivation applied to K.
+  crypto::U256 k = DeriveEpochSourceKeyFp(fp, global_key, epoch);
   if (k.IsZero()) k = crypto::U256::FromUint64(1);  // K_t must be invertible
   return k;
 }
 
 crypto::U256 DeriveEpochSourceKeyFp(const crypto::Fp256& fp,
                                     const Bytes& source_key, uint64_t epoch) {
-  Bytes prf = crypto::EpochPrfSha256(source_key, epoch);
-  crypto::U256 k = fp.Reduce(crypto::U256::FromBytesBE(prf.data(), prf.size()));
-  SecureWipe(prf);
+  uint8_t prf[32];
+  crypto::EpochPrfSha256Into(source_key, epoch, prf);
+  crypto::U256 k = fp.Reduce(crypto::U256::FromBytesBE(prf, sizeof(prf)));
+  common::SecureZero(prf, sizeof(prf));
   return k;
 }
 
 crypto::U256 DeriveEpochShareFp(const Bytes& source_key, uint64_t epoch) {
-  Bytes prf = crypto::EpochPrfSha1(source_key, epoch);
-  crypto::U256 share = crypto::U256::FromBytesBE(prf.data(), prf.size());
-  SecureWipe(prf);
+  uint8_t prf[20];
+  crypto::EpochPrfSha1Into(source_key, epoch, prf);
+  crypto::U256 share = crypto::U256::FromBytesBE(prf, sizeof(prf));
+  common::SecureZero(prf, sizeof(prf));
   return share;
 }
 
@@ -231,12 +244,11 @@ void DeriveEpochSourceKeysBatch(const Params& params,
 void DeriveEpochSharesHm256Batch(const std::vector<Bytes>& source_keys,
                                  size_t begin, size_t count, uint64_t epoch,
                                  crypto::BigUint* out) {
-  // Same domain-separated input as DeriveEpochShare's HM256 branch:
-  // "share" || t, identical for every source in the batch.
-  Bytes input = {'s', 'h', 'a', 'r', 'e'};
-  Bytes e = EncodeUint64(epoch);
-  input.insert(input.end(), e.begin(), e.end());
-  const crypto::ByteView msg(input);
+  // Same domain-separated input as DeriveEpochShare's HM256 branch,
+  // identical for every source in the batch.
+  uint8_t input[kShareInputBytes];
+  ShareInput(epoch, input);
+  const crypto::ByteView msg(input, sizeof(input));
 
   crypto::ByteView keys[kDeriveChunk];
   crypto::ByteView msgs[kDeriveChunk];

@@ -126,7 +126,9 @@ crypto::BigUint DeriveEpochShare(const Bytes& source_key, uint64_t epoch);
 
 // --- Fixed-width derivation (the Fp256 fast path). Bit-identical to the
 // --- BigUint derivations above: same PRF bytes, same reduction (a single
-// --- conditional subtract, since the PRF output is < 2^256 <= 2p).
+// --- conditional subtract, since the PRF output is < 2^256 <= 2p). These
+// --- run the heap-free PRFs (crypto::EpochPrfSha*Into) into wiped stack
+// --- buffers, so a source's whole PSR creation allocates nothing.
 
 /// K_t as a U256, reduced into [1, p).
 crypto::U256 DeriveEpochGlobalKeyFp(const crypto::Fp256& fp,
@@ -143,12 +145,12 @@ crypto::U256 DeriveEpochShareFp(const Bytes& source_key, uint64_t epoch);
 
 // --- Batched derivation (the multi-buffer fast path). Each function is
 // --- bit-identical to calling its scalar counterpart above once per
-// --- index — same PRF bytes (crypto::EpochPrfSha256Batch groups the
-// --- HMACs into 8-wide SHA-256 lanes), same reduction — so cache
-// --- contents never depend on whether the batch path ran. Pinned by
-// --- tests/sies/epoch_key_cache_test.cc and tests/crypto/sha256x8_test.
-// --- The HM1 share derivation (SHA-1) has no batch form; it stays on
-// --- the scalar path even when the k_{i,t} batch runs.
+// --- index — same PRF bytes (crypto::EpochPrfSha256Batch runs the
+// --- HMACs per lane on SHA-NI, or in 8-wide AVX2 lanes), same
+// --- reduction — so cache contents never depend on whether the batch
+// --- path ran. Pinned by tests/sies/epoch_key_cache_test.cc and
+// --- tests/crypto/sha256x8_test. The HM1 share derivation (SHA-1) has
+// --- no batch form: each share is one heap-free DeriveEpochShareFp.
 
 /// k_{i,t} for sources [begin, begin + count) into out[0..count), as
 /// U256 reduced into [0, p). Equals DeriveEpochSourceKeyFp per index.

@@ -6,6 +6,7 @@
 
 #include "common/rng.h"
 #include "crypto/biguint.h"
+#include "crypto/prime.h"
 
 namespace sies::crypto {
 namespace {
@@ -243,6 +244,59 @@ INSTANTIATE_TEST_SUITE_P(Primes, Fp256DifferentialTest,
 TEST(Fp256Test, InverseOfZeroFails) {
   Fp256 fp = Fp256::Create(Hex(kPrimeHexA)).value();
   EXPECT_FALSE(fp.Inverse(U256()).ok());
+}
+
+// The two fixed primes above are both close to 2^256; the parameter
+// generator's primes are not. Mul over freshly generated 256-bit primes
+// (the protocol's own MakeParams path) must equal BigUint::ModMul too.
+void MulMatchesBigUintOverGeneratedPrime(uint64_t prime_seed,
+                                         uint64_t rng_seed) {
+  Xoshiro256 prime_rng(prime_seed);
+  const BigUint prime = GeneratePrime(256, prime_rng);
+  auto fp = Fp256::Create(prime);
+  ASSERT_TRUE(fp.ok()) << fp.status().message();
+
+  Xoshiro256 rng(rng_seed);
+  for (int i = 0; i < 2000; ++i) {
+    U256 a, b;
+    for (uint64_t& limb : a.v) limb = rng.Next();
+    for (uint64_t& limb : b.v) limb = rng.Next();
+    a = fp.value().Reduce(a);
+    b = fp.value().Reduce(b);
+    auto big = BigUint::ModMul(a.ToBigUint(), b.ToBigUint(), prime);
+    ASSERT_TRUE(big.ok());
+    ASSERT_EQ(fp.value().Mul(a, b).ToBigUint(), big.value()) << "i=" << i;
+  }
+}
+
+TEST(Fp256Test, MulMatchesBigUintOverGeneratedPrimeA) {
+  MulMatchesBigUintOverGeneratedPrime(/*prime_seed=*/0xADC5'0001,
+                                      /*rng_seed=*/0x1);
+}
+
+TEST(Fp256Test, MulMatchesBigUintOverGeneratedPrimeB) {
+  MulMatchesBigUintOverGeneratedPrime(/*prime_seed=*/0xADC5'0002,
+                                      /*rng_seed=*/0x2);
+}
+
+// Every pairing of the carry-chain edge operands 0, 1, 2^64 - 1 and
+// p - 1, against BigUint::ModMul.
+TEST(Fp256Test, MulEdgeOperandsMatchBigUint) {
+  Xoshiro256 prime_rng(0xADC5'0003);
+  const BigUint prime = GeneratePrime(256, prime_rng);
+  auto fp = Fp256::Create(prime);
+  ASSERT_TRUE(fp.ok());
+
+  U256 p_minus_1;
+  U256::Sub(fp.value().prime_u256(), U256::FromUint64(1), &p_minus_1);
+  const U256 cases[] = {U256::FromUint64(0), U256::FromUint64(1),
+                        U256::FromUint64(~0ull), p_minus_1};
+  for (const U256& a : cases) {
+    for (const U256& b : cases) {
+      EXPECT_EQ(fp.value().Mul(a, b).ToBigUint(),
+                BigUint::ModMul(a.ToBigUint(), b.ToBigUint(), prime).value());
+    }
+  }
 }
 
 }  // namespace

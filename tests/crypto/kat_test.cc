@@ -160,8 +160,9 @@ TEST(KatHmacSha256, Rfc4231LongKey) {
 // All 8 lanes carry different key and message lengths (the ragged case),
 // pinned to independently generated digests (Python hmac/hashlib) AND to
 // the scalar one-shot implementation, on every kernel this machine can
-// run. A transpose or lane-masking bug in the AVX2 transform cannot pass
-// this and the FIPS/RFC single-lane vectors simultaneously.
+// run (scalar, AVX2, SHA-NI). A transpose or lane-masking bug in the
+// AVX2 transform cannot pass this and the FIPS/RFC single-lane vectors
+// simultaneously.
 
 TEST(KatSha256x8, RaggedLanesAllKernels) {
   const size_t lens[8] = {0, 1, 55, 56, 63, 64, 65, 200};
@@ -174,7 +175,8 @@ TEST(KatSha256x8, RaggedLanesAllKernels) {
     }
     views[i] = ByteView(msgs[i]);
   }
-  for (Sha256Kernel kernel : {Sha256Kernel::kScalar, Sha256Kernel::kAvx2}) {
+  for (Sha256Kernel kernel : {Sha256Kernel::kScalar, Sha256Kernel::kAvx2,
+                               Sha256Kernel::kShaNi}) {
     if (!sha256x8_internal::KernelAvailable(kernel)) continue;
     uint8_t out[8][32];
     sha256x8_internal::Sha256x8WithKernel(kernel, views, out);
@@ -214,7 +216,8 @@ TEST(KatHmacSha256x8, RaggedLanesPinnedDigests) {
     kviews[i] = ByteView(keys[i]);
     mviews[i] = ByteView(msgs[i]);
   }
-  for (Sha256Kernel kernel : {Sha256Kernel::kScalar, Sha256Kernel::kAvx2}) {
+  for (Sha256Kernel kernel : {Sha256Kernel::kScalar, Sha256Kernel::kAvx2,
+                               Sha256Kernel::kShaNi}) {
     if (!sha256x8_internal::KernelAvailable(kernel)) continue;
     uint8_t out[8 * 32];
     sha256x8_internal::HmacSha256BatchWithKernel(kernel, 8, kviews, mviews,

@@ -4,7 +4,8 @@
 //   - HmacSha256Batch over >= 10^4 random (key, message) pairs with
 //     ragged lane lengths, on every kernel the machine can run — the
 //     batched epoch-key derivation inherits its correctness from here.
-//   - Forced-kernel equality: scalar x8 vs AVX2 over identical inputs.
+//   - Forced-kernel equality: scalar vs AVX2 vs SHA-NI over identical
+//     inputs.
 //   - EpochPrfSha256Batch vs EpochPrfSha256 (the derivation entry point
 //     EpochKeyCache actually uses).
 //   - Partial final groups (n not a multiple of 8) and n == 0.
@@ -29,8 +30,8 @@ namespace {
 
 std::vector<Sha256Kernel> AvailableKernels() {
   std::vector<Sha256Kernel> kernels = {Sha256Kernel::kScalar};
-  if (sha256x8_internal::KernelAvailable(Sha256Kernel::kAvx2)) {
-    kernels.push_back(Sha256Kernel::kAvx2);
+  for (Sha256Kernel k : {Sha256Kernel::kAvx2, Sha256Kernel::kShaNi}) {
+    if (sha256x8_internal::KernelAvailable(k)) kernels.push_back(k);
   }
   return kernels;
 }
@@ -96,11 +97,12 @@ TEST(HmacSha256Batch, TenThousandRandomPairsMatchScalar) {
   }
 }
 
-// Scalar x8 and AVX2 must agree with each other directly (not only via
-// the one-shot reference): same inputs through both forced kernels.
+// Every forced kernel must agree with the scalar one directly (not only
+// via the one-shot reference): same inputs through each.
 TEST(HmacSha256Batch, ForcedKernelsAgree) {
-  if (!sha256x8_internal::KernelAvailable(Sha256Kernel::kAvx2)) {
-    GTEST_SKIP() << "no AVX2 on this machine; scalar-only build";
+  const std::vector<Sha256Kernel> kernels = AvailableKernels();
+  if (kernels.size() == 1) {
+    GTEST_SKIP() << "no AVX2 or SHA-NI on this CPU; scalar-only build";
   }
   Xoshiro256 rng(0x5135'0003);
   constexpr size_t kN = 64;
@@ -112,14 +114,21 @@ TEST(HmacSha256Batch, ForcedKernelsAgree) {
     kviews[i] = ByteView(keys[i]);
     mviews[i] = ByteView(msgs[i]);
   }
-  std::vector<uint8_t> scalar_out(32 * kN), avx2_out(32 * kN);
+  std::vector<uint8_t> scalar_out(32 * kN), forced_out(32 * kN);
   sha256x8_internal::HmacSha256BatchWithKernel(
       Sha256Kernel::kScalar, kN, kviews.data(), mviews.data(),
       scalar_out.data());
-  sha256x8_internal::HmacSha256BatchWithKernel(Sha256Kernel::kAvx2, kN,
-                                               kviews.data(), mviews.data(),
-                                               avx2_out.data());
-  EXPECT_EQ(scalar_out, avx2_out);
+  for (Sha256Kernel kernel : kernels) {
+    sha256x8_internal::HmacSha256BatchWithKernel(kernel, kN, kviews.data(),
+                                                 mviews.data(),
+                                                 forced_out.data());
+    EXPECT_EQ(scalar_out, forced_out) << "kernel=" << static_cast<int>(kernel);
+  }
+}
+
+TEST(Sha256BatchKernel, AvailabilityFollowsCpuDetection) {
+  EXPECT_EQ(sha256x8_internal::KernelAvailable(Sha256Kernel::kShaNi),
+            CpuDetected().sha);
 }
 
 TEST(HmacSha256x8, MatchesBatchEntryPoint) {
