@@ -180,25 +180,32 @@ int main(int argc, char** argv) {
     core::EpochKeyCache::Stats stats_cold = sies_querier.CacheStats();
     evaluate_or_die();  // prime the cache outside the timed region
 
-    // --- SIES wire path (contributor bitmap carried in-band) ---
+    // --- SIES wire path (contributor set carried in-band) ---
     // Same warm-cache evaluation through EvaluateWire: the querier
-    // additionally parses the ⌈N/8⌉-byte bitmap and derives the
-    // participating set from it. The acceptance bar for the loss
-    // extension is <2% over the raw warm path at this grid.
+    // additionally splits the envelope into contributor field and PSR
+    // and derives the participating set from the field (empty at full
+    // coverage). The acceptance bar for the loss extension is <2% over
+    // the raw warm path at this grid.
     Bytes wire_final;
     for (uint32_t i = 0; i < n; ++i) {
       core::Source src(sies_params, i,
                        core::KeysForSource(sies_keys, i).value());
-      Bytes psr = src.CreateWirePsr(snap.values[i], 1).value();
+      Bytes psr = src.CreatePsr(snap.values[i], 1).value();
+      // A caterpillar tree: the running aggregate covers [0, i), the
+      // new source [i, i + 1).
+      const net::SourceRange ranges[] = {{0, i}, {i, i + 1}};
       wire_final = wire_final.empty()
                        ? psr
-                       : sies_agg.MergeWire({wire_final, psr}).value();
+                       : sies_agg
+                             .MergeWire(ranges, {wire_final, psr},
+                                        /*channels=*/1)
+                             .value();
     }
-    // Check once (outside the timed region) that the bitmap reports all
-    // N sources; the timed loop then measures the evaluation itself —
-    // envelope validation, bitmap-derived participating set, decrypt and
-    // share-sum verification — without the contributor-list copy that
-    // only reporting callers ask for.
+    // Check once (outside the timed region) that the envelope reports
+    // all N sources; the timed loop then measures the evaluation itself
+    // — envelope validation, participating set, decrypt and share-sum
+    // verification — without the contributor-list copy that only
+    // reporting callers ask for.
     {
       std::vector<uint32_t> wire_contributors;
       auto eval = sies_querier.EvaluateWire(wire_final, 1, &wire_contributors);

@@ -5,7 +5,8 @@
 // The measured rows come from a genuine full-network run (N=64: byte
 // costs per edge are N-independent for all schemes; the SECOA source
 // work at N=1024 would take ~40 s/epoch without changing a single byte
-// on any edge). Model rows evaluate Eqs. 10-11 at N=1024.
+// on any edge), plus a SIES-only run at N=1024 that shows it. Model rows
+// evaluate Eqs. 10-11 at N=1024.
 //
 // Note the documented deviation (DESIGN.md): our SECOA_S carries
 // per-sketch winner ids and individual certificates in-network because
@@ -126,21 +127,37 @@ int main() {
       "\npaper reference: CMT 20 B; SECOA_S 37.8 KiB (S-A/A-A), 832 B "
       "actual A-Q; SIES 32 B on every edge.\n");
 
-  // Shape check, asserted. Every SIES message is the 32-byte PSR plus
-  // the ceil(N/8)-byte contributor bitmap (DESIGN.md §9), so the
-  // measured SIES edge is 32 + ceil(N/8) bytes, not the paper's 32;
-  // CMT's is its 20-byte HM1 ciphertext.
-  const double sies_edge = 32.0 + (base.num_sources + 7) / 8;
-  bool shape_ok = true;
+  // SIES-only run at the paper's N=1024: SIES edges are the bare PSR
+  // at every N (a lossless epoch's contributor fields are empty).
+  runner::ExperimentConfig sies_1024 = base;
+  sies_1024.scheme = runner::Scheme::kSies;
+  sies_1024.num_sources = 1024;
+  auto large = runner::RunExperiment(sies_1024);
+  if (!large.ok()) {
+    std::fprintf(stderr, "experiment failed: %s\n",
+                 large.status().ToString().c_str());
+    return 1;
+  }
+  const double large_edges[3] = {
+      large.value().source_to_aggregator_bytes,
+      large.value().aggregator_to_aggregator_bytes,
+      large.value().aggregator_to_querier_bytes};
+  std::printf("\n--- measured SIES, N=1024 ---\n");
   for (int e = 0; e < 3; ++e) {
-    shape_ok = shape_ok && measured[2][e] == sies_edge &&
-               measured[0][e] == 20.0;
+    std::printf("%-10s %16s\n", edge_names[e],
+                HumanBytes(large_edges[e]).c_str());
+  }
+
+  // Shape check, asserted: SIES 32 B on every edge class at N=64 and
+  // N=1024, CMT's 20-byte HM1 ciphertext at N=64.
+  bool shape_ok = large.value().all_verified;
+  for (int e = 0; e < 3; ++e) {
+    shape_ok = shape_ok && measured[2][e] == 32.0 &&
+               large_edges[e] == 32.0 && measured[0][e] == 20.0;
   }
   std::printf(
-      "shape check: SIES %.0f B on every edge = 32 B PSR + %u B "
-      "contributor bitmap (ceil(N/8), N=%u); CMT 20 B on every edge: "
-      "%s\n",
-      sies_edge, (base.num_sources + 7) / 8, base.num_sources,
+      "shape check: SIES 32 B on every edge at N=64 and N=1024; CMT 20 B "
+      "on every edge: %s\n",
       shape_ok ? "OK" : "FAILED");
   return shape_ok ? 0 : 1;
 }

@@ -97,7 +97,7 @@ int main() {
   }
 
   // Epoch 6: a compromised aggregator silently drops a subtree. The
-  // contributor bitmap exposes the suppression: the sum is accepted
+  // contributor set exposes the suppression: the sum is accepted
   // only as an explicit partial over the surviving posts, never as the
   // full count.
   {

@@ -43,7 +43,7 @@ class HistogramProtocol : public net::AggregationProtocol {
 
   StatusOr<Bytes> AggregatorMerge(
       net::NodeId, uint64_t, const std::vector<Bytes>& children) override {
-    return aggregator_.Merge(children);
+    return aggregator_.Merge(net::ArrivedPayloads(children));
   }
 
   StatusOr<net::EvalOutcome> QuerierEvaluate(

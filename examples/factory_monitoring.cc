@@ -27,7 +27,8 @@ class QueryProtocol : public net::AggregationProtocol {
   QueryProtocol(core::Query query, core::Params params,
                 core::QuerierKeys keys, const net::Topology& topology,
                 workload::TraceGenerator* trace)
-      : aggregator_(query, params),
+      : topology_(topology),
+        aggregator_(query, params),
         querier_(query, params, keys),
         trace_(trace) {
     for (net::NodeId node : topology.sources()) {
@@ -48,14 +49,16 @@ class QueryProtocol : public net::AggregationProtocol {
   }
 
   StatusOr<Bytes> AggregatorMerge(
-      net::NodeId, uint64_t, const std::vector<Bytes>& children) override {
-    return aggregator_.Merge(children);
+      net::NodeId id, uint64_t, const std::vector<Bytes>& children) override {
+    // Slot i is child i's envelope (empty if lost); the merge needs each
+    // child's source range to report what went missing.
+    return aggregator_.Merge(topology_.child_ranges(id), children);
   }
 
   StatusOr<net::EvalOutcome> QuerierEvaluate(
       uint64_t epoch, const Bytes& final_payload,
       const std::vector<net::NodeId>& /*participating*/) override {
-    // The participating set rides in the payload's contributor bitmap.
+    // The participating set rides in the payload's contributor field.
     auto outcome = querier_.Evaluate(final_payload, epoch);
     if (!outcome.ok()) return outcome.status();
     last_count_ = outcome.value().result.count;
@@ -72,6 +75,7 @@ class QueryProtocol : public net::AggregationProtocol {
   uint64_t last_count() const { return last_count_; }
 
  private:
+  net::Topology topology_;
   core::AggregatorSession aggregator_;
   core::QuerierSession querier_;
   workload::TraceGenerator* trace_;

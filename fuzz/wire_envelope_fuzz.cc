@@ -1,21 +1,30 @@
-// Harness: sies::core::ParsePsr + ParseWireEnvelope — the querier-side
-// wire surface. A hostile aggregator controls every byte here, so the
-// paper's security argument (tamper => verification failure, never a
-// crash or false acceptance) must hold over arbitrary frames.
+// Harness: sies::core::ParsePsr + ParseWireEnvelope + the contributor-set
+// codec — the wire surface every SIES party decodes. A hostile child or
+// aggregator controls every byte here, so the paper's security argument
+// (tamper => verification failure, never a crash or false acceptance)
+// must hold over arbitrary frames.
 //
 // Input layout: [0] control byte, [1..] wire bytes.
 //   control & 0x07          expected channel-plan width (0..7)
-//   control & 0x08          params instance: N=16 (exact bitmap) or
-//                           N=12 (4 padding bits in the bitmap tail)
+//   (control >> 3) & 0x03   the sender's source range in a 300-source
+//                           tree: 0 the whole tree [0, 300) (2-byte
+//                           offsets, 38-byte bitmap), 1 a subtree
+//                           [40, 140) (1-byte offsets), 2 a subtree
+//                           [37, 49) (bitmap only), 3 one source [5, 6)
+//                           (only the empty field is valid)
 //
 // Oracles:
-//   * parse-ok => body is exactly channels x PsrBytes and the envelope
-//     reserializes bit-identically (N=16) / to a parse fixpoint (N=12,
-//     where padding bits are masked by contract);
-//   * the same frame parsed against a DIFFERENT plan width must fail;
+//   * parse-ok => the body is exactly channels x PsrBytes, the field
+//     is no wider than the range's bitmap and empty exactly when the
+//     set is complete, and the envelope reserializes byte-identically
+//     (every accepted frame, in all three forms, has one encoding);
+//   * a single child's field survives a merge unchanged;
+//   * while the widest field is narrower than one PSR, the same frame
+//     parsed against a DIFFERENT plan width must fail;
 //   * a well-formed single PSR never verifies against the committed
-//     keys (forgery acceptance probability ~2^-224), and a wire
-//     envelope never verifies with a non-empty contributor set;
+//     keys (forgery acceptance probability ~2^-224), the querier
+//     rejects every root envelope the envelope parser rejects, and a
+//     wire envelope never verifies with a non-empty contributor set;
 //   * every failure is a Status, never an abort.
 #include <vector>
 
@@ -26,12 +35,16 @@
 namespace {
 
 using sies::Bytes;
+using sies::net::SourceRange;
 using namespace sies::core;
 
+constexpr uint32_t kSources = 300;
+constexpr SourceRange kRanges[4] = {
+    {0, kSources}, {40, 140}, {37, 49}, {5, 6}};
+
 struct Fixture {
-  Params params16 = MakeParams(16, 1).value();
-  Params params12 = MakeParams(12, 1).value();
-  Querier querier{params16, GenerateKeys(params16, {7})};
+  Params params = MakeParams(kSources, 1).value();
+  Querier querier{params, GenerateKeys(params, {7})};
 };
 
 Fixture& GetFixture() {
@@ -39,37 +52,55 @@ Fixture& GetFixture() {
   return *fixture;
 }
 
-void CheckEnvelope(const Params& params, const Bytes& wire, size_t channels,
-                   bool exact_bitmap) {
-  auto parsed = ParseWireEnvelope(params, wire, channels);
-  // Wrong-plan parses must fail regardless of the frame's own shape.
-  auto wrong_plan = ParseWireEnvelope(params, wire, channels + 1);
+// Returns true when the frame parsed.
+bool CheckEnvelope(const Params& params, SourceRange range, const Bytes& wire,
+                   size_t channels) {
+  auto parsed = ParseWireEnvelope(params, range, wire, channels);
   if (!parsed.ok()) {
     SIES_FUZZ_ASSERT(!parsed.status().message().empty(),
                      "parse failure carries no message");
-    return;
+    return false;
   }
-  SIES_FUZZ_ASSERT(!wrong_plan.ok(),
-                   "frame accepted under two different channel plans");
   const WirePayload& payload = parsed.value();
-  SIES_FUZZ_ASSERT(payload.body.size() == channels * params.PsrBytes(),
+  const size_t body_bytes = channels * params.PsrBytes();
+  const size_t field_bytes = wire.size() - body_bytes;
+  SIES_FUZZ_ASSERT(payload.body.size() == body_bytes,
                    "parsed body width disagrees with the channel plan");
-  SIES_FUZZ_ASSERT(payload.bitmap.num_sources() == params.num_sources,
-                   "parsed bitmap has the wrong source count");
-  auto rewire = SerializeWirePayload(params, payload.bitmap, payload.body);
-  SIES_FUZZ_ASSERT(rewire.ok(), "parsed envelope refuses to reserialize");
-  if (exact_bitmap) {
-    SIES_FUZZ_ASSERT(rewire.value() == wire,
-                     "reserialized envelope is not bit-identical");
-  } else {
-    // Padding bits are masked on parse, so require a fixpoint instead:
-    // parse(serialize(parse(x))) == parse(x).
-    auto again = ParseWireEnvelope(params, rewire.value(), channels);
-    SIES_FUZZ_ASSERT(again.ok(), "reserialized envelope refuses to parse");
-    SIES_FUZZ_ASSERT(again.value().bitmap == payload.bitmap &&
-                         again.value().body == payload.body,
-                     "envelope parse is not a fixpoint");
+  SIES_FUZZ_ASSERT(payload.contributors.range() == range,
+                   "parsed set has the wrong sender range");
+  SIES_FUZZ_ASSERT(payload.contributors.FieldBytes() == field_bytes,
+                   "parsed set re-encodes at a different width");
+  SIES_FUZZ_ASSERT(field_bytes <= ContributorSet::BitmapBytes(range),
+                   "accepted a field wider than the bitmap");
+  SIES_FUZZ_ASSERT((field_bytes == 0) == payload.contributors.complete(),
+                   "empty field and complete set disagree");
+  SIES_FUZZ_ASSERT(payload.contributors.Count() > 0,
+                   "accepted a set with no contributor");
+  SIES_FUZZ_ASSERT(
+      SerializeWirePayload(payload.contributors, payload.body) == wire,
+      "reserialized envelope is not byte-identical");
+
+  // (An empty frame — zero channels, complete — is an empty slot to a
+  // merge: nothing arrived.)
+  if (!wire.empty()) {
+    Bytes merged_field;
+    SIES_FUZZ_ASSERT(
+        AppendMergedField({&range, 1}, {wire}, body_bytes, merged_field)
+            .ok(),
+        "a parsable child envelope failed to merge");
+    SIES_FUZZ_ASSERT(
+        merged_field == Bytes(wire.begin(), wire.begin() + field_bytes),
+        "a lone child's field changed in the merge");
   }
+
+  // Length-implied forms make the plan width ambiguous once a field can
+  // be a whole PSR wide; below that, a second plan cannot fit.
+  if (ContributorSet::BitmapBytes(range) < params.PsrBytes()) {
+    SIES_FUZZ_ASSERT(
+        !ParseWireEnvelope(params, range, wire, channels + 1).ok(),
+        "frame accepted under two different channel plans");
+  }
+  return true;
 }
 
 }  // namespace
@@ -79,17 +110,16 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   Fixture& fixture = GetFixture();
   const uint8_t control = data[0];
   const size_t channels = control & 0x07u;
-  const bool use_padded = (control & 0x08u) != 0;
-  const Params& params = use_padded ? fixture.params12 : fixture.params16;
+  const SourceRange range = kRanges[(control >> 3) & 0x03u];
   const Bytes wire(data + 1, data + size);
 
-  CheckEnvelope(params, wire, channels, /*exact_bitmap=*/!use_padded);
+  const bool parsed = CheckEnvelope(fixture.params, range, wire, channels);
 
   // Single-PSR surface + the false-acceptance oracle.
-  if (wire.size() == fixture.params16.PsrBytes()) {
-    auto psr = ParsePsr(fixture.params16, wire);
+  if (wire.size() == fixture.params.PsrBytes()) {
+    auto psr = ParsePsr(fixture.params, wire);
     if (psr.ok()) {
-      auto bytes = SerializePsr(fixture.params16, psr.value());
+      auto bytes = SerializePsr(fixture.params, psr.value());
       SIES_FUZZ_ASSERT(bytes.ok() && bytes.value() == wire,
                        "PSR does not reserialize bit-identically");
       auto eval = fixture.querier.Evaluate(wire, /*epoch=*/1);
@@ -97,15 +127,14 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
                        "querier verified a fuzzed PSR");
     }
   }
-  // Full wire evaluation: a fuzzed envelope may legitimately verify only
-  // as the vacuous sum over an empty contributor set (all-zero bitmap,
-  // zero ciphertext); any non-empty acceptance is a forgery.
-  if (!use_padded &&
-      wire.size() == WireEnvelopeBytes(fixture.params16, 1)) {
+  // Full wire evaluation of a root envelope. The parser rejects empty
+  // sets, so any acceptance is a forgery.
+  if (range == kRanges[0] && channels == 1) {
     auto eval = fixture.querier.EvaluateWire(wire, /*epoch=*/1);
+    SIES_FUZZ_ASSERT(parsed || !eval.ok(),
+                     "querier accepted a frame the envelope parser rejects");
     if (eval.ok() && eval.value().verified) {
-      SIES_FUZZ_ASSERT(eval.value().contributors.empty() &&
-                           eval.value().sum == 0,
+      SIES_FUZZ_ASSERT(eval.value().contributors.empty(),
                        "querier verified a fuzzed envelope with a non-empty "
                        "contributor set");
     }

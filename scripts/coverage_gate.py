@@ -35,6 +35,7 @@ TARGETS = [
     "fuzz_flags_replay",
     "fuzz_hex_replay",
     "sies_message_format_test",
+    "sies_contributor_set_test",
     "engine_query_spec_test",
     "ops_http_server_test",
     "fuzz_robustness_test",
@@ -45,6 +46,7 @@ TARGETS = [
 # around the request parser).
 EXTRA_TESTS = [
     "sies_message_format_test",
+    "sies_contributor_set_test",
     "engine_query_spec_test",
     "ops_http_server_test",
     "fuzz_robustness_test",

@@ -1,6 +1,8 @@
 #include "engine/engine.h"
 
-#include <algorithm>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "common/timer.h"
 #include "telemetry/epoch_timeline.h"
@@ -9,7 +11,6 @@
 namespace sies::engine {
 
 using core::Channel;
-using core::ContributorBitmap;
 
 namespace {
 
@@ -38,6 +39,16 @@ MultiQueryEngine::MultiQueryEngine(core::Params params,
     sources_.emplace_back(params_, i, core::KeysForSource(keys, i).value());
     sources_.back().SetEpochKeyCache(source_cache_);
   }
+}
+
+MultiQueryEngine::~MultiQueryEngine() {
+  if (!warmed_in_background_.load(std::memory_order_relaxed)) return;
+  querier_.ClearEpochKeyCache();
+#if defined(__GLIBC__)
+  // Unlike free(), malloc_trim also returns the whole free pages below
+  // an arena's highest live chunk.
+  malloc_trim(0);
+#endif
 }
 
 void MultiQueryEngine::ReserveCaches() {
@@ -103,6 +114,7 @@ std::vector<uint64_t> MultiQueryEngine::SaltedEpochsFor(
 
 void MultiQueryEngine::WarmSaltedEpochs(
     const std::vector<uint64_t>& salted) const {
+  warmed_in_background_.store(true, std::memory_order_relaxed);
   for (uint64_t s : salted) querier_.WarmEpoch(s, /*use_pool=*/false);
 }
 
@@ -136,47 +148,21 @@ StatusOr<Bytes> MultiQueryEngine::CreateSourcePayload(
     SIES_RETURN_IF_ERROR(sources_[index].CreatePsrInto(
         value.value(), ch.SaltedEpochFor(epoch), body.data() + i * width));
   }
-  ContributorBitmap bitmap(params_.num_sources);
-  SIES_RETURN_IF_ERROR(bitmap.Set(index));
-  auto payload = core::SerializeWirePayload(params_, bitmap, body);
   if (attribute) {
     timeline.RecordPhase(telemetry::EpochPhase::kPsrCreate,
                          phase_watch.ElapsedSeconds());
   }
-  return payload;
+  return body;
 }
 
 StatusOr<Bytes> MultiQueryEngine::Merge(
+    std::span<const net::SourceRange> child_ranges,
     const std::vector<Bytes>& children) const {
-  if (children.empty()) return Status::InvalidArgument("nothing to merge");
   auto& timeline = telemetry::EpochTimeline::Global();
   const bool attribute = timeline.enabled();
   Stopwatch phase_watch;
-  const size_t width = params_.PsrBytes();
-  const size_t channels = registry_.plan().Count();
-  ContributorBitmap bitmap(params_.num_sources);
-  std::vector<Bytes> bodies;
-  bodies.reserve(children.size());
-  for (const Bytes& child : children) {
-    auto parsed = core::ParseWireEnvelope(params_, child, channels);
-    if (!parsed.ok()) return parsed.status();
-    SIES_RETURN_IF_ERROR(bitmap.OrWith(parsed.value().bitmap));
-    bodies.push_back(std::move(parsed.value().body));
-  }
-  // Per channel, gather the children's slices into one scratch region
-  // and fold with the contiguous merge: two allocations for the whole
-  // call (scratch + merged body) instead of children x channels Bytes.
-  Bytes merged_body(channels * width);
-  Bytes scratch(bodies.size() * width);
-  for (size_t ch = 0; ch < channels; ++ch) {
-    for (size_t c = 0; c < bodies.size(); ++c) {
-      std::copy_n(bodies[c].data() + ch * width, width,
-                  scratch.data() + c * width);
-    }
-    SIES_RETURN_IF_ERROR(aggregator_.MergeContiguous(
-        scratch.data(), bodies.size(), merged_body.data() + ch * width));
-  }
-  auto merged = core::SerializeWirePayload(params_, bitmap, merged_body);
+  auto merged = aggregator_.MergeWire(child_ranges, children,
+                                      registry_.plan().Count());
   if (attribute) {
     timeline.RecordPhase(telemetry::EpochPhase::kTreeAggregate,
                          phase_watch.ElapsedSeconds());
@@ -190,8 +176,8 @@ StatusOr<std::vector<QueryEpochOutcome>> MultiQueryEngine::Evaluate(
   const bool attribute = timeline.enabled();
   Stopwatch phase_watch;
   const auto& channels = registry_.plan().channels();
-  auto parsed = core::ParseWireEnvelope(params_, final_payload,
-                                        channels.size());
+  auto parsed = core::ParseWireEnvelope(
+      params_, {0, params_.num_sources}, final_payload, channels.size());
   if (attribute) {
     timeline.RecordPhase(telemetry::EpochPhase::kWireParse,
                          phase_watch.ElapsedSeconds());
@@ -199,7 +185,7 @@ StatusOr<std::vector<QueryEpochOutcome>> MultiQueryEngine::Evaluate(
   if (!parsed.ok()) return parsed.status();
   const Bytes& body = parsed.value().body;
   const std::vector<uint32_t> participating =
-      parsed.value().bitmap.Indices();
+      parsed.value().contributors.Indices();
   const size_t width = params_.PsrBytes();
 
   // Decrypt + verify every physical channel exactly once; a channel

@@ -13,12 +13,8 @@ EpochScheduler::EpochScheduler(std::shared_ptr<MultiQueryEngine> engine,
                                const net::Topology& topology,
                                ReadingFn readings)
     : engine_(std::move(engine)),
-      source_nodes_(topology.sources()),
-      readings_(std::move(readings)) {
-  for (uint32_t i = 0; i < source_nodes_.size(); ++i) {
-    index_[source_nodes_[i]] = i;
-  }
-}
+      topology_(topology),
+      readings_(std::move(readings)) {}
 
 EpochScheduler::~EpochScheduler() { JoinPrefetch(); }
 
@@ -112,22 +108,23 @@ std::vector<QueryLiveStats> EpochScheduler::SnapshotQueries() const {
 
 StatusOr<Bytes> EpochScheduler::SourceInitialize(net::NodeId id,
                                                  uint64_t epoch) {
-  auto it = index_.find(id);
-  if (it == index_.end()) return Status::NotFound("node is not a source");
-  return engine_->CreateSourcePayload(it->second,
-                                      readings_(it->second, epoch), epoch);
+  auto index = topology_.SourceIndex(id);
+  if (!index.ok()) return index.status();
+  return engine_->CreateSourcePayload(index.value(),
+                                      readings_(index.value(), epoch), epoch);
 }
 
 StatusOr<Bytes> EpochScheduler::AggregatorMerge(
-    net::NodeId, uint64_t, const std::vector<Bytes>& children) {
-  return engine_->Merge(children);
+    net::NodeId id, uint64_t, const std::vector<Bytes>& children) {
+  if (id >= topology_.num_nodes()) return Status::NotFound("no such node");
+  return engine_->Merge(topology_.child_ranges(id), children);
 }
 
 StatusOr<net::EvalOutcome> EpochScheduler::QuerierEvaluate(
     uint64_t epoch, const Bytes& final_payload,
     const std::vector<net::NodeId>& /*participating*/) {
   // Like SiesProtocol, the participating set comes from the envelope's
-  // contributor bitmap, not the simulator's out-of-band knowledge.
+  // contributor field, not the simulator's out-of-band knowledge.
   if (pipelining_) {
     JoinPrefetch();
     // Capture epoch t+1's work list NOW, on the run thread, from the
@@ -175,7 +172,7 @@ StatusOr<net::EvalOutcome> EpochScheduler::QuerierEvaluate(
     const auto& contributors = last_outcomes_.front().outcome.contributors;
     out.contributors.reserve(contributors.size());
     for (uint32_t index : contributors) {
-      out.contributors.push_back(source_nodes_[index]);
+      out.contributors.push_back(topology_.sources()[index]);
     }
   }
 

@@ -2,10 +2,12 @@
 //
 // One RunEpoch drives ONE wire round carrying every live query's
 // channels — K queries no longer cost K network rounds. The scheduler
-// translates topology node ids to logical source indices, feeds each
-// source its sensor reading, and demultiplexes the querier's evaluation
-// into per-query outcomes (exposed via last_outcomes(), since the
-// simulator's EvalOutcome models a single answer).
+// translates topology node ids to logical source indices (positions in
+// the depth-first Topology::sources()), hands each aggregator's merge
+// its children's source ranges, feeds each source its sensor reading,
+// and demultiplexes the querier's evaluation into per-query outcomes
+// (exposed via last_outcomes(), since the simulator's EvalOutcome
+// models a single answer).
 //
 // Admission and teardown are forwarded to the engine and must happen
 // between RunEpoch calls: the wire width changes with the plan, and
@@ -31,7 +33,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "engine/engine.h"
@@ -140,8 +141,7 @@ class EpochScheduler : public net::AggregationProtocol {
   void RefreshSlotsLocked();
 
   std::shared_ptr<MultiQueryEngine> engine_;
-  std::vector<net::NodeId> source_nodes_;            // index -> node id
-  std::unordered_map<net::NodeId, uint32_t> index_;  // node id -> index
+  net::Topology topology_;
   ReadingFn readings_;
   std::vector<QueryEpochOutcome> last_outcomes_;
 

@@ -23,7 +23,7 @@ namespace sies::engine {
 struct ActiveQuery {
   Query query;
   /// First epoch the query participates in: it contributes channels —
-  /// and verifies with full contributor-bitmap semantics — from this
+  /// and verifies with full contributor-set semantics — from this
   /// epoch onward.
   uint64_t admitted_epoch = 0;
 };

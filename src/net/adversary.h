@@ -31,7 +31,7 @@ class BitFlipAdversary : public Adversary {
   /// Flips bit `bit_index % (8 * payload size)` of matching payloads.
   /// With `from_end`, indexes backward from the final payload bit —
   /// useful to reliably hit the ciphertext of wire payloads that lead
-  /// with a metadata prefix (e.g. the SIES contributor bitmap).
+  /// with a metadata prefix (e.g. a SIES contributor field).
   explicit BitFlipAdversary(std::optional<NodeId> target = std::nullopt,
                             size_t bit_index = 0, bool from_end = false)
       : target_(target), bit_index_(bit_index), from_end_(from_end) {}

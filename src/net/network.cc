@@ -1,7 +1,6 @@
 #include "net/network.h"
 
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "telemetry/audit.h"
@@ -28,6 +27,15 @@ telemetry::Counter* DropCounter(const char* cause) {
 }
 
 }  // namespace
+
+std::vector<Bytes> ArrivedPayloads(const std::vector<Bytes>& children) {
+  std::vector<Bytes> arrived;
+  arrived.reserve(children.size());
+  for (const Bytes& child : children) {
+    if (!child.empty()) arrived.push_back(child);
+  }
+  return arrived;
+}
 
 Status Network::SetLossRate(double loss_rate, uint64_t seed) {
   SIES_RETURN_IF_ERROR(transport().SetLossRate(loss_rate, seed));
@@ -58,8 +66,10 @@ StatusOr<EpochReport> Network::RunEpoch(AggregationProtocol& protocol,
   telemetry::Histogram* eval_hist = PhaseHistogram(scheme, "evaluate");
   telemetry::AuditTrail& audit = telemetry::AuditTrail::Global();
 
-  // Payload arriving at each node's parent slot, keyed by child id.
-  std::unordered_map<NodeId, Bytes> inbox;
+  // What each node delivered to its parent this epoch, indexed by the
+  // sender's id (the root's entry is the querier's input).
+  std::vector<Bytes> inbox(topology_.num_nodes());
+  std::vector<uint8_t> arrived(topology_.num_nodes(), 0);
 
   Transport& transport = this->transport();
   auto& timeline = telemetry::EpochTimeline::Global();
@@ -136,6 +146,7 @@ StatusOr<EpochReport> Network::RunEpoch(AggregationProtocol& protocol,
     }
     if (to != kQuerierId) report.node_rx_bytes[to] += msg.WireSize();
     inbox[from] = std::move(msg.payload);
+    arrived[from] = 1;
     return true;
   };
 
@@ -183,16 +194,19 @@ StatusOr<EpochReport> Network::RunEpoch(AggregationProtocol& protocol,
   Stopwatch watch;
 
   // --- Merging phase: aggregators fuse children payloads bottom-up. ---
+  // One slot per child, empty where nothing arrived; the slot vector is
+  // reused across aggregators.
+  std::vector<Bytes> received;
   for (NodeId agg : topology_.aggregators_bottom_up()) {
-    std::vector<Bytes> received;
-    for (NodeId child : topology_.children(agg)) {
-      auto it = inbox.find(child);
-      if (it != inbox.end()) {
-        received.push_back(std::move(it->second));
-        inbox.erase(it);
-      }
+    const std::span<const NodeId> children = topology_.children(agg);
+    received.resize(children.size());
+    bool any = false;
+    for (size_t i = 0; i < children.size(); ++i) {
+      received[i] = arrived[children[i]] ? std::move(inbox[children[i]])
+                                         : Bytes();
+      any = any || arrived[children[i]];
     }
-    if (received.empty()) continue;  // all children failed/dropped
+    if (!any) continue;  // all children failed/dropped
     watch.Restart();
     StatusOr<Bytes> merged = Status::Internal("merge not run");
     {
@@ -223,8 +237,7 @@ StatusOr<EpochReport> Network::RunEpoch(AggregationProtocol& protocol,
       telemetry::MetricsRegistry::Global().GetGauge(
           "sies_net_coverage_ratio");
 
-  auto it = inbox.find(topology_.root());
-  if (it == inbox.end()) {
+  if (!arrived[topology_.root()]) {
     // Nothing survived the radio/adversary — an unanswered epoch, not a
     // protocol error. The per-message causes are already in the audit
     // trail; the runner records the gap and moves on.
@@ -243,7 +256,8 @@ StatusOr<EpochReport> Network::RunEpoch(AggregationProtocol& protocol,
   StatusOr<EvalOutcome> outcome = Status::Internal("evaluate not run");
   {
     telemetry::ScopedSpan span("evaluate", "phase", epoch);
-    outcome = protocol.QuerierEvaluate(epoch, it->second, participating);
+    outcome = protocol.QuerierEvaluate(epoch, inbox[topology_.root()],
+                                       participating);
   }
   const double eval_seconds = watch.ElapsedSeconds();
   report.querier_cpu.Add(eval_seconds);
@@ -267,7 +281,7 @@ StatusOr<EpochReport> Network::RunEpoch(AggregationProtocol& protocol,
   } else if (report.outcome.has_contributors &&
              report.contributing_sources < report.expected_contributors) {
     // Verified, but over fewer sources than expected: the contributor
-    // bitmap reported the gap in-band. Degradation of coverage, not an
+    // set reported the gap in-band. Degradation of coverage, not an
     // integrity violation — keep it distinct from kTamper.
     audit.Record(telemetry::AuditKind::kReportedLoss, epoch,
                  telemetry::kAuditNoNode,

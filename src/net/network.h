@@ -29,7 +29,7 @@ struct EvalOutcome {
   bool verified = true;  ///< integrity/freshness verification result
   bool exact = true;     ///< false for sketch-based (SECOA_S) answers
   /// True when the protocol reports the contributing-source set in-band
-  /// (SIES contributor bitmaps). When false, the querier had to assume
+  /// (SIES contributor sets). When false, the querier had to assume
   /// the full expected set and `contributors` is meaningless.
   bool has_contributors = false;
   /// Sources whose readings reached the final aggregate, per the
@@ -51,6 +51,12 @@ class AggregationProtocol {
   virtual StatusOr<Bytes> SourceInitialize(NodeId id, uint64_t epoch) = 0;
 
   /// Merging phase at aggregator `id`: fuse children payloads into one.
+  /// `children` is positional: slot i holds what topology.children(id)[i]
+  /// delivered, and is empty when nothing arrived from that child (a
+  /// failed source, a subtree with nothing to send, a message lost on
+  /// the radio or dropped in flight). At least one slot is non-empty;
+  /// implementations skip the empty ones. Protocols never emit empty
+  /// payloads, so an in-flight truncation to zero bytes is a drop.
   virtual StatusOr<Bytes> AggregatorMerge(
       NodeId id, uint64_t epoch, const std::vector<Bytes>& children) = 0;
 
@@ -73,6 +79,11 @@ class AggregationProtocol {
   /// outlives the protocol's use of it.
   virtual void SetThreadPool(common::ThreadPool* pool) { (void)pool; }
 };
+
+/// The slots of a positional `children` list that hold a payload, in
+/// child order: the input of merges that do not depend on which child
+/// sent what (CMT, SECOA, histograms).
+std::vector<Bytes> ArrivedPayloads(const std::vector<Bytes>& children);
 
 /// In-flight message interceptor. Return value of OnMessage says whether
 /// the (possibly mutated) message is delivered or dropped.
@@ -179,7 +190,7 @@ class Network {
   /// Enables a lossy radio channel: every transmission attempt is
   /// independently dropped with probability `loss_rate` (deterministic
   /// per `seed`). `loss_rate == 1.0` is a total blackout — every epoch
-  /// goes unanswered. The contributor-bitmap wire format reports
+  /// goes unanswered. The SIES envelope's contributor set reports
   /// surviving losses in-band, so the querier degrades to verified
   /// partial sums instead of rejecting the epoch (paper Section IV-B
   /// assumed out-of-band failure reports).

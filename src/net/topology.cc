@@ -152,6 +152,25 @@ StatusOr<Topology> Topology::FromParentVector(
   return t;
 }
 
+StatusOr<uint32_t> Topology::SourceIndex(NodeId id) const {
+  if (id >= num_nodes() || role(id) != NodeRole::kSource) {
+    return Status::NotFound("node is not a source");
+  }
+  return ranges_[id].lo;
+}
+
+StatusOr<std::vector<uint32_t>> Topology::SourceIndices(
+    const std::vector<NodeId>& ids) const {
+  std::vector<uint32_t> out;
+  out.reserve(ids.size());
+  for (NodeId id : ids) {
+    auto index = SourceIndex(id);
+    if (!index.ok()) return index.status();
+    out.push_back(index.value());
+  }
+  return out;
+}
+
 StatusOr<Topology::RepairResult> Topology::RemoveNode(NodeId failed) const {
   if (failed >= num_nodes()) return Status::NotFound("no such node");
   if (failed == root()) {
@@ -184,26 +203,53 @@ StatusOr<Topology::RepairResult> Topology::RemoveNode(NodeId failed) const {
 
 Status Topology::Finalize() {
   const uint32_t n = num_nodes();
-  children_.assign(n, {});
+  // Children lists as one flat array: count, prefix-sum, then place each
+  // node under its parent in increasing id order.
+  child_begin_.assign(n + 1, 0);
   depth_.assign(n, 0);
   for (NodeId i = 1; i < n; ++i) {
-    children_[parent_[i]].push_back(i);
+    ++child_begin_[parent_[i] + 1];
     depth_[i] = depth_[parent_[i]] + 1;
     height_ = std::max(height_, depth_[i]);
   }
-  sources_.clear();
-  aggregators_bottom_up_.clear();
-  for (NodeId i = 0; i < n; ++i) {
-    if (children_[i].empty()) sources_.push_back(i);
-  }
-  num_sources_ = static_cast<uint32_t>(sources_.size());
-  if (n > 1 && children_[0].empty()) {
+  for (NodeId i = 0; i < n; ++i) child_begin_[i + 1] += child_begin_[i];
+  children_.assign(n > 0 ? n - 1 : 0, 0);
+  std::vector<uint32_t> next(child_begin_.begin(), child_begin_.end() - 1);
+  for (NodeId i = 1; i < n; ++i) children_[next[parent_[i]]++] = i;
+  if (n > 1 && children(0).empty()) {
     return Status::InvalidArgument("root has no children");
   }
+  // Depth-first source numbering without recursion: parents precede
+  // children in id order, so leaf counts fold up in reverse id order and
+  // each node then hands its children consecutive runs in forward order.
+  std::vector<uint32_t> leaves(n, 0);
+  for (NodeId i = n; i-- > 0;) {
+    if (role(i) == NodeRole::kSource) leaves[i] = 1;
+    if (i > 0) leaves[parent_[i]] += leaves[i];
+  }
+  num_sources_ = leaves.empty() ? 0 : leaves[0];
+  ranges_.assign(n, SourceRange{});
+  child_ranges_.assign(children_.size(), SourceRange{});
+  sources_.assign(num_sources_, 0);
+  if (n > 0) ranges_[0] = SourceRange{0, num_sources_};
+  for (NodeId i = 0; i < n; ++i) {
+    if (role(i) == NodeRole::kSource) {
+      sources_[ranges_[i].lo] = i;
+      continue;
+    }
+    uint32_t cursor = ranges_[i].lo;
+    for (uint32_t k = child_begin_[i]; k < child_begin_[i + 1]; ++k) {
+      const NodeId child = children_[k];
+      ranges_[child] = SourceRange{cursor, cursor + leaves[child]};
+      child_ranges_[k] = ranges_[child];
+      cursor += leaves[child];
+    }
+  }
+  aggregators_bottom_up_.clear();
   // Children first: nodes were allocated parent-before-child, so reverse
   // id order is a valid bottom-up order.
   for (NodeId i = n; i-- > 0;) {
-    if (!children_[i].empty()) aggregators_bottom_up_.push_back(i);
+    if (role(i) == NodeRole::kAggregator) aggregators_bottom_up_.push_back(i);
   }
   return Status::OK();
 }

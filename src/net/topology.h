@@ -9,6 +9,7 @@
 #define SIES_NET_TOPOLOGY_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -16,6 +17,16 @@
 #include "net/message.h"
 
 namespace sies::net {
+
+/// A half-open run [lo, hi) of source indices: positions in
+/// Topology::sources(), which are also the sources' logical SIES ids.
+struct SourceRange {
+  uint32_t lo = 0;
+  uint32_t hi = 0;
+
+  uint32_t size() const { return hi - lo; }
+  bool operator==(const SourceRange&) const = default;
+};
 
 /// Role of a node in the aggregation tree.
 enum class NodeRole {
@@ -59,19 +70,40 @@ class Topology {
 
   /// Role of node `id`.
   NodeRole role(NodeId id) const {
-    return children_[id].empty() ? NodeRole::kSource : NodeRole::kAggregator;
+    return child_begin_[id] == child_begin_[id + 1] ? NodeRole::kSource
+                                                    : NodeRole::kAggregator;
   }
   /// Parent of node `id`; kQuerierId for the root.
   NodeId parent(NodeId id) const { return parent_[id]; }
-  /// Children of node `id` (empty for sources).
-  const std::vector<NodeId>& children(NodeId id) const {
-    return children_[id];
+  /// Children of node `id` in increasing id order (empty for sources).
+  std::span<const NodeId> children(NodeId id) const {
+    return {children_.data() + child_begin_[id],
+            child_begin_[id + 1] - child_begin_[id]};
   }
   /// The root aggregator (sink).
   NodeId root() const { return 0; }
 
-  /// All source ids, in increasing order.
+  /// All source ids in depth-first order (children visited in
+  /// increasing id order). Position i is the source's logical index, so
+  /// every node's sources form one contiguous run of this list. For
+  /// BuildCompleteTree this is also increasing id order.
   const std::vector<NodeId>& sources() const { return sources_; }
+  /// Logical index of source `id` (its position in sources()); NotFound
+  /// for an aggregator or an unknown id.
+  StatusOr<uint32_t> SourceIndex(NodeId id) const;
+  /// SourceIndex of each of `ids`, in order; fails on the first
+  /// non-source.
+  StatusOr<std::vector<uint32_t>> SourceIndices(
+      const std::vector<NodeId>& ids) const;
+  /// The run of sources() indices under node `id` (one index for a
+  /// source, [0, num_sources()) for the root).
+  SourceRange source_range(NodeId id) const { return ranges_[id]; }
+  /// source_range() of each of children(id), in the same order; they
+  /// tile source_range(id) left to right. Empty for sources.
+  std::span<const SourceRange> child_ranges(NodeId id) const {
+    return {child_ranges_.data() + child_begin_[id],
+            child_begin_[id + 1] - child_begin_[id]};
+  }
   /// All aggregator ids in reverse-topological (children-first) order,
   /// i.e. safe merge order ending at the root.
   const std::vector<NodeId>& aggregators_bottom_up() const {
@@ -103,11 +135,18 @@ class Topology {
   Topology() = default;
 
  private:
-  Status Finalize();  // derives children_, sources_, depths
+  Status Finalize();  // derives children_, sources_, ranges, depths
 
   std::vector<NodeId> parent_;
-  std::vector<std::vector<NodeId>> children_;
+  // Every node's children() and child_ranges() back to back, node by
+  // node; node id's run starts at child_begin_[id] and ends at
+  // child_begin_[id + 1]. Flat arrays keep building and copying a tree
+  // free of per-node allocations.
+  std::vector<uint32_t> child_begin_;
+  std::vector<NodeId> children_;
+  std::vector<SourceRange> child_ranges_;
   std::vector<NodeId> sources_;
+  std::vector<SourceRange> ranges_;
   std::vector<NodeId> aggregators_bottom_up_;
   std::vector<uint32_t> depth_;
   uint32_t num_sources_ = 0;

@@ -25,8 +25,12 @@
 //
 // Scope: single-process, loopback-only. Peer discovery is an in-process
 // address map; a multi-host deployment would replace Start() with a
-// discovery service and add chunking for envelopes over
-// kMaxDatagramPayload (N > ~520k sources at the default plan width).
+// discovery service. A lossless SIES envelope is channels × 32 B at any
+// N, and a partial one grows by its absent list, so one datagram always
+// suffices except for a partial envelope from a subtree of more than
+// ~520k sources whose absent set needs the bitmap form (over ~10k
+// absent runs); such an envelope exceeds kMaxDatagramPayload and is
+// rejected, since the backend does no chunking.
 #ifndef SIES_NET_UDP_TRANSPORT_H_
 #define SIES_NET_UDP_TRANSPORT_H_
 

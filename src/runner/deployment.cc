@@ -1,7 +1,5 @@
 #include "runner/deployment.h"
 
-#include <map>
-
 namespace sies::runner {
 
 // Session-backed simulator binding for the active query.
@@ -10,13 +8,12 @@ class ContinuousDeployment::Protocol : public net::AggregationProtocol {
   Protocol(core::Query query, const core::Params& params,
            const core::QuerierKeys& keys, const net::Topology& topology,
            workload::TraceGenerator* trace)
-      : aggregator_(query, params),
+      : topology_(topology),
+        aggregator_(query, params),
         querier_(query, params, keys),
         trace_(trace) {
-    for (net::NodeId node : topology.sources()) {
-      uint32_t index = static_cast<uint32_t>(sources_.size());
-      source_index_[node] = index;
-      source_nodes_.push_back(node);
+    sources_.reserve(topology.num_sources());
+    for (uint32_t index = 0; index < topology.num_sources(); ++index) {
       sources_.emplace_back(query, params, index,
                             core::KeysForSource(keys, index).value());
     }
@@ -25,21 +22,23 @@ class ContinuousDeployment::Protocol : public net::AggregationProtocol {
   std::string Name() const override { return "SIES/deployment"; }
 
   StatusOr<Bytes> SourceInitialize(net::NodeId id, uint64_t epoch) override {
-    uint32_t index = source_index_.at(id);
-    return sources_[index].CreatePayload(trace_->ReadingAt(index, epoch),
-                                         epoch);
+    auto index = topology_.SourceIndex(id);
+    if (!index.ok()) return index.status();
+    return sources_[index.value()].CreatePayload(
+        trace_->ReadingAt(index.value(), epoch), epoch);
   }
 
   StatusOr<Bytes> AggregatorMerge(
-      net::NodeId, uint64_t, const std::vector<Bytes>& children) override {
-    return aggregator_.Merge(children);
+      net::NodeId id, uint64_t, const std::vector<Bytes>& children) override {
+    if (id >= topology_.num_nodes()) return Status::NotFound("no such node");
+    return aggregator_.Merge(topology_.child_ranges(id), children);
   }
 
   StatusOr<net::EvalOutcome> QuerierEvaluate(
       uint64_t epoch, const Bytes& final_payload,
       const std::vector<net::NodeId>& /*participating*/) override {
     // The participating set comes from the wire envelope's contributor
-    // bitmap (in-band loss reporting), not from simulator-side
+    // field (in-band loss reporting), not from simulator-side
     // knowledge of which sources are live.
     auto outcome = querier_.Evaluate(final_payload, epoch);
     if (!outcome.ok()) return outcome.status();
@@ -50,7 +49,7 @@ class ContinuousDeployment::Protocol : public net::AggregationProtocol {
     out.has_contributors = true;
     out.contributors.reserve(outcome.value().contributors.size());
     for (uint32_t index : outcome.value().contributors) {
-      out.contributors.push_back(source_nodes_[index]);
+      out.contributors.push_back(topology_.sources()[index]);
     }
     return out;
   }
@@ -58,11 +57,10 @@ class ContinuousDeployment::Protocol : public net::AggregationProtocol {
   const core::QueryResult& last_result() const { return last_result_; }
 
  private:
+  net::Topology topology_;
   core::AggregatorSession aggregator_;
   core::QuerierSession querier_;
   workload::TraceGenerator* trace_;
-  std::map<net::NodeId, uint32_t> source_index_;
-  std::vector<net::NodeId> source_nodes_;
   std::vector<core::SourceSession> sources_;
   core::QueryResult last_result_;
 };

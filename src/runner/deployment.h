@@ -32,7 +32,7 @@ struct DeploymentEpoch {
   /// or adversarial drop): `result` and `verified` carry no information,
   /// the epoch is logged as unanswered, and the deployment keeps going.
   bool answered = true;
-  /// Sources covered by the (verified) result, per contributor bitmap.
+  /// Sources covered by the (verified) result, per contributor set.
   uint32_t contributors = 0;
   /// contributors ÷ expected live sources (1.0 = lossless epoch).
   double coverage = 0.0;

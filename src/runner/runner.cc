@@ -8,29 +8,6 @@
 
 namespace sies::runner {
 
-SourceIndexMap::SourceIndexMap(const net::Topology& topology)
-    : nodes_(topology.sources()) {
-  for (uint32_t i = 0; i < nodes_.size(); ++i) index_[nodes_[i]] = i;
-}
-
-StatusOr<uint32_t> SourceIndexMap::IndexOf(net::NodeId node) const {
-  auto it = index_.find(node);
-  if (it == index_.end()) return Status::NotFound("node is not a source");
-  return it->second;
-}
-
-StatusOr<std::vector<uint32_t>> SourceIndexMap::ToIndices(
-    const std::vector<net::NodeId>& nodes) const {
-  std::vector<uint32_t> out;
-  out.reserve(nodes.size());
-  for (net::NodeId node : nodes) {
-    auto idx = IndexOf(node);
-    if (!idx.ok()) return idx.status();
-    out.push_back(idx.value());
-  }
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // SIES
 // ---------------------------------------------------------------------------
@@ -38,15 +15,15 @@ StatusOr<std::vector<uint32_t>> SourceIndexMap::ToIndices(
 SiesProtocol::SiesProtocol(core::Params params, core::QuerierKeys keys,
                            const net::Topology& topology, ValueFn values)
     : params_(params),
-      index_map_(topology),
+      topology_(topology),
       aggregator_(params),
       querier_(params, keys),
       values_(std::move(values)) {
   // All simulated sources share one epoch-key cache: K_t is derived once
   // per epoch for the whole network instead of once per source.
   auto source_cache = std::make_shared<core::EpochKeyCache>();
-  sources_.reserve(index_map_.num_sources());
-  for (uint32_t i = 0; i < index_map_.num_sources(); ++i) {
+  sources_.reserve(topology_.num_sources());
+  for (uint32_t i = 0; i < topology_.num_sources(); ++i) {
     sources_.emplace_back(params_, i,
                           core::KeysForSource(keys, i).value());
     sources_.back().SetEpochKeyCache(source_cache);
@@ -55,22 +32,25 @@ SiesProtocol::SiesProtocol(core::Params params, core::QuerierKeys keys,
 
 StatusOr<Bytes> SiesProtocol::SourceInitialize(net::NodeId id,
                                                uint64_t epoch) {
-  auto index = index_map_.IndexOf(id);
+  auto index = topology_.SourceIndex(id);
   if (!index.ok()) return index.status();
   uint64_t value = values_(index.value(), epoch);
-  return sources_[index.value()].CreateWirePsr(value, epoch);
+  // A source's envelope is its bare PSR: its range is itself, complete.
+  return sources_[index.value()].CreatePsr(value, epoch);
 }
 
 StatusOr<Bytes> SiesProtocol::AggregatorMerge(
-    net::NodeId, uint64_t, const std::vector<Bytes>& children) {
-  return aggregator_.MergeWire(children);
+    net::NodeId id, uint64_t, const std::vector<Bytes>& children) {
+  if (id >= topology_.num_nodes()) return Status::NotFound("no such node");
+  return aggregator_.MergeWire(topology_.child_ranges(id), children,
+                               /*channels=*/1);
 }
 
 StatusOr<net::EvalOutcome> SiesProtocol::QuerierEvaluate(
     uint64_t epoch, const Bytes& final_payload,
     const std::vector<net::NodeId>& /*participating*/) {
   // The participating set comes from the wire envelope's contributor
-  // bitmap, not from the simulator's out-of-band knowledge — losses are
+  // field, not from the simulator's out-of-band knowledge — losses are
   // reported in-band and the sum verifies over exactly the contributors.
   auto eval = querier_.EvaluateWire(final_payload, epoch);
   if (!eval.ok()) return eval.status();
@@ -81,7 +61,7 @@ StatusOr<net::EvalOutcome> SiesProtocol::QuerierEvaluate(
   outcome.has_contributors = true;
   outcome.contributors.reserve(eval.value().contributors.size());
   for (uint32_t index : eval.value().contributors) {
-    outcome.contributors.push_back(index_map_.NodeOf(index));
+    outcome.contributors.push_back(topology_.sources()[index]);
   }
   return outcome;
 }
@@ -93,19 +73,19 @@ StatusOr<net::EvalOutcome> SiesProtocol::QuerierEvaluate(
 CmtProtocol::CmtProtocol(cmt::Params params, cmt::QuerierKeys keys,
                          const net::Topology& topology, ValueFn values)
     : params_(params),
-      index_map_(topology),
+      topology_(topology),
       aggregator_(params),
       querier_(params, keys),
       values_(std::move(values)) {
-  sources_.reserve(index_map_.num_sources());
-  for (uint32_t i = 0; i < index_map_.num_sources(); ++i) {
+  sources_.reserve(topology_.num_sources());
+  for (uint32_t i = 0; i < topology_.num_sources(); ++i) {
     sources_.emplace_back(params_, keys.source_keys[i]);
   }
 }
 
 StatusOr<Bytes> CmtProtocol::SourceInitialize(net::NodeId id,
                                               uint64_t epoch) {
-  auto index = index_map_.IndexOf(id);
+  auto index = topology_.SourceIndex(id);
   if (!index.ok()) return index.status();
   uint64_t value = values_(index.value(), epoch);
   return sources_[index.value()].CreateCiphertext(value, epoch);
@@ -113,13 +93,13 @@ StatusOr<Bytes> CmtProtocol::SourceInitialize(net::NodeId id,
 
 StatusOr<Bytes> CmtProtocol::AggregatorMerge(
     net::NodeId, uint64_t, const std::vector<Bytes>& children) {
-  return aggregator_.Merge(children);
+  return aggregator_.Merge(net::ArrivedPayloads(children));
 }
 
 StatusOr<net::EvalOutcome> CmtProtocol::QuerierEvaluate(
     uint64_t epoch, const Bytes& final_payload,
     const std::vector<net::NodeId>& participating) {
-  auto indices = index_map_.ToIndices(participating);
+  auto indices = topology_.SourceIndices(participating);
   if (!indices.ok()) return indices.status();
   auto sum = querier_.Decrypt(final_payload, epoch, indices.value());
   if (!sum.ok()) return sum.status();
@@ -139,20 +119,19 @@ SecoaProtocol::SecoaProtocol(secoa::SealOps ops, secoa::SumParams params,
                              const net::Topology& topology, ValueFn values)
     : ops_(ops),
       params_(params),
-      index_map_(topology),
-      root_(topology.root()),
+      topology_(topology),
       aggregator_(ops, params),
       querier_(ops, params, keys),
       values_(std::move(values)) {
-  sources_.reserve(index_map_.num_sources());
-  for (uint32_t i = 0; i < index_map_.num_sources(); ++i) {
+  sources_.reserve(topology_.num_sources());
+  for (uint32_t i = 0; i < topology_.num_sources(); ++i) {
     sources_.emplace_back(ops_, params_, i, keys.sources[i]);
   }
 }
 
 StatusOr<Bytes> SecoaProtocol::SourceInitialize(net::NodeId id,
                                                 uint64_t epoch) {
-  auto index = index_map_.IndexOf(id);
+  auto index = topology_.SourceIndex(id);
   if (!index.ok()) return index.status();
   uint64_t value = values_(index.value(), epoch);
   auto psr = sources_[index.value()].CreatePsr(value, epoch);
@@ -165,13 +144,14 @@ StatusOr<Bytes> SecoaProtocol::AggregatorMerge(
   std::vector<secoa::SumPsr> parsed;
   parsed.reserve(children.size());
   for (const Bytes& child : children) {
+    if (child.empty()) continue;  // nothing arrived from this child
     auto psr = ParseSumPsr(ops_, params_, child);
     if (!psr.ok()) return psr.status();
     parsed.push_back(std::move(psr).value());
   }
   auto merged = aggregator_.Merge(parsed);
   if (!merged.ok()) return merged.status();
-  if (id == root_) {
+  if (id == topology_.root()) {
     auto finalized = aggregator_.Finalize(merged.value());
     if (!finalized.ok()) return finalized.status();
     return SerializeSumPsr(ops_, finalized.value());
@@ -184,7 +164,7 @@ StatusOr<net::EvalOutcome> SecoaProtocol::QuerierEvaluate(
     const std::vector<net::NodeId>& participating) {
   auto psr = ParseSumPsr(ops_, params_, final_payload);
   if (!psr.ok()) return psr.status();
-  auto indices = index_map_.ToIndices(participating);
+  auto indices = topology_.SourceIndices(participating);
   if (!indices.ok()) return indices.status();
   auto eval = querier_.Evaluate(psr.value(), epoch, indices.value());
   if (!eval.ok()) return eval.status();
@@ -204,19 +184,19 @@ SecoaMaxProtocol::SecoaMaxProtocol(secoa::SealOps ops,
                                    const net::Topology& topology,
                                    ValueFn values)
     : ops_(ops),
-      index_map_(topology),
+      topology_(topology),
       aggregator_(ops),
       querier_(ops, keys),
       values_(std::move(values)) {
-  sources_.reserve(index_map_.num_sources());
-  for (uint32_t i = 0; i < index_map_.num_sources(); ++i) {
+  sources_.reserve(topology_.num_sources());
+  for (uint32_t i = 0; i < topology_.num_sources(); ++i) {
     sources_.emplace_back(ops_, i, keys.sources[i]);
   }
 }
 
 StatusOr<Bytes> SecoaMaxProtocol::SourceInitialize(net::NodeId id,
                                                    uint64_t epoch) {
-  auto index = index_map_.IndexOf(id);
+  auto index = topology_.SourceIndex(id);
   if (!index.ok()) return index.status();
   uint64_t value = values_(index.value(), epoch);
   auto psr = sources_[index.value()].CreatePsr(value, epoch);
@@ -229,6 +209,7 @@ StatusOr<Bytes> SecoaMaxProtocol::AggregatorMerge(
   std::vector<secoa::MaxPsr> parsed;
   parsed.reserve(children.size());
   for (const Bytes& child : children) {
+    if (child.empty()) continue;  // nothing arrived from this child
     auto psr = ParseMaxPsr(ops_, child);
     if (!psr.ok()) return psr.status();
     parsed.push_back(std::move(psr).value());
@@ -243,7 +224,7 @@ StatusOr<net::EvalOutcome> SecoaMaxProtocol::QuerierEvaluate(
     const std::vector<net::NodeId>& participating) {
   auto psr = ParseMaxPsr(ops_, final_payload);
   if (!psr.ok()) return psr.status();
-  auto indices = index_map_.ToIndices(participating);
+  auto indices = topology_.SourceIndices(participating);
   if (!indices.ok()) return indices.status();
   auto eval = querier_.Evaluate(psr.value(), epoch, indices.value());
   if (!eval.ok()) return eval.status();
@@ -331,11 +312,9 @@ StatusOr<ExperimentResult> RunExperiment(const ExperimentConfig& config) {
       break;
     case AdversaryKind::kTamper:
       // Flip the trailing payload bit: always inside the ciphertext
-      // (SIES wire payloads lead with the contributor bitmap, and
-      // flipping the same bitmap bit on every edge of an even-depth
-      // tree cancels out through the OR-merges), and low-order, so the
-      // tampered PSR stays a residue and is rejected by verification
-      // rather than aborting as malformed.
+      // (a partial SIES envelope leads with its contributor field), and
+      // low-order, so the tampered PSR stays a residue and is rejected
+      // by verification rather than aborting as malformed.
       bitflip = std::make_unique<net::BitFlipAdversary>(
           std::nullopt, /*bit_index=*/0, /*from_end=*/true);
       network.SetAdversary(bitflip.get());
@@ -361,11 +340,6 @@ StatusOr<ExperimentResult> RunExperiment(const ExperimentConfig& config) {
   static telemetry::Counter* epochs_unverified =
       telemetry::MetricsRegistry::Global().GetCounter(
           "sies_epochs_unverified_total");
-
-  // Maps the contributor NodeIds a protocol reports back to trace
-  // indices so partial sums can be checked against the exact sum over
-  // exactly the contributing subset.
-  SourceIndexMap source_map(network.topology());
 
   CostAccumulator src, agg, qry;
   net::EdgeTraffic sa, aa, aq;
@@ -403,9 +377,11 @@ StatusOr<ExperimentResult> RunExperiment(const ExperimentConfig& config) {
     }
 
     if (r.outcome.has_contributors) {
+      // The exact sum over exactly the reported contributors: a verified
+      // partial must match it.
       uint64_t exact = 0;
       for (net::NodeId node : r.outcome.contributors) {
-        auto index = source_map.IndexOf(node);
+        auto index = network.topology().SourceIndex(node);
         if (!index.ok()) return index.status();
         exact += trace->ValueAt(index.value(), epoch);
       }

@@ -7,7 +7,6 @@
 
 #include <functional>
 #include <memory>
-#include <unordered_map>
 
 #include "cmt/cmt.h"
 #include "net/adversary.h"
@@ -24,29 +23,6 @@ namespace sies::runner {
 /// Supplies the scaled integer reading of logical source `index` at
 /// `epoch` (typically backed by workload::TraceGenerator).
 using ValueFn = std::function<uint64_t(uint32_t index, uint64_t epoch)>;
-
-/// Maps topology leaf node ids to dense logical source indices 0..N-1
-/// (in increasing node-id order) and back.
-class SourceIndexMap {
- public:
-  explicit SourceIndexMap(const net::Topology& topology);
-
-  /// Logical index of leaf `node`; error if not a leaf.
-  StatusOr<uint32_t> IndexOf(net::NodeId node) const;
-  uint32_t num_sources() const {
-    return static_cast<uint32_t>(nodes_.size());
-  }
-  /// Leaf node id of logical index `index`.
-  net::NodeId NodeOf(uint32_t index) const { return nodes_[index]; }
-
-  /// Translates simulator node ids into logical indices.
-  StatusOr<std::vector<uint32_t>> ToIndices(
-      const std::vector<net::NodeId>& nodes) const;
-
- private:
-  std::vector<net::NodeId> nodes_;
-  std::unordered_map<net::NodeId, uint32_t> index_;
-};
 
 /// SIES bound to the simulator.
 class SiesProtocol : public net::AggregationProtocol {
@@ -72,7 +48,7 @@ class SiesProtocol : public net::AggregationProtocol {
 
  private:
   core::Params params_;
-  SourceIndexMap index_map_;
+  net::Topology topology_;
   std::vector<core::Source> sources_;
   core::Aggregator aggregator_;
   core::Querier querier_;
@@ -98,7 +74,7 @@ class CmtProtocol : public net::AggregationProtocol {
 
  private:
   cmt::Params params_;
-  SourceIndexMap index_map_;
+  net::Topology topology_;
   std::vector<cmt::Source> sources_;
   cmt::Aggregator aggregator_;
   cmt::Querier querier_;
@@ -124,8 +100,7 @@ class SecoaProtocol : public net::AggregationProtocol {
  private:
   secoa::SealOps ops_;
   secoa::SumParams params_;
-  SourceIndexMap index_map_;
-  net::NodeId root_;
+  net::Topology topology_;
   std::vector<secoa::SumSource> sources_;
   secoa::SumAggregator aggregator_;
   secoa::SumQuerier querier_;
@@ -150,7 +125,7 @@ class SecoaMaxProtocol : public net::AggregationProtocol {
 
  private:
   secoa::SealOps ops_;
-  SourceIndexMap index_map_;
+  net::Topology topology_;
   std::vector<secoa::MaxSource> sources_;
   secoa::MaxAggregator aggregator_;
   secoa::MaxQuerier querier_;
@@ -231,7 +206,7 @@ struct ExperimentResult {
   /// Epochs that went entirely unanswered (blackout / total drop).
   uint32_t unanswered_epochs = 0;
   /// Answered+verified epochs that covered fewer sources than expected
-  /// (the contributor bitmap reported radio loss in-band).
+  /// (the contributor set reported radio loss in-band).
   uint32_t partial_epochs = 0;
   /// Mean contributor coverage over answered epochs (1.0 = lossless).
   double mean_coverage = 1.0;

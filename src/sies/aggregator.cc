@@ -78,23 +78,53 @@ Status Aggregator::MergeContiguous(const uint8_t* psrs, size_t count,
 }
 
 StatusOr<Bytes> Aggregator::MergeWire(
-    const std::vector<Bytes>& child_payloads) const {
-  if (child_payloads.empty()) {
-    return Status::InvalidArgument("nothing to merge");
+    std::span<const net::SourceRange> child_ranges,
+    const std::vector<Bytes>& children, size_t channels) const {
+  const size_t width = params_.PsrBytes();
+  const size_t body_bytes = channels * width;
+  Bytes out;
+  SIES_RETURN_IF_ERROR(
+      AppendMergedField(child_ranges, children, body_bytes, out));
+  static telemetry::Counter* merges =
+      telemetry::MetricsRegistry::Global().GetCounter(
+          "sies_aggregator_merge_total", {{"scheme", "SIES"}});
+  merges->Increment();
+  telemetry::ScopedSpan span("merge-add", "aggregator", /*epoch=*/0);
+  const size_t field_bytes = out.size();
+  out.resize(field_bytes + body_bytes);
+  // Channel ch of a child sits at the same offset from the end of every
+  // envelope, whatever the width of the child's contributor field.
+  auto psr_of = [&](const Bytes& child, size_t ch) {
+    return child.data() + (child.size() - body_bytes) + ch * width;
+  };
+  const crypto::Fp256* fp = params_.Fp();
+  for (size_t ch = 0; ch < channels; ++ch) {
+    uint8_t* merged = out.data() + field_bytes + ch * width;
+    if (fp != nullptr) {
+      crypto::U256 sum;
+      for (const Bytes& child : children) {
+        if (child.empty()) continue;
+        auto next = ParsePsrFp(params_, *fp, psr_of(child, ch), width);
+        if (!next.ok()) return next.status();
+        sum = fp->Add(sum, next.value());
+      }
+      sum.ToBytesBE(merged);  // width == 32 whenever Fp() is non-null
+      continue;
+    }
+    crypto::BigUint sum;
+    for (const Bytes& child : children) {
+      if (child.empty()) continue;
+      auto next = ParsePsr(params_, psr_of(child, ch), width);
+      if (!next.ok()) return next.status();
+      auto added = crypto::BigUint::ModAdd(sum, next.value(), params_.prime);
+      if (!added.ok()) return added.status();
+      sum = std::move(added).value();
+    }
+    auto serialized = SerializePsr(params_, sum);
+    if (!serialized.ok()) return serialized.status();
+    std::memcpy(merged, serialized.value().data(), width);
   }
-  ContributorBitmap bitmap(params_.num_sources);
-  std::vector<Bytes> psrs;
-  psrs.reserve(child_payloads.size());
-  for (const Bytes& child : child_payloads) {
-    auto parsed = ParseWirePayload(params_, child, params_.PsrBytes());
-    if (!parsed.ok()) return parsed.status();
-    Status merged = bitmap.OrWith(parsed.value().bitmap);
-    if (!merged.ok()) return merged;
-    psrs.push_back(std::move(parsed.value().body));
-  }
-  auto sum = Merge(psrs);
-  if (!sum.ok()) return sum.status();
-  return SerializeWirePayload(params_, bitmap, sum.value());
+  return out;
 }
 
 }  // namespace sies::core

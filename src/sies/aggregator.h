@@ -33,10 +33,17 @@ class Aggregator {
   Status MergeContiguous(const uint8_t* psrs, size_t count,
                          uint8_t* out) const;
 
-  /// Merging phase over wire envelopes: ORs the children's contributor
-  /// bitmaps and sums their ciphertexts, producing one merged envelope.
-  /// Adds ⌈N/8⌉ bytewise ORs per child to the Eq. 6 cost profile.
-  StatusOr<Bytes> MergeWire(const std::vector<Bytes>& child_payloads) const;
+  /// Merging phase over wire envelopes (message_format.h). Child i
+  /// covers `child_ranges[i]` — the ranges tile this aggregator's range
+  /// left to right — and sent `children[i]`: its contributor field
+  /// followed by `channels` PSRs, or nothing (an empty slot) when its
+  /// message never arrived. Sums each channel's ciphertexts over the
+  /// children that arrived and reports the rest as absent. A lossless
+  /// merge costs Eq. 6's (F-1) additions per channel plus one length
+  /// check per child: the contributor field stays empty.
+  StatusOr<Bytes> MergeWire(std::span<const net::SourceRange> child_ranges,
+                            const std::vector<Bytes>& children,
+                            size_t channels) const;
 
   const Params& params() const { return params_; }
 

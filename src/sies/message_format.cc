@@ -81,68 +81,79 @@ StatusOr<crypto::BigUint> ParsePsr(const Params& params, const uint8_t* data,
   return c;
 }
 
-size_t WireBitmapBytes(const Params& params) {
-  return ContributorBitmap::WidthBytes(params.num_sources);
+size_t WireEnvelopeBytes(const Params& params, size_t channels) {
+  return channels * params.PsrBytes();
 }
 
-size_t WirePsrBytes(const Params& params) {
-  return WireBitmapBytes(params) + params.PsrBytes();
-}
-
-StatusOr<Bytes> SerializeWirePayload(const Params& params,
-                                     const ContributorBitmap& bitmap,
-                                     const Bytes& body) {
-  if (bitmap.num_sources() != params.num_sources) {
-    return Status::InvalidArgument("contributor bitmap has wrong width");
-  }
+Bytes SerializeWirePayload(const ContributorSet& contributors,
+                           const Bytes& body) {
   Bytes wire;
-  wire.reserve(bitmap.bytes().size() + body.size());
-  wire.insert(wire.end(), bitmap.bytes().begin(), bitmap.bytes().end());
+  wire.reserve(contributors.FieldBytes() + body.size());
+  contributors.AppendField(wire);
   wire.insert(wire.end(), body.begin(), body.end());
   return wire;
 }
 
-StatusOr<WirePayload> ParseWirePayload(const Params& params,
-                                       const Bytes& wire,
-                                       size_t expected_body_bytes) {
-  const size_t bitmap_bytes = WireBitmapBytes(params);
-  if (wire.size() != bitmap_bytes + expected_body_bytes) {
-    return Status::InvalidArgument("wire payload has wrong width");
-  }
-  auto bitmap =
-      ContributorBitmap::Parse(params.num_sources, wire.data(), bitmap_bytes);
-  if (!bitmap.ok()) return bitmap.status();
-  return WirePayload{std::move(bitmap).value(),
-                     Bytes(wire.begin() + bitmap_bytes, wire.end())};
-}
-
-size_t WireEnvelopeBytes(const Params& params, size_t channels) {
-  return WireBitmapBytes(params) + channels * params.PsrBytes();
-}
-
 StatusOr<WirePayload> ParseWireEnvelope(const Params& params,
+                                        net::SourceRange sender,
                                         const Bytes& wire,
                                         size_t expected_channels) {
-  const size_t bitmap_bytes = WireBitmapBytes(params);
-  if (wire.size() < bitmap_bytes) {
+  const size_t body_bytes = expected_channels * params.PsrBytes();
+  if (wire.size() < body_bytes) {
     return Status::InvalidArgument(
-        "wire envelope shorter than its contributor bitmap");
+        "wire envelope shorter than the channel plan's PSRs");
   }
-  const size_t body_bytes = wire.size() - bitmap_bytes;
-  const size_t psr_bytes = params.PsrBytes();
-  if (psr_bytes == 0 || body_bytes % psr_bytes != 0) {
-    return Status::InvalidArgument(
-        "wire envelope body is not a whole number of PSRs");
+  const size_t field_bytes = wire.size() - body_bytes;
+  auto contributors = ContributorSet::Parse(sender, wire.data(), field_bytes);
+  if (!contributors.ok()) return contributors.status();
+  return WirePayload{std::move(contributors).value(),
+                     Bytes(wire.begin() + field_bytes, wire.end())};
+}
+
+Status AppendMergedField(std::span<const net::SourceRange> child_ranges,
+                         const std::vector<Bytes>& children,
+                         size_t body_bytes, Bytes& out) {
+  if (children.size() != child_ranges.size()) {
+    return Status::InvalidArgument("one source range per child slot expected");
   }
-  if (body_bytes / psr_bytes != expected_channels) {
-    return Status::InvalidArgument(
-        "wire envelope PSR count does not match the channel plan");
+  // Lossless fast path: every child arrived with an empty field, so the
+  // merged field is empty too — a length check per child, nothing more.
+  bool arrived = false;
+  bool complete = true;
+  for (size_t i = 0; i < children.size(); ++i) {
+    if (i > 0 && child_ranges[i].lo != child_ranges[i - 1].hi) {
+      return Status::InvalidArgument(
+          "child ranges do not tile the aggregator's range");
+    }
+    if (children[i].empty()) {
+      complete = false;
+      continue;
+    }
+    if (children[i].size() < body_bytes) {
+      return Status::InvalidArgument(
+          "wire envelope shorter than the channel plan's PSRs");
+    }
+    arrived = true;
+    complete = complete && children[i].size() == body_bytes;
   }
-  auto bitmap =
-      ContributorBitmap::Parse(params.num_sources, wire.data(), bitmap_bytes);
-  if (!bitmap.ok()) return bitmap.status();
-  return WirePayload{std::move(bitmap).value(),
-                     Bytes(wire.begin() + bitmap_bytes, wire.end())};
+  if (!arrived) return Status::InvalidArgument("nothing to merge");
+  if (complete) return Status::OK();
+
+  ContributorSet merged({child_ranges.front().lo, child_ranges.back().hi});
+  for (size_t i = 0; i < children.size(); ++i) {
+    if (children[i].empty()) {
+      SIES_RETURN_IF_ERROR(merged.AddAbsent(child_ranges[i]));
+      continue;
+    }
+    auto child = ContributorSet::Parse(child_ranges[i], children[i].data(),
+                                       children[i].size() - body_bytes);
+    if (!child.ok()) return child.status();
+    for (const net::SourceRange& run : child.value().absent()) {
+      SIES_RETURN_IF_ERROR(merged.AddAbsent(run));
+    }
+  }
+  merged.AppendField(out);
+  return Status::OK();
 }
 
 StatusOr<crypto::U256> PackMessageFp(const Params& params, uint64_t value,

@@ -11,7 +11,9 @@
 #ifndef SIES_SIES_MESSAGE_FORMAT_H_
 #define SIES_SIES_MESSAGE_FORMAT_H_
 
-#include "sies/contributor_bitmap.h"
+#include <span>
+
+#include "sies/contributor_set.h"
 #include "sies/params.h"
 
 namespace sies::core {
@@ -67,53 +69,50 @@ StatusOr<crypto::BigUint> ParsePsr(const Params& params, const uint8_t* data,
 
 // --- Loss-reporting wire envelope -----------------------------------------
 //
-// wire payload = [contributor bitmap (⌈N/8⌉ bytes)][body], where the
-// body is one ciphertext PSR (the simulator protocol) or the
-// concatenated per-channel PSRs of a session payload. A source sets its
-// own bit, aggregators OR their children's bitmaps while summing
-// ciphertexts, and the querier reads the final bitmap as the
-// participating set — so radio losses are reported in-band instead of
-// making every lossy epoch fail verification. The bitmap itself is not
-// trusted: flipping any bit changes the share subset the querier checks
-// against, and the share-sum test fails (DESIGN.md, "Contributor
-// bitmaps").
+// wire payload = [contributor field ‖ body], where the body is one PSR
+// per channel: a single PSR (runner::SiesProtocol) or the per-channel
+// PSRs of a session or engine payload. The field is the sender's
+// ContributorSet relative to its own source range (contributor_set.h):
+// empty when every source below the sender contributed, so a lossless
+// envelope is exactly channels × PsrBytes at any N, and a source (whose
+// range is itself) always sends its bare PSRs. Aggregators fold their
+// children's sets while summing the ciphertexts; the querier reads the
+// root's set, relative to [0, N), as the participating set — so radio
+// losses are reported in-band instead of failing every lossy epoch.
 
-/// Bitmap width of the wire envelope: ⌈N/8⌉ bytes.
-size_t WireBitmapBytes(const Params& params);
+/// Width of a lossless envelope: channels × PsrBytes, independent of N.
+size_t WireEnvelopeBytes(const Params& params, size_t channels);
 
-/// Single-channel wire PSR width: WireBitmapBytes + PsrBytes.
-size_t WirePsrBytes(const Params& params);
-
-/// Concatenates [bitmap ‖ body]. Fails on a bitmap/params width
-/// mismatch.
-StatusOr<Bytes> SerializeWirePayload(const Params& params,
-                                     const ContributorBitmap& bitmap,
-                                     const Bytes& body);
+/// Concatenates [contributor field ‖ body].
+Bytes SerializeWirePayload(const ContributorSet& contributors,
+                           const Bytes& body);
 
 /// A parsed wire envelope.
 struct WirePayload {
-  ContributorBitmap bitmap;
+  ContributorSet contributors;
   Bytes body;
 };
 
-/// Splits a wire payload back into bitmap and body; the body must be
-/// exactly `expected_body_bytes` wide (PsrBytes per channel).
-StatusOr<WirePayload> ParseWirePayload(const Params& params,
-                                       const Bytes& wire,
-                                       size_t expected_body_bytes);
-
-/// Width of a multi-channel envelope [bitmap ‖ PSR × channels]: the
-/// engine's one-round-per-epoch batch of all live physical channels.
-size_t WireEnvelopeBytes(const Params& params, size_t channels);
-
-/// Parses a multi-channel envelope, distinguishing the failure modes a
-/// hostile or truncated frame can produce: a frame too short to hold the
-/// contributor bitmap, a body that is not a whole number of PSRs, and a
-/// well-formed envelope carrying the wrong PSR count for the expected
-/// channel plan. Never reads past `wire`'s bounds.
+/// Parses the envelope of a sender covering `sender`: the body is the
+/// trailing `expected_channels` PSRs, the contributor field everything
+/// before it. Fails on a frame shorter than the body and on a
+/// non-canonical field (ContributorSet::Parse). Never reads past
+/// `wire`'s bounds.
 StatusOr<WirePayload> ParseWireEnvelope(const Params& params,
+                                        net::SourceRange sender,
                                         const Bytes& wire,
                                         size_t expected_channels);
+
+/// Appends to `out` the contributor field of an aggregator whose
+/// children cover `child_ranges` (left to right, tiling the
+/// aggregator's range) and sent `children`: [field ‖ `body_bytes` of
+/// body] each, or nothing — an empty slot — when that child's message
+/// never arrived, which reports the child's whole range absent. Appends
+/// nothing when every child arrived complete. Fails when no child
+/// arrived, the ranges do not tile, or a child's envelope is malformed.
+Status AppendMergedField(std::span<const net::SourceRange> child_ranges,
+                         const std::vector<Bytes>& children,
+                         size_t body_bytes, Bytes& out);
 
 // --- Fixed-width fast path ------------------------------------------------
 //

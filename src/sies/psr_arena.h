@@ -1,4 +1,4 @@
-// Pooled buffer for bulk PSR and bitmap assembly in the epoch hot loop.
+// Pooled buffer for bulk PSR assembly in the epoch hot loop.
 //
 // A cold-start epoch at N = 10^6 sources used to allocate one Bytes per
 // PSR (N vector allocations to create, N more to slice for merging). A
@@ -14,7 +14,6 @@
 #ifndef SIES_SIES_PSR_ARENA_H_
 #define SIES_SIES_PSR_ARENA_H_
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -23,25 +22,21 @@
 
 namespace sies::core {
 
-/// Reusable contiguous storage for `count` PSRs of `psr_bytes` each,
-/// plus an optional bitmap scratch region. Not thread-safe; distinct
-/// slots may be written concurrently (disjoint byte ranges).
+/// Reusable contiguous storage for `count` PSRs of `psr_bytes` each.
+/// Not thread-safe; distinct slots may be written concurrently
+/// (disjoint byte ranges).
 class PsrArena {
  public:
   PsrArena() = default;
 
   /// Sizes the arena for one epoch: `count` PSR slots of `psr_bytes`
-  /// (typically Params::PsrBytes()) and `bitmap_bytes` of bitmap
-  /// scratch. Capacity is kept across calls — growing allocates, same
-  /// size or shrinking reuses.
-  void Reset(size_t psr_bytes, size_t count, size_t bitmap_bytes = 0) {
+  /// (typically Params::PsrBytes()). Capacity is kept across calls —
+  /// growing allocates, same size or shrinking reuses.
+  void Reset(size_t psr_bytes, size_t count) {
     psr_bytes_ = psr_bytes;
     count_ = count;
     const size_t want = psr_bytes * count;
     if (psrs_.size() < want) psrs_.resize(want);
-    if (bitmap_.size() < bitmap_bytes) bitmap_.resize(bitmap_bytes);
-    bitmap_bytes_ = bitmap_bytes;
-    std::fill(bitmap_.begin(), bitmap_.begin() + bitmap_bytes_, uint8_t{0});
   }
 
   /// Writable slot for PSR `i` (i < count()); psr_bytes() wide.
@@ -53,20 +48,13 @@ class PsrArena {
   uint8_t* data() { return psrs_.data(); }
   const uint8_t* data() const { return psrs_.data(); }
 
-  /// Bitmap scratch (zeroed by Reset), e.g. for ContributorBitmap
-  /// assembly alongside the PSRs.
-  uint8_t* bitmap() { return bitmap_.data(); }
-  size_t bitmap_bytes() const { return bitmap_bytes_; }
-
   size_t count() const { return count_; }
   size_t psr_bytes() const { return psr_bytes_; }
 
  private:
   std::vector<uint8_t> psrs_;
-  std::vector<uint8_t> bitmap_;
   size_t psr_bytes_ = 0;
   size_t count_ = 0;
-  size_t bitmap_bytes_ = 0;
 };
 
 }  // namespace sies::core

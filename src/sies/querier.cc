@@ -1,6 +1,5 @@
 #include "sies/querier.h"
 
-#include <cstring>
 #include <numeric>
 
 #include "telemetry/metrics.h"
@@ -34,44 +33,18 @@ Querier::Querier(Params params, QuerierKeys keys)
   psr_bytes_ = params_.PsrBytes();
   all_sources_.resize(params_.num_sources);
   std::iota(all_sources_.begin(), all_sources_.end(), 0u);
-  full_bitmap_.assign(ContributorBitmap::WidthBytes(params_.num_sources),
-                      0xFF);
-  if (params_.num_sources % 8 != 0 && !full_bitmap_.empty()) {
-    full_bitmap_.back() =
-        static_cast<uint8_t>(0xFFu >> (8 - params_.num_sources % 8));
-  }
 }
 
 StatusOr<Evaluation> Querier::Evaluate(
     const Bytes& final_psr, uint64_t epoch,
     const std::vector<uint32_t>& participating) const {
   return EvaluateCore(final_psr.data(), final_psr.size(), epoch,
-                      /*wire_envelope=*/false, &participating, nullptr);
+                      participating);
 }
 
 StatusOr<Evaluation> Querier::EvaluateCore(
-    const uint8_t* payload, size_t payload_len, uint64_t epoch,
-    bool wire_envelope, const std::vector<uint32_t>* participating_in,
-    std::vector<uint32_t>* contributors) const {
-  const uint8_t* body = payload;
-  size_t body_len = payload_len;
-  if (wire_envelope) {
-    const size_t bitmap_bytes = full_bitmap_.size();
-    if (payload_len != bitmap_bytes + psr_bytes_) {
-      return Status::InvalidArgument("wire payload has wrong width");
-    }
-    body = payload + bitmap_bytes;
-    body_len = psr_bytes_;
-    if (!WireBitmapIsFull(payload)) {
-      return EvaluateWirePartial(payload, epoch, contributors);
-    }
-    if (contributors != nullptr) {
-      contributors->assign(all_sources_.begin(), all_sources_.end());
-    }
-    participating_in = &all_sources_;
-  }
-  const std::vector<uint32_t>& participating = *participating_in;
-
+    const uint8_t* body, size_t body_len, uint64_t epoch,
+    const std::vector<uint32_t>& participating) const {
   const QuerierMetrics& metrics = QuerierMetrics::Get();
   metrics.evaluations->Increment();
   telemetry::ScopedSpan span("evaluate-decrypt", "querier", epoch);
@@ -162,14 +135,13 @@ StatusOr<Evaluation> Querier::EvaluateCore(
 StatusOr<Evaluation> Querier::Evaluate(const Bytes& final_psr,
                                        uint64_t epoch) const {
   return EvaluateCore(final_psr.data(), final_psr.size(), epoch,
-                      /*wire_envelope=*/false, &all_sources_, nullptr);
+                      all_sources_);
 }
 
 StatusOr<Evaluation> Querier::EvaluateSlice(
     const uint8_t* psr, size_t len, uint64_t epoch,
     const std::vector<uint32_t>& participating) const {
-  return EvaluateCore(psr, len, epoch, /*wire_envelope=*/false,
-                      &participating, nullptr);
+  return EvaluateCore(psr, len, epoch, participating);
 }
 
 void Querier::WarmEpoch(uint64_t epoch) const {
@@ -182,48 +154,28 @@ void Querier::WarmEpoch(uint64_t epoch, bool use_pool) const {
                   use_pool ? pool_ : nullptr);
 }
 
-bool Querier::WireBitmapIsFull(const uint8_t* bitmap) const {
-  // Coverage is full iff every VALID bit is set: (b & full) == full per
-  // byte, which also ignores padding bits (full_bitmap_ masks them, and
-  // ContributorBitmap::Parse does the same on the slow path). The test
-  // accumulates word-wise — for the common small widths it is a couple
-  // of loads, which keeps the full-coverage wire path within the <2%
-  // fig6a budget at small N where even one libc call would show up.
-  const uint8_t* full = full_bitmap_.data();
-  const size_t size = full_bitmap_.size();
-  uint64_t missing = 0;
-  size_t i = 0;
-  for (; i + 8 <= size; i += 8) {
-    uint64_t b, f;
-    std::memcpy(&b, bitmap + i, 8);
-    std::memcpy(&f, full + i, 8);
-    missing |= ~b & f;
-  }
-  for (; i < size; ++i) {
-    missing |= static_cast<uint64_t>(~bitmap[i] & full[i]);
-  }
-  return missing == 0;
-}
-
 StatusOr<Evaluation> Querier::EvaluateWire(
     const Bytes& final_payload, uint64_t epoch,
     std::vector<uint32_t>* contributors) const {
-  return EvaluateCore(final_payload.data(), final_payload.size(), epoch,
-                      /*wire_envelope=*/true, nullptr, contributors);
-}
-
-StatusOr<Evaluation> Querier::EvaluateWirePartial(
-    const uint8_t* payload, uint64_t epoch,
-    std::vector<uint32_t>* contributors) const {
-  const size_t bitmap_bytes = full_bitmap_.size();
-  auto bitmap =
-      ContributorBitmap::Parse(params_.num_sources, payload, bitmap_bytes);
-  if (!bitmap.ok()) return bitmap.status();
+  if (final_payload.size() < psr_bytes_) {
+    return Status::InvalidArgument("wire payload shorter than its PSR");
+  }
+  const size_t field_bytes = final_payload.size() - psr_bytes_;
+  const uint8_t* psr = final_payload.data() + field_bytes;
+  if (field_bytes == 0) {
+    if (contributors != nullptr) {
+      contributors->assign(all_sources_.begin(), all_sources_.end());
+    }
+    return EvaluateCore(psr, psr_bytes_, epoch, all_sources_);
+  }
+  auto set = ContributorSet::Parse({0, params_.num_sources},
+                                   final_payload.data(), field_bytes);
+  if (!set.ok()) return set.status();
   std::vector<uint32_t> local;
-  std::vector<uint32_t>& set = contributors != nullptr ? *contributors : local;
-  set = bitmap.value().Indices();
-  return EvaluateCore(payload + bitmap_bytes, psr_bytes_, epoch,
-                      /*wire_envelope=*/false, &set, nullptr);
+  std::vector<uint32_t>& participating =
+      contributors != nullptr ? *contributors : local;
+  participating = set.value().Indices();
+  return EvaluateCore(psr, psr_bytes_, epoch, participating);
 }
 
 StatusOr<WireEvaluation> Querier::EvaluateWire(const Bytes& final_payload,

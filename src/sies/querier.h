@@ -30,11 +30,11 @@ struct Evaluation {
 };
 
 /// Result of evaluating a wire envelope: the (possibly partial) sum plus
-/// the bitmap-derived set it verified against.
+/// the reported set it verified against.
 struct WireEvaluation {
   uint64_t sum = 0;
   bool verified = false;
-  std::vector<uint32_t> contributors;  ///< bitmap indices, increasing
+  std::vector<uint32_t> contributors;  ///< source indices, increasing
 };
 
 /// The querier Q. Holds all key material.
@@ -63,20 +63,21 @@ class Querier {
       const uint8_t* psr, size_t len, uint64_t epoch,
       const std::vector<uint32_t>& participating) const;
 
-  /// Evaluation over a wire envelope [bitmap ‖ PSR]: the participating
-  /// set is read from the contributor bitmap, so lossy epochs evaluate
-  /// to a verified PARTIAL sum over exactly the contributing sources. A
-  /// tampered bitmap (any bit set or cleared in flight) shifts the
-  /// expected share sum and yields `verified == false`.
+  /// Evaluation over the root's wire envelope [contributor field ‖ PSR]
+  /// (message_format.h): the participating set is the root's
+  /// ContributorSet over [0, N), so lossy epochs evaluate to a verified
+  /// PARTIAL sum over exactly the contributing sources. A tampered set
+  /// (any source added or removed in flight) shifts the expected share
+  /// sum and yields `verified == false`; a non-canonical field is an
+  /// error.
   StatusOr<WireEvaluation> EvaluateWire(const Bytes& final_payload,
                                         uint64_t epoch) const;
 
   /// Hot-path variant of the wire evaluation: no allocations when the
-  /// bitmap reports full coverage (the common, loss-free case). The
+  /// field is empty (full coverage, the lossless case). The
   /// participating set is written into `contributors` (reusing its
   /// capacity) when non-null; pass nullptr if only the sum/verdict are
-  /// needed. Repeated warm evaluations through this path cost within
-  /// measurement noise of the raw bitmap-less Evaluate.
+  /// needed.
   StatusOr<Evaluation> EvaluateWire(const Bytes& final_payload, uint64_t epoch,
                                     std::vector<uint32_t>* contributors) const;
 
@@ -118,29 +119,12 @@ class Querier {
   const Params& params() const { return params_; }
 
  private:
-  /// Shared core of ALL Evaluate flavours — raw PSRs and wire envelopes
-  /// run through this one function, operating on the payload in place
-  /// (no copies), so the two paths differ only by the `wire_envelope`
-  /// branch. Keeping them in one body also keeps their stack and code
-  /// placement identical, which is what makes the fig6a wire-overhead
-  /// comparison meaningful at the ~1µs warm-evaluation scale.
-  /// `participating` must be non-null when `wire_envelope` is false and
-  /// is ignored otherwise (the set comes from the bitmap).
-  StatusOr<Evaluation> EvaluateCore(const uint8_t* payload,
-                                    size_t payload_len, uint64_t epoch,
-                                    bool wire_envelope,
-                                    const std::vector<uint32_t>* participating,
-                                    std::vector<uint32_t>* contributors) const;
-
-  /// True iff the leading wire bitmap (with padding bits masked) marks
-  /// every source as contributing.
-  bool WireBitmapIsFull(const uint8_t* bitmap) const;
-
-  /// Partial-coverage tail of the wire path (lossy epochs only): parses
-  /// the bitmap, materializes its indices, and re-enters EvaluateCore.
-  StatusOr<Evaluation> EvaluateWirePartial(
-      const uint8_t* payload, uint64_t epoch,
-      std::vector<uint32_t>* contributors) const;
+  /// Shared core of ALL Evaluate flavours: raw PSRs, slices and wire
+  /// envelopes all verify `len` PSR bytes at `psr` in place against
+  /// `participating`.
+  StatusOr<Evaluation> EvaluateCore(
+      const uint8_t* psr, size_t len, uint64_t epoch,
+      const std::vector<uint32_t>& participating) const;
 
   Params params_;
   QuerierKeys keys_;
@@ -148,11 +132,9 @@ class Querier {
   common::ThreadPool* pool_ = nullptr;
   // Precomputed once so full-coverage wire evaluations allocate nothing
   // and call nothing per evaluation: the PSR width (Params::PsrBytes
-  // walks the prime's limbs), the index list {0..N-1}, and the bitmap
-  // bytes of a full epoch.
+  // walks the prime's limbs) and the index list {0..N-1}.
   size_t psr_bytes_ = 0;
   std::vector<uint32_t> all_sources_;
-  Bytes full_bitmap_;
 };
 
 }  // namespace sies::core

@@ -26,7 +26,7 @@ struct EpochRecord {
   /// information for such epochs.
   bool answered = true;
   /// Fraction of expected sources covered by the (verified) aggregate,
-  /// per the contributor bitmap; 1.0 for a full epoch, 0.0 unanswered.
+  /// per the contributor set; 1.0 for a full epoch, 0.0 unanswered.
   double coverage = 1.0;
 };
 
@@ -47,7 +47,7 @@ class ResultLog {
   /// Records the outcome of `epoch`. Epochs must be recorded in
   /// strictly increasing order; gaps are detected and counted as missed
   /// (potential DoS per the paper's threat model). `coverage` is the
-  /// contributor-bitmap fraction; partial (< 1) verified epochs are
+  /// contributor-set fraction; partial (< 1) verified epochs are
   /// counted separately from full ones.
   Status Record(uint64_t epoch, double value, bool verified,
                 double coverage = 1.0);

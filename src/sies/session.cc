@@ -48,47 +48,14 @@ StatusOr<Bytes> SourceSession::CreatePayload(const SensorReading& reading,
     if (!psr.ok()) return psr.status();
     body.insert(body.end(), psr.value().begin(), psr.value().end());
   }
-  ContributorBitmap bitmap(source_.params().num_sources);
-  Status set = bitmap.Set(source_.index());
-  if (!set.ok()) return set;
-  return SerializeWirePayload(source_.params(), bitmap, body);
+  return body;
 }
 
 StatusOr<Bytes> AggregatorSession::Merge(
+    std::span<const net::SourceRange> child_ranges,
     const std::vector<Bytes>& children) const {
-  if (children.empty()) return Status::InvalidArgument("nothing to merge");
-  const Params& params = aggregator_.params();
-  const size_t width = params.PsrBytes();
-  const size_t channels = ActiveChannels(query_).size();
-  const size_t expected_body = channels * width;
-  ContributorBitmap bitmap(params.num_sources);
-  std::vector<Bytes> bodies;
-  bodies.reserve(children.size());
-  for (const Bytes& child : children) {
-    auto parsed = ParseWirePayload(params, child, expected_body);
-    if (!parsed.ok()) {
-      return Status::InvalidArgument("multi-channel payload width "
-                                     "mismatch");
-    }
-    Status merged = bitmap.OrWith(parsed.value().bitmap);
-    if (!merged.ok()) return merged;
-    bodies.push_back(std::move(parsed.value().body));
-  }
-  Bytes merged_body;
-  merged_body.reserve(expected_body);
-  for (size_t ch = 0; ch < channels; ++ch) {
-    std::vector<Bytes> slices;
-    slices.reserve(bodies.size());
-    for (const Bytes& body : bodies) {
-      slices.emplace_back(body.begin() + ch * width,
-                          body.begin() + (ch + 1) * width);
-    }
-    auto psr = aggregator_.Merge(slices);
-    if (!psr.ok()) return psr.status();
-    merged_body.insert(merged_body.end(), psr.value().begin(),
-                       psr.value().end());
-  }
-  return SerializeWirePayload(params, bitmap, merged_body);
+  return aggregator_.MergeWire(child_ranges, children,
+                               ActiveChannels(query_).size());
 }
 
 StatusOr<QuerierSession::Outcome> QuerierSession::Evaluate(
@@ -96,13 +63,12 @@ StatusOr<QuerierSession::Outcome> QuerierSession::Evaluate(
   const Params& params = querier_.params();
   const size_t width = params.PsrBytes();
   std::vector<Channel> channels = ActiveChannels(query_);
-  auto parsed =
-      ParseWirePayload(params, final_payload, channels.size() * width);
-  if (!parsed.ok()) {
-    return Status::InvalidArgument("multi-channel payload width mismatch");
-  }
+  auto parsed = ParseWireEnvelope(params, {0, params.num_sources},
+                                  final_payload, channels.size());
+  if (!parsed.ok()) return parsed.status();
   const Bytes& body = parsed.value().body;
-  std::vector<uint32_t> participating = parsed.value().bitmap.Indices();
+  std::vector<uint32_t> participating =
+      parsed.value().contributors.Indices();
   uint64_t sum = 0, sum_squares = 0, count = 0;
   bool verified = true;
   for (size_t i = 0; i < channels.size(); ++i) {

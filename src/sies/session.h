@@ -7,9 +7,10 @@
 // VARIANCE, STDDEV) are one call at each party.
 //
 // Payloads travel in the loss-reporting wire envelope
-// [contributor bitmap ‖ PSR_ch0 ‖ PSR_ch1 ‖ ...]: one ⌈N/8⌉-byte bitmap
-// covers all channels (they share fate on the radio), and the querier
-// derives the participating set from it instead of being told
+// [contributor field ‖ PSR_ch0 ‖ PSR_ch1 ‖ ...] (message_format.h): one
+// contributor set covers all channels (they share fate on the radio), it
+// is empty whenever the sender's whole subtree contributed, and the
+// querier derives the participating set from it instead of being told
 // out-of-band — so a lossy epoch degrades to a verified partial result
 // over exactly the sources that contributed.
 #ifndef SIES_SIES_SESSION_H_
@@ -31,7 +32,7 @@ std::vector<Channel> ActiveChannels(const Query& query);
 struct EpochOutcome {
   QueryResult result;
   bool verified = false;  ///< all channels verified
-  /// Bitmap-derived contributing source indices, increasing. When
+  /// Contributing source indices reported in-band, increasing. When
   /// verified, `result` is the exact aggregate over exactly this set.
   std::vector<uint32_t> contributors;
   double coverage = 0.0;  ///< contributors ÷ N
@@ -56,8 +57,8 @@ class SourceSession {
         source_(std::move(params), index, std::move(keys)) {}
 
   /// Initialization phase for this epoch: one fixed-width PSR per active
-  /// channel, concatenated behind this source's contributor bitmap.
-  /// Payload width = WireBitmapBytes() + channels * PsrBytes().
+  /// channel, concatenated. A source covers only itself, so its
+  /// contributor field is empty: width = channels * PsrBytes().
   StatusOr<Bytes> CreatePayload(const SensorReading& reading,
                                 uint64_t epoch) const;
 
@@ -74,9 +75,11 @@ class AggregatorSession {
   AggregatorSession(Query query, Params params)
       : query_(std::move(query)), aggregator_(std::move(params)) {}
 
-  /// Merges multi-channel wire payloads (all must have the same width):
-  /// ORs the bitmaps, sums each channel's ciphertexts.
-  StatusOr<Bytes> Merge(const std::vector<Bytes>& children) const;
+  /// Merges positional multi-channel wire payloads: child i covers
+  /// `child_ranges[i]` and an empty slot is a child whose message never
+  /// arrived (see Aggregator::MergeWire).
+  StatusOr<Bytes> Merge(std::span<const net::SourceRange> child_ranges,
+                        const std::vector<Bytes>& children) const;
 
  private:
   Query query_;
@@ -93,8 +96,8 @@ class QuerierSession {
   /// Outcome of one epoch (shared with the multi-query engine).
   using Outcome = EpochOutcome;
 
-  /// Evaluation phase over the final multi-channel wire payload. The
-  /// participating set comes from the envelope's contributor bitmap.
+  /// Evaluation phase over the root's multi-channel wire payload. The
+  /// participating set comes from the envelope's contributor field.
   StatusOr<Outcome> Evaluate(const Bytes& final_payload,
                              uint64_t epoch) const;
 

@@ -57,13 +57,4 @@ StatusOr<Bytes> Source::CreatePsr(uint64_t value, uint64_t epoch) const {
   return out;
 }
 
-StatusOr<Bytes> Source::CreateWirePsr(uint64_t value, uint64_t epoch) const {
-  auto psr = CreatePsr(value, epoch);
-  if (!psr.ok()) return psr.status();
-  ContributorBitmap bitmap(params_.num_sources);
-  Status set = bitmap.Set(index_);
-  if (!set.ok()) return set;
-  return SerializeWirePayload(params_, bitmap, psr.value());
-}
-
 }  // namespace sies::core

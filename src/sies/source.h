@@ -24,7 +24,9 @@ class Source {
 
   /// Initialization phase: produces PSR_{i,t} for reading `value` at
   /// epoch `epoch`. Cost profile (paper Eq. 3): two HM256, one HM1, one
-  /// 32-byte modular multiplication and one addition.
+  /// 32-byte modular multiplication and one addition. A source covers
+  /// only itself, so this bare PSR is also its wire envelope
+  /// (message_format.h): the contributor field is empty.
   StatusOr<Bytes> CreatePsr(uint64_t value, uint64_t epoch) const;
 
   /// CreatePsr writing the params().PsrBytes()-wide PSR into `out`
@@ -33,12 +35,6 @@ class Source {
   /// body). On the fixed-width fast path this performs no heap
   /// allocation at all. Identical bytes to CreatePsr.
   Status CreatePsrInto(uint64_t value, uint64_t epoch, uint8_t* out) const;
-
-  /// Like CreatePsr, but wrapped in the loss-reporting wire envelope
-  /// [contributor bitmap ‖ PSR] with only this source's bit set (see
-  /// message_format.h). This is what goes on the radio; the bare PSR
-  /// remains for paper-exact benchmarks.
-  StatusOr<Bytes> CreateWirePsr(uint64_t value, uint64_t epoch) const;
 
   /// Optional: share an EpochKeyCache with co-located sources so K_t is
   /// derived once per epoch instead of once per source. The simulator's

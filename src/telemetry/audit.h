@@ -34,7 +34,7 @@ namespace sies::telemetry {
 /// (payload byte-compare around the adversary hook); kRadioLoss by the
 /// loss model; kVerificationFailure by the querier outcome;
 /// kReportedLoss when a verified epoch covered fewer contributors than
-/// expected (the contributor bitmap reported the gap in-band — graceful
+/// expected (the contributor set reported the gap in-band — graceful
 /// degradation, not tampering); kFreshnessViolation / kAuthFailure by
 /// μTesla receivers.
 enum class AuditKind {

@@ -40,6 +40,8 @@ class Fixture {
     tc.num_sources = kN;
     tc.seed = kSeed;
     trace_ = std::make_unique<workload::TraceGenerator>(tc);
+    // Every round merges at one root with the kN sources as children.
+    for (uint32_t i = 0; i < kN; ++i) star_.push_back({i, i + 1});
   }
 
   MultiQueryEngine MakeEngine() const { return MultiQueryEngine(params_, keys_); }
@@ -48,29 +50,29 @@ class Fixture {
   StatusOr<Bytes> EngineRound(const MultiQueryEngine& eng,
                               const std::vector<uint32_t>& participants,
                               uint64_t epoch) {
-    std::vector<Bytes> payloads;
+    std::vector<Bytes> payloads(kN);  // empty slot: did not transmit
     for (uint32_t i : participants) {
       auto p = eng.CreateSourcePayload(i, trace_->ReadingAt(i, epoch), epoch);
       if (!p.ok()) return p.status();
-      payloads.push_back(std::move(p).value());
+      payloads[i] = std::move(p).value();
     }
-    return eng.Merge(payloads);
+    return eng.Merge(star_, payloads);
   }
 
   /// The same epoch through an independent single-query session.
   StatusOr<core::EpochOutcome> SessionEpoch(
       const core::Query& query, const std::vector<uint32_t>& participants,
       uint64_t epoch) {
-    std::vector<Bytes> payloads;
+    std::vector<Bytes> payloads(kN);
     for (uint32_t i : participants) {
       core::SourceSession source(query, params_, i,
                                  core::KeysForSource(keys_, i).value());
       auto p = source.CreatePayload(trace_->ReadingAt(i, epoch), epoch);
       if (!p.ok()) return p.status();
-      payloads.push_back(std::move(p).value());
+      payloads[i] = std::move(p).value();
     }
     core::AggregatorSession aggregator(query, params_);
-    auto merged = aggregator.Merge(payloads);
+    auto merged = aggregator.Merge(star_, payloads);
     if (!merged.ok()) return merged.status();
     core::QuerierSession querier(query, params_, keys_);
     return querier.Evaluate(merged.value(), epoch);
@@ -109,6 +111,7 @@ class Fixture {
   core::Params params_{};
   core::QuerierKeys keys_;
   std::unique_ptr<workload::TraceGenerator> trace_;
+  std::vector<net::SourceRange> star_;
 };
 
 std::vector<uint32_t> AllSources() {

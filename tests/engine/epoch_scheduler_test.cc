@@ -59,7 +59,7 @@ TEST(EpochSchedulerTest, MidRunAdmissionVerifiesFromItsEpoch) {
   ASSERT_EQ(result.value().queries.size(), 2u);
   EXPECT_EQ(result.value().queries[0].verified_epochs, 10u);
   // Admitted at epoch 6 of 10: exactly epochs 6..10, all verified with
-  // full contributor-bitmap semantics from the first one.
+  // full contributor-set semantics from the first one.
   EXPECT_EQ(result.value().queries[1].answered_epochs, 5u);
   EXPECT_EQ(result.value().queries[1].verified_epochs, 5u);
   EXPECT_EQ(result.value().queries[1].mean_coverage, 1.0);
@@ -148,6 +148,9 @@ TEST(EpochSchedulerTest, EngineCachesScaleWithTheChannelPlan) {
   auto params = core::MakeParams(8, 3, /*value_bytes=*/8).value();
   auto keys = core::GenerateKeys(params, EncodeUint64(3));
   MultiQueryEngine eng(params, keys);
+  // One root with every source as a direct child.
+  std::vector<net::SourceRange> star;
+  for (uint32_t i = 0; i < 8u; ++i) star.push_back({i, i + 1});
   ASSERT_TRUE(eng.Admit(MakeQuery(core::Aggregate::kVariance, 0), 1).ok());
   ASSERT_TRUE(
       eng.Admit(MakeQuery(core::Aggregate::kVariance, 1,
@@ -163,7 +166,7 @@ TEST(EpochSchedulerTest, EngineCachesScaleWithTheChannelPlan) {
       ASSERT_TRUE(p.ok());
       payloads.push_back(std::move(p).value());
     }
-    auto merged = eng.Merge(payloads);
+    auto merged = eng.Merge(star, payloads);
     ASSERT_TRUE(merged.ok());
     auto outcomes = eng.Evaluate(merged.value(), epoch);
     ASSERT_TRUE(outcomes.ok()) << outcomes.status().ToString();

@@ -65,6 +65,9 @@ TEST(PredicateCacheTest, RangeMixRunsWithZeroPrematureEvictions) {
   workload::TraceGenerator trace(tc);
 
   MultiQueryEngine eng(params, keys);
+  // One root with every source as a direct child.
+  std::vector<net::SourceRange> star;
+  for (uint32_t i = 0; i < kN; ++i) star.push_back({i, i + 1});
   for (const core::Query& q : RangeMix()) {
     ASSERT_TRUE(eng.Admit(q, 1).ok());
   }
@@ -81,7 +84,7 @@ TEST(PredicateCacheTest, RangeMixRunsWithZeroPrematureEvictions) {
       ASSERT_TRUE(p.ok());
       payloads.push_back(std::move(p).value());
     }
-    auto merged = eng.Merge(payloads);
+    auto merged = eng.Merge(star, payloads);
     ASSERT_TRUE(merged.ok());
     auto outcomes = eng.Evaluate(merged.value(), epoch);
     ASSERT_TRUE(outcomes.ok()) << outcomes.status().ToString();

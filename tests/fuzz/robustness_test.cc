@@ -44,12 +44,14 @@ namespace {
 constexpr int kTrials = 200;
 
 // Loads every committed input for one harness: seed corpus plus the
-// minimized regressions fuzzing has filed. Fails the suite if the seed
-// corpus went missing — the corpora are load-bearing test data, not an
-// optional extra.
-std::vector<Bytes> LoadFuzzInputs(const std::string& harness) {
+// minimized regressions fuzzing has filed (or only the `kinds` asked
+// for). Fails the suite if nothing was found — the corpora are
+// load-bearing test data, not an optional extra.
+std::vector<Bytes> LoadFuzzInputs(
+    const std::string& harness,
+    std::initializer_list<const char*> kinds = {"corpus", "regressions"}) {
   std::vector<Bytes> inputs;
-  for (const char* kind : {"corpus", "regressions"}) {
+  for (const char* kind : kinds) {
     const std::filesystem::path dir =
         std::filesystem::path(SIES_FUZZ_DIR) / kind / harness;
     if (!std::filesystem::is_directory(dir)) continue;
@@ -76,25 +78,31 @@ std::string AsText(const Bytes& bytes) {
 }
 
 TEST(CorpusReplayTest, WireEnvelope) {
-  // Mirrors fuzz/wire_envelope_fuzz.cc: byte 0 selects plan width and
-  // params instance, the rest is the wire frame.
-  auto params16 = core::MakeParams(16, 1).value();
-  auto params12 = core::MakeParams(12, 1).value();
+  // Mirrors fuzz/wire_envelope_fuzz.cc: byte 0 selects the plan width
+  // and the sender's range in a 300-source tree, the rest is the frame.
+  auto params = core::MakeParams(300, 1).value();
+  const net::SourceRange ranges[4] = {{0, 300}, {40, 140}, {37, 49}, {5, 6}};
+  auto parse = [&](const Bytes& input, Bytes& wire) {
+    wire.assign(input.begin() + 1, input.end());
+    return core::ParseWireEnvelope(params, ranges[(input[0] >> 3) & 0x03u],
+                                   wire, input[0] & 0x07u);
+  };
+  Bytes wire;
   for (const Bytes& input : LoadFuzzInputs("wire_envelope")) {
     if (input.empty()) continue;
-    const size_t channels = input[0] & 0x07u;
-    const bool padded = (input[0] & 0x08u) != 0;
-    const auto& params = padded ? params12 : params16;
-    const Bytes wire(input.begin() + 1, input.end());
-    auto parsed = core::ParseWireEnvelope(params, wire, channels);
+    auto parsed = parse(input, wire);
     if (!parsed.ok()) continue;
-    EXPECT_EQ(parsed.value().body.size(), channels * params.PsrBytes());
-    auto rewire = core::SerializeWirePayload(params, parsed.value().bitmap,
-                                             parsed.value().body);
-    ASSERT_TRUE(rewire.ok());
-    if (!padded) {
-      EXPECT_EQ(rewire.value(), wire);
-    }
+    EXPECT_EQ(parsed.value().body.size(),
+              (input[0] & 0x07u) * params.PsrBytes());
+    EXPECT_EQ(core::SerializeWirePayload(parsed.value().contributors,
+                                         parsed.value().body),
+              wire);
+  }
+  // Every filed regression is a non-canonical contributor field and
+  // must stay rejected.
+  for (const Bytes& input : LoadFuzzInputs("wire_envelope", {"regressions"})) {
+    ASSERT_FALSE(input.empty());
+    EXPECT_FALSE(parse(input, wire).ok()) << ToHex(input);
   }
 }
 
@@ -223,38 +231,41 @@ TEST(FuzzTest, SiesQuerierRandomPsrsNeverVerify) {
 }
 
 TEST(FuzzTest, WireEnvelopeHostileFramesNeverReadOutOfBounds) {
-  // The multi-query engine's one-round envelope [bitmap ‖ PSR × K] is
+  // The multi-query engine's one-round envelope [field ‖ PSR × K] is
   // the widest attack surface a hostile aggregator sees: truncated
-  // bitmaps, oversized frames, and PSR counts that disagree with the
+  // bodies, oversized fields, and PSR counts that disagree with the
   // channel plan must all come back as errors — never a crash or an
   // out-of-bounds read (run under scripts/check.sh --sanitize).
   auto params = core::MakeParams(16, 1).value();
+  const net::SourceRange root{0, 16};
   const size_t kChannels = 3;
+  const size_t bitmap_bytes = core::ContributorSet::BitmapBytes(root);
   const size_t honest_size = core::WireEnvelopeBytes(params, kChannels);
   Xoshiro256 rng(11);
 
-  // Truncations: every prefix of an honest-sized frame, including cuts
-  // inside the bitmap.
+  // Truncations: every prefix shorter than the channel plan's PSRs.
   Bytes frame = rng.NextBytes(honest_size);
   for (size_t len = 0; len < honest_size; ++len) {
     Bytes truncated(frame.begin(), frame.begin() + len);
-    auto parsed = core::ParseWireEnvelope(params, truncated, kChannels);
+    auto parsed = core::ParseWireEnvelope(params, root, truncated, kChannels);
     EXPECT_FALSE(parsed.ok()) << "truncated frame of " << len
                               << " bytes accepted";
   }
-  // Oversized frames: trailing garbage must be rejected, not ignored.
-  for (size_t extra = 1; extra <= 64; extra *= 2) {
+  // Oversized frames: a field wider than the bitmap must be rejected,
+  // not ignored.
+  for (size_t extra = bitmap_bytes + 1; extra <= 64; extra *= 2) {
     Bytes oversized = frame;
     for (size_t i = 0; i < extra; ++i) {
       oversized.push_back(static_cast<uint8_t>(rng.Next()));
     }
-    EXPECT_FALSE(core::ParseWireEnvelope(params, oversized, kChannels).ok());
+    EXPECT_FALSE(
+        core::ParseWireEnvelope(params, root, oversized, kChannels).ok());
   }
-  // PSR-count / plan mismatches: an envelope of K channels fed to a
-  // parser expecting K' != K.
+  // PSR-count / plan mismatches: a lossless envelope of K channels fed
+  // to a parser expecting K' != K.
   for (size_t expected : {size_t{0}, size_t{1}, size_t{2}, size_t{4},
                           size_t{100}}) {
-    auto parsed = core::ParseWireEnvelope(params, frame, expected);
+    auto parsed = core::ParseWireEnvelope(params, root, frame, expected);
     EXPECT_FALSE(parsed.ok()) << "K=" << kChannels << " frame accepted as K="
                               << expected;
     EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
@@ -263,35 +274,39 @@ TEST(FuzzTest, WireEnvelopeHostileFramesNeverReadOutOfBounds) {
   // exactly as wide as claimed — never a crash.
   for (int t = 0; t < kTrials; ++t) {
     Bytes random = rng.NextBytes(rng.NextBelow(2 * honest_size));
-    auto parsed = core::ParseWireEnvelope(params, random, kChannels);
+    auto parsed = core::ParseWireEnvelope(params, root, random, kChannels);
     if (parsed.ok()) {
       EXPECT_EQ(parsed.value().body.size(),
                 kChannels * params.PsrBytes());
+      EXPECT_LE(random.size() - parsed.value().body.size(), bitmap_bytes);
     }
   }
 }
 
 TEST(FuzzTest, WireEnvelopeErrorsAreDistinct) {
-  // The three failure modes carry distinguishable messages so a network
-  // operator can tell a radio truncation from a plan mismatch.
+  // The failure modes carry distinguishable messages so a network
+  // operator can tell a radio truncation from a plan mismatch or a
+  // malformed contributor field.
   auto params = core::MakeParams(16, 1).value();
-  Bytes tiny(1, 0xff);  // shorter than the 2-byte bitmap
-  auto short_frame = core::ParseWireEnvelope(params, tiny, 1);
+  const net::SourceRange root{0, 16};
+  Bytes tiny(1, 0xff);  // shorter than one PSR
+  auto short_frame = core::ParseWireEnvelope(params, root, tiny, 1);
   ASSERT_FALSE(short_frame.ok());
-  EXPECT_NE(short_frame.status().message().find("bitmap"),
+  EXPECT_NE(short_frame.status().message().find("channel plan"),
             std::string::npos);
 
-  Bytes ragged(core::WireBitmapBytes(params) + params.PsrBytes() + 1, 0);
-  auto ragged_frame = core::ParseWireEnvelope(params, ragged, 1);
+  // A 1-byte field is neither the 2-byte bitmap nor whole 2-byte runs.
+  Bytes ragged(params.PsrBytes() + 1, 0);
+  auto ragged_frame = core::ParseWireEnvelope(params, root, ragged, 1);
   ASSERT_FALSE(ragged_frame.ok());
   EXPECT_NE(ragged_frame.status().message().find("whole number"),
             std::string::npos);
 
+  // One PSR too many reads as a 32-byte field: wider than the bitmap.
   Bytes wrong_k(core::WireEnvelopeBytes(params, 2), 0);
-  auto mismatch = core::ParseWireEnvelope(params, wrong_k, 1);
+  auto mismatch = core::ParseWireEnvelope(params, root, wrong_k, 1);
   ASSERT_FALSE(mismatch.ok());
-  EXPECT_NE(mismatch.status().message().find("channel plan"),
-            std::string::npos);
+  EXPECT_NE(mismatch.status().message().find("wider"), std::string::npos);
 }
 
 TEST(FuzzTest, DatagramFrameParserRandomAndMutated) {

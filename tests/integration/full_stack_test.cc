@@ -6,6 +6,9 @@
 // surfaces here even when the per-module tests pass.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "engine/epoch_scheduler.h"
 #include "net/adversary.h"
 #include "runner/deployment.h"
 #include "runner/runner.h"
@@ -120,15 +123,116 @@ TEST_P(PrimeWidthEndToEnd, FullNetworkExactAtWidth) {
     EXPECT_TRUE(report.outcome.verified) << bits << " bits";
     EXPECT_EQ(report.outcome.value,
               static_cast<double>(Snapshot(trace, epoch).exact_sum));
-    EXPECT_DOUBLE_EQ(
-        report.source_to_aggregator.MeanBytes(),
-        static_cast<double>((bits + 7) / 8 +
-                            core::WireBitmapBytes(params)));
+    // Lossless: every edge carries the bare PSR, at any prime width.
+    for (const net::EdgeTraffic* edge :
+         {&report.source_to_aggregator, &report.aggregator_to_aggregator,
+          &report.aggregator_to_querier}) {
+      EXPECT_DOUBLE_EQ(edge->MeanBytes(), static_cast<double>((bits + 7) / 8))
+          << bits << " bits";
+    }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Widths, PrimeWidthEndToEnd,
                          ::testing::Values(224, 256, 320, 512));
+
+// Paper Table V at any N: with nothing lost, every SIES edge carries
+// exactly channels × 32 B on each of the three bindings (the engine, the
+// figure runner's SiesProtocol, and the deployment's sessions).
+class LosslessEdgeWidth : public ::testing::TestWithParam<uint32_t> {
+ protected:
+  // Sees every delivered message; records the narrowest and widest.
+  class WidthProbe : public net::Adversary {
+   public:
+    bool OnMessage(net::Message& msg) override {
+      min_bytes = std::min(min_bytes, msg.payload.size());
+      max_bytes = std::max(max_bytes, msg.payload.size());
+      ++messages;
+      return true;
+    }
+    size_t min_bytes = SIZE_MAX;
+    size_t max_bytes = 0;
+    size_t messages = 0;
+  };
+
+  static void ExpectEveryEdge(const WidthProbe& probe,
+                              const net::EpochReport& report,
+                              size_t channels) {
+    EXPECT_EQ(probe.min_bytes, channels * 32);
+    EXPECT_EQ(probe.max_bytes, channels * 32);
+    EXPECT_EQ(probe.messages,
+              report.source_to_aggregator.messages +
+                  report.aggregator_to_aggregator.messages +
+                  report.aggregator_to_querier.messages);
+    EXPECT_TRUE(report.outcome.verified);
+    EXPECT_DOUBLE_EQ(report.coverage, 1.0);
+  }
+};
+
+TEST_P(LosslessEdgeWidth, EngineBinding) {
+  const uint32_t n = GetParam();
+  auto topology = net::Topology::BuildCompleteTree(n, 4).value();
+  auto params = core::MakeParams(n, 11, /*value_bytes=*/8).value();
+  auto engine = std::make_shared<engine::MultiQueryEngine>(
+      params, core::GenerateKeys(params, EncodeUint64(11)));
+  workload::TraceConfig tc;
+  tc.num_sources = n;
+  workload::TraceGenerator trace(tc);
+  engine::EpochScheduler scheduler(
+      engine, topology,
+      [&trace](uint32_t i, uint64_t e) { return trace.ReadingAt(i, e); });
+  core::Query avg;
+  avg.aggregate = core::Aggregate::kAvg;  // SUM + COUNT channels
+  ASSERT_TRUE(scheduler.Admit(avg, 1).ok());
+  net::Network network(topology);
+  WidthProbe probe;
+  network.SetAdversary(&probe);
+  auto report = network.RunEpoch(scheduler, 1);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ExpectEveryEdge(probe, report.value(), 2);
+}
+
+TEST_P(LosslessEdgeWidth, RunnerBinding) {
+  const uint32_t n = GetParam();
+  auto topology = net::Topology::BuildCompleteTree(n, 4).value();
+  auto params = core::MakeParams(n, 12).value();
+  workload::TraceConfig tc;
+  tc.num_sources = n;
+  workload::TraceGenerator trace(tc);
+  SiesProtocol protocol(params, core::GenerateKeys(params, EncodeUint64(12)),
+                        topology, [&trace](uint32_t i, uint64_t e) {
+                          return trace.ValueAt(i, e);
+                        });
+  net::Network network(topology);
+  WidthProbe probe;
+  network.SetAdversary(&probe);
+  auto report = network.RunEpoch(protocol, 1);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ExpectEveryEdge(probe, report.value(), 1);
+}
+
+TEST_P(LosslessEdgeWidth, DeploymentBinding) {
+  const uint32_t n = GetParam();
+  auto deployment = ContinuousDeployment::Create(
+                        net::Topology::BuildCompleteTree(n, 4).value(), 13,
+                        workload::TraceConfig{})
+                        .value();
+  core::Query variance;
+  variance.aggregate = core::Aggregate::kVariance;  // three channels
+  variance.attribute = core::Field::kHumidity;
+  ASSERT_TRUE(deployment.RegisterQuery(variance).ok());
+  WidthProbe probe;
+  deployment.network().SetAdversary(&probe);
+  auto out = deployment.RunEpoch(1);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_TRUE(out.value().verified);
+  EXPECT_DOUBLE_EQ(out.value().coverage, 1.0);
+  EXPECT_EQ(probe.min_bytes, 3u * 32);
+  EXPECT_EQ(probe.max_bytes, 3u * 32);
+}
+
+INSTANTIATE_TEST_SUITE_P(N, LosslessEdgeWidth,
+                         ::testing::Values(16, 1024, 16384));
 
 }  // namespace
 }  // namespace sies::runner

@@ -74,6 +74,9 @@ TEST(PoolOversubscriptionTest, EngineEvaluateFanOutKeepsNestingAtZero) {
   ASSERT_TRUE(params.ok());
   core::QuerierKeys keys = core::GenerateKeys(params.value(), EncodeUint64(7));
   engine::MultiQueryEngine eng(params.value(), keys);
+  // One root with every source as a direct child.
+  std::vector<net::SourceRange> star;
+  for (uint32_t i = 0; i < kN; ++i) star.push_back({i, i + 1});
   common::ThreadPool pool(4);
   eng.SetThreadPool(&pool);
 
@@ -93,7 +96,7 @@ TEST(PoolOversubscriptionTest, EngineEvaluateFanOutKeepsNestingAtZero) {
       ASSERT_TRUE(p.ok()) << p.status().message();
       payloads.push_back(std::move(p).value());
     }
-    auto merged = eng.Merge(payloads);
+    auto merged = eng.Merge(star, payloads);
     ASSERT_TRUE(merged.ok()) << merged.status().message();
     auto outcomes = eng.Evaluate(merged.value(), epoch);
     ASSERT_TRUE(outcomes.ok()) << outcomes.status().message();

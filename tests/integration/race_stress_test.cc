@@ -57,6 +57,9 @@ void DriveEngine(uint64_t seed, common::ThreadPool* pool,
   core::QuerierKeys keys = core::GenerateKeys(params.value(),
                                               EncodeUint64(seed));
   MultiQueryEngine eng(params.value(), keys);
+  // One root with every source as a direct child.
+  std::vector<net::SourceRange> star;
+  for (uint32_t i = 0; i < kN; ++i) star.push_back({i, i + 1});
   eng.SetThreadPool(pool);
 
   workload::TraceConfig tc;
@@ -97,7 +100,7 @@ void DriveEngine(uint64_t seed, common::ThreadPool* pool,
       if (!p.ok()) { failed->store(true); return; }
       payloads.push_back(std::move(p).value());
     }
-    auto merged = eng.Merge(payloads);
+    auto merged = eng.Merge(star, payloads);
     if (!merged.ok()) { failed->store(true); return; }
     auto outcomes = eng.Evaluate(merged.value(), epoch);
     if (!outcomes.ok()) { failed->store(true); return; }

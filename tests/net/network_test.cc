@@ -21,6 +21,7 @@ class PlainSumProtocol : public AggregationProtocol {
                                   const std::vector<Bytes>& children) override {
     uint64_t sum = 0;
     for (const Bytes& child : children) {
+      if (child.empty()) continue;  // nothing arrived from this child
       if (child.size() != 8) {
         return Status::InvalidArgument("bad payload");
       }
@@ -224,6 +225,64 @@ TEST(NetworkTest, UnreportedLossLooksLikeMissingData) {
     }
   }
   EXPECT_TRUE(any_loss_epoch);
+}
+
+TEST(NetworkTest, MergeSeesOneSlotPerChildEmptyWhereLost) {
+  // Records every merge's slots, and which senders' messages survived
+  // the loss model (the adversary hook sees exactly the delivered ones).
+  class SlotProbe : public PlainSumProtocol {
+   public:
+    StatusOr<Bytes> AggregatorMerge(
+        NodeId id, uint64_t epoch,
+        const std::vector<Bytes>& children) override {
+      std::vector<bool> filled;
+      for (const Bytes& child : children) filled.push_back(!child.empty());
+      calls.push_back({id, filled});
+      return PlainSumProtocol::AggregatorMerge(id, epoch, children);
+    }
+    std::vector<std::pair<NodeId, std::vector<bool>>> calls;
+  };
+  class DeliveryLog : public Adversary {
+   public:
+    bool OnMessage(Message& msg) override {
+      delivered.push_back(msg.from);
+      return true;
+    }
+    std::vector<NodeId> delivered;
+  };
+  Xoshiro256 rng(31);
+  Network net(Topology::BuildRandomTree(80, 4, rng).value());
+  const Topology& t = net.topology();
+  ASSERT_TRUE(net.SetLossRate(0.3, 5).ok());
+  size_t empty_slots = 0;
+  for (uint64_t epoch = 1; epoch <= 6; ++epoch) {
+    SlotProbe protocol;
+    DeliveryLog log;
+    net.SetAdversary(&log);
+    ASSERT_TRUE(net.RunEpoch(protocol, epoch).ok());
+    std::vector<bool> arrived(t.num_nodes(), false);
+    for (NodeId from : log.delivered) arrived[from] = true;
+    // Exactly the aggregators with at least one arrival merge, once.
+    std::vector<bool> merged(t.num_nodes(), false);
+    for (const auto& [agg, filled] : protocol.calls) {
+      EXPECT_FALSE(merged[agg]);
+      merged[agg] = true;
+      const std::span<const NodeId> children = t.children(agg);
+      ASSERT_EQ(filled.size(), children.size()) << "aggregator " << agg;
+      for (size_t i = 0; i < children.size(); ++i) {
+        EXPECT_EQ(filled[i], arrived[children[i]])
+            << "aggregator " << agg << " slot " << i;
+        if (!filled[i]) ++empty_slots;
+      }
+    }
+    for (NodeId agg : t.aggregators_bottom_up()) {
+      bool any = false;
+      for (NodeId child : t.children(agg)) any = any || arrived[child];
+      EXPECT_EQ(merged[agg], any) << "aggregator " << agg;
+    }
+  }
+  net.SetAdversary(nullptr);
+  EXPECT_GT(empty_slots, 0u) << "the loss model dropped nothing";
 }
 
 TEST(NetworkTest, SingleSourceTree) {

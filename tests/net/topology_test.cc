@@ -2,10 +2,44 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
 
 namespace sies::net {
 namespace {
+
+// Depth-first numbering: each node's sources are exactly the run
+// source_range(node) of sources(), and a node's children tile its run
+// left to right, in child order.
+void ExpectDepthFirstRanges(const Topology& t) {
+  std::vector<std::vector<uint32_t>> below(t.num_nodes());
+  for (uint32_t i = 0; i < t.sources().size(); ++i) {
+    ASSERT_EQ(t.role(t.sources()[i]), NodeRole::kSource);
+    EXPECT_EQ(t.source_range(t.sources()[i]), (SourceRange{i, i + 1}));
+    for (NodeId n = t.sources()[i]; n != kQuerierId; n = t.parent(n)) {
+      below[n].push_back(i);
+    }
+  }
+  EXPECT_EQ(t.source_range(t.root()), (SourceRange{0, t.num_sources()}));
+  for (NodeId n = 0; n < t.num_nodes(); ++n) {
+    const SourceRange range = t.source_range(n);
+    ASSERT_FALSE(below[n].empty()) << "node " << n;
+    EXPECT_EQ(below[n].front(), range.lo) << "node " << n;
+    EXPECT_EQ(below[n].back() + 1, range.hi) << "node " << n;
+    EXPECT_EQ(below[n].size(), range.size())
+        << "node " << n << " not contiguous";
+    const std::span<const NodeId> kids = t.children(n);
+    ASSERT_EQ(t.child_ranges(n).size(), kids.size());
+    uint32_t cursor = range.lo;
+    for (size_t k = 0; k < kids.size(); ++k) {
+      EXPECT_EQ(t.child_ranges(n)[k], t.source_range(kids[k]));
+      EXPECT_EQ(t.source_range(kids[k]).lo, cursor);
+      cursor = t.source_range(kids[k]).hi;
+    }
+    if (!kids.empty()) EXPECT_EQ(cursor, range.hi) << "node " << n;
+  }
+}
 
 TEST(TopologyTest, PerfectQuaternaryTree) {
   auto t = Topology::BuildCompleteTree(16, 4).value();
@@ -99,7 +133,8 @@ TEST(TopologyTest, FromParentVectorArbitraryTree) {
   auto t = Topology::FromParentVector({kQuerierId, 0, 0, 1, 1, 2}).value();
   EXPECT_EQ(t.num_sources(), 3u);
   EXPECT_EQ(t.num_aggregators(), 3u);
-  EXPECT_EQ(t.children(1), (std::vector<NodeId>{3, 4}));
+  EXPECT_EQ(std::vector<NodeId>(t.children(1).begin(), t.children(1).end()),
+            (std::vector<NodeId>{3, 4}));
   EXPECT_EQ(t.depth(5), 2u);
 }
 
@@ -263,6 +298,67 @@ TEST(RandomTreeTest, Validation) {
   Xoshiro256 rng(7);
   EXPECT_FALSE(Topology::BuildRandomTree(0, 4, rng).ok());
   EXPECT_FALSE(Topology::BuildRandomTree(8, 1, rng).ok());
+}
+
+TEST(SourceIndexTest, DenseAndInvertible) {
+  auto t = Topology::BuildCompleteTree(16, 4).value();
+  for (uint32_t i = 0; i < 16; ++i) {
+    EXPECT_EQ(t.SourceIndex(t.sources()[i]).value(), i);
+  }
+  // Neither an aggregator nor an unknown id is a source.
+  EXPECT_FALSE(t.SourceIndex(t.root()).ok());
+  EXPECT_FALSE(t.SourceIndex(t.num_nodes()).ok());
+}
+
+TEST(SourceIndexTest, TranslatesLists) {
+  auto t = Topology::BuildCompleteTree(8, 2).value();
+  std::vector<NodeId> nodes = {t.sources()[3], t.sources()[1]};
+  EXPECT_EQ(t.SourceIndices(nodes).value(), (std::vector<uint32_t>{3, 1}));
+  EXPECT_FALSE(t.SourceIndices({t.root()}).ok());
+}
+
+TEST(SourceRangeTest, CompleteTreesNumberSourcesDepthFirstInIdOrder) {
+  for (uint32_t n : {1u, 2u, 5u, 16u, 37u, 100u, 1024u}) {
+    for (uint32_t f : {2u, 3u, 4u, 7u}) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " f=" + std::to_string(f));
+      auto t = Topology::BuildCompleteTree(n, f).value();
+      ExpectDepthFirstRanges(t);
+      // Complete trees are allocated depth-first, so the numbering is
+      // also increasing id order (benchmarks keep their index mapping).
+      EXPECT_TRUE(std::is_sorted(t.sources().begin(), t.sources().end()));
+    }
+  }
+}
+
+TEST(SourceRangeTest, RandomTreesHaveContiguousRanges) {
+  Xoshiro256 rng(17);
+  for (uint32_t n : {1u, 3u, 32u, 200u, 1000u}) {
+    for (uint32_t f : {2u, 3u, 6u}) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " f=" + std::to_string(f));
+      ExpectDepthFirstRanges(Topology::BuildRandomTree(n, f, rng).value());
+    }
+  }
+  // Arbitrary parent vectors too: node 1's leaves {3, 5} come before
+  // node 2's leaf 4 in depth-first order although 4 < 5.
+  auto t = Topology::FromParentVector({kQuerierId, 0, 0, 1, 2, 1}).value();
+  ExpectDepthFirstRanges(t);
+  EXPECT_EQ(t.sources(), (std::vector<NodeId>{3, 5, 4}));
+  EXPECT_EQ(t.source_range(1), (SourceRange{0, 2}));
+  EXPECT_EQ(t.source_range(2), (SourceRange{2, 3}));
+}
+
+TEST(SourceRangeTest, RepairedTreesHaveContiguousRanges) {
+  Xoshiro256 rng(23);
+  Topology current = Topology::BuildRandomTree(120, 4, rng).value();
+  for (int round = 0; round < 40 && current.num_sources() > 1; ++round) {
+    NodeId victim =
+        1 + static_cast<NodeId>(rng.NextBelow(current.num_nodes() - 1));
+    auto repair = current.RemoveNode(victim);
+    if (!repair.ok()) continue;
+    current = std::move(repair).value().topology;
+    SCOPED_TRACE("round " + std::to_string(round));
+    ExpectDepthFirstRanges(current);
+  }
 }
 
 }  // namespace

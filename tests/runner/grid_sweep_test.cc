@@ -1,8 +1,7 @@
 // Parameter-grid integration sweep: full simulated SIES networks across
 // the paper's experiment grid (N x F x D). SIES is cheap enough to run
 // the entire grid for real in the unit-test budget — every cell must be
-// exact, verified, and 32 + ceil(N/8) bytes per edge (PSR + contributor
-// bitmap).
+// exact, verified, and 32 bytes per edge (the bare PSR).
 #include <gtest/gtest.h>
 
 #include "runner/runner.h"
@@ -30,7 +29,9 @@ TEST_P(SiesGridSweep, ExactVerifiedConstantWidth) {
   auto result = RunExperiment(config).value();
   EXPECT_TRUE(result.all_verified);
   EXPECT_DOUBLE_EQ(result.mean_relative_error, 0.0);
-  const double wire_bytes = 32.0 + (p.n + 7) / 8;
+  // Paper Table V: one 32-byte PSR per edge at every N (a lossless
+  // epoch's contributor fields are empty).
+  const double wire_bytes = 32.0;
   EXPECT_DOUBLE_EQ(result.source_to_aggregator_bytes, wire_bytes);
   EXPECT_DOUBLE_EQ(result.aggregator_to_querier_bytes, wire_bytes);
 }

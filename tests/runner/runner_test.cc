@@ -17,37 +17,16 @@ ExperimentConfig SmallConfig(Scheme scheme) {
   return c;
 }
 
-TEST(SourceIndexMapTest, DenseAndInvertible) {
-  auto topology = net::Topology::BuildCompleteTree(16, 4).value();
-  SourceIndexMap map(topology);
-  EXPECT_EQ(map.num_sources(), 16u);
-  for (uint32_t i = 0; i < 16; ++i) {
-    net::NodeId node = map.NodeOf(i);
-    EXPECT_EQ(map.IndexOf(node).value(), i);
-  }
-  // The root is not a source.
-  EXPECT_FALSE(map.IndexOf(topology.root()).ok());
-}
-
-TEST(SourceIndexMapTest, TranslatesLists) {
-  auto topology = net::Topology::BuildCompleteTree(8, 2).value();
-  SourceIndexMap map(topology);
-  std::vector<net::NodeId> nodes = {map.NodeOf(3), map.NodeOf(1)};
-  auto indices = map.ToIndices(nodes).value();
-  EXPECT_EQ(indices, (std::vector<uint32_t>{3, 1}));
-  EXPECT_FALSE(map.ToIndices({topology.root()}).ok());
-}
-
 TEST(RunExperimentTest, SiesExactAndVerified) {
   auto result = RunExperiment(SmallConfig(Scheme::kSies)).value();
   EXPECT_EQ(result.scheme_name, "SIES");
   EXPECT_TRUE(result.all_verified);
   EXPECT_DOUBLE_EQ(result.mean_relative_error, 0.0) << "SIES must be exact";
-  // Wire width: 32-byte PSR + 2-byte contributor bitmap (N=16) on
-  // every edge class.
-  EXPECT_DOUBLE_EQ(result.source_to_aggregator_bytes, 34.0);
-  EXPECT_DOUBLE_EQ(result.aggregator_to_aggregator_bytes, 34.0);
-  EXPECT_DOUBLE_EQ(result.aggregator_to_querier_bytes, 34.0);
+  // Wire width: the bare 32-byte PSR on every edge class (paper
+  // Table V) — a lossless epoch's contributor fields are all empty.
+  EXPECT_DOUBLE_EQ(result.source_to_aggregator_bytes, 32.0);
+  EXPECT_DOUBLE_EQ(result.aggregator_to_aggregator_bytes, 32.0);
+  EXPECT_DOUBLE_EQ(result.aggregator_to_querier_bytes, 32.0);
 }
 
 TEST(RunExperimentTest, CmtExact) {

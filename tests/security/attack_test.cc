@@ -13,6 +13,12 @@
 namespace sies::runner {
 namespace {
 
+// Width of an envelope's contributor field: everything before the
+// trailing PSR (0 for a lossless envelope).
+size_t FieldBytes(const core::Params& params, const Bytes& envelope) {
+  return envelope.size() - params.PsrBytes();
+}
+
 // Builds a ready-to-run SIES network with protocol + trace.
 struct SiesFixture {
   explicit SiesFixture(uint32_t n = 16, uint32_t fanout = 4,
@@ -79,9 +85,9 @@ TEST(SiesAttackTest, ReplayAttackDetected) {
 
 TEST(SiesAttackTest, DroppedContributionIsReportedNeverSilent) {
   // A compromised aggregator silently discards a subtree (Theorem 2's
-  // "no PSR may be dropped"). With the contributor bitmap the querier
+  // "no PSR may be dropped"). With the contributor set the querier
   // cannot be fooled into accepting the shrunken sum as COMPLETE: the
-  // missing bit is visible, the result verifies only as an explicit
+  // missing source is listed, the result verifies only as an explicit
   // partial over the remaining 15 sources, and the value matches that
   // reduced set exactly.
   SiesFixture fx;
@@ -93,45 +99,56 @@ TEST(SiesAttackTest, DroppedContributionIsReportedNeverSilent) {
   EXPECT_TRUE(report.outcome.verified);
   EXPECT_LT(report.coverage, 1.0);
   EXPECT_EQ(report.contributing_sources, 15u);
-  SourceIndexMap map(fx.network.topology());
   uint64_t partial = 0;
   for (net::NodeId node : report.outcome.contributors) {
     EXPECT_NE(node, victim);
-    partial += fx.trace.ValueAt(map.IndexOf(node).value(), 3);
+    partial +=
+        fx.trace.ValueAt(fx.network.topology().SourceIndex(node).value(), 3);
   }
   EXPECT_EQ(report.outcome.value, static_cast<double>(partial));
 }
 
-TEST(SiesAttackTest, DropPlusBitmapForgeryDetected) {
-  // The stronger adversary: discard a subtree AND re-set the victim's
-  // bit so the partial masquerades as a complete sum. The querier then
-  // expects the victim's key shares, the ciphertext lacks them, and
-  // verification fails (the bitmap is reporting, not trusted).
-  SiesFixture fx;
-  net::NodeId victim = fx.network.topology().sources()[5];
-  SourceIndexMap map(fx.network.topology());
-  uint32_t victim_index = map.IndexOf(victim).value();
-  net::CallbackAdversary adv([&](net::Message& msg) {
-    if (msg.from == victim) return false;  // drop the victim's PSR
-    if (msg.to == net::kQuerierId) {
-      msg.payload[victim_index / 8] |=
-          static_cast<uint8_t>(1u << (victim_index % 8));
+TEST(SiesAttackTest, DropPlusContributorForgeryDetected) {
+  // The stronger adversary: discard a subtree AND strip the root's
+  // contributor field so the partial masquerades as a complete sum. The
+  // querier then expects the victim's key shares, the ciphertext lacks
+  // them, and verification fails (the set is reporting, not trusted).
+  // Setting the victim's bit instead leaves an all-ones bitmap, which is
+  // not canonical and is rejected outright.
+  for (bool strip : {true, false}) {
+    SiesFixture fx;
+    net::NodeId victim = fx.network.topology().sources()[5];
+    net::CallbackAdversary adv([&](net::Message& msg) {
+      if (msg.from == victim) return false;  // drop the victim's PSR
+      if (msg.to == net::kQuerierId) {
+        EXPECT_EQ(FieldBytes(fx.params, msg.payload), 2u);  // N=16 bitmap
+        if (strip) {
+          msg.payload.erase(msg.payload.begin(), msg.payload.begin() + 2);
+        } else {
+          msg.payload[0] |= 1u << 5;  // source 5 is victim's index
+        }
+      }
+      return true;
+    });
+    fx.network.SetAdversary(&adv);
+    auto report = fx.network.RunEpoch(fx.protocol, 3);
+    if (strip) {
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      EXPECT_FALSE(report.value().outcome.verified);
+    } else {
+      EXPECT_FALSE(report.ok()) << "all-ones bitmap accepted";
     }
-    return true;
-  });
-  fx.network.SetAdversary(&adv);
-  auto report = fx.network.RunEpoch(fx.protocol, 3).value();
-  EXPECT_FALSE(report.outcome.verified);
+  }
 }
 
 TEST(SiesAttackTest, InjectedContributionDetected) {
   // The adversary homomorphically adds a spurious PSR in flight,
-  // leaving the contributor bitmap untouched (the precise attack).
+  // leaving the contributor set untouched (the precise attack).
   SiesFixture fx;
   const auto& params = fx.params;
   net::CallbackAdversary adv([&](net::Message& msg) {
     if (msg.to != net::kQuerierId) return true;
-    size_t skip = core::WireBitmapBytes(params);
+    size_t skip = FieldBytes(params, msg.payload);
     Bytes body(msg.payload.begin() + skip, msg.payload.end());
     auto c = crypto::BigUint::FromBytes(body);
     // Add E(v', 1, 0)-style garbage: any nonzero delta works.
@@ -154,7 +171,7 @@ TEST(SiesAttackTest, ValueShiftAttackDetected) {
   const auto& params = fx.params;
   net::CallbackAdversary adv([&](net::Message& msg) {
     if (msg.to != net::kQuerierId) return true;
-    size_t skip = core::WireBitmapBytes(params);
+    size_t skip = FieldBytes(params, msg.payload);
     Bytes body(msg.payload.begin() + skip, msg.payload.end());
     auto c = crypto::BigUint::FromBytes(body);
     crypto::BigUint delta =
@@ -180,15 +197,13 @@ TEST(SiesAttackTest, ReportedFailureVerifiesWithoutVictim) {
 }
 
 TEST(SiesAttackTest, RandomizedTamperSweep) {
-  // 40 random single-bit tampers on random nodes/epochs: zero WRONG
-  // sums accepted. A flip may land in the contributor bitmap and set a
-  // bit another live source legitimately sets anyway — the OR-merge
-  // absorbs it and the epoch stays exact (a semantic no-op, counted as
-  // harmless). Every flip that actually changes the participating set
-  // or the ciphertext must fail verification.
+  // 40 random single-bit tampers on random nodes/epochs: zero sums
+  // accepted. A lossless envelope is all ciphertext (its contributor
+  // field is empty), so every flip must fail verification or be
+  // rejected as a malformed PSR.
   SiesFixture fx;
   Xoshiro256 rng(99);
-  int attacks = 0, detected = 0, harmless = 0;
+  int attacks = 0, detected = 0;
   for (int trial = 0; trial < 40; ++trial) {
     net::NodeId target = static_cast<net::NodeId>(
         rng.NextBelow(fx.network.topology().num_nodes()));
@@ -202,17 +217,10 @@ TEST(SiesAttackTest, RandomizedTamperSweep) {
     }
     if (adv.tampered_count() == 0) continue;  // node idle this epoch
     ++attacks;
-    if (!report.value().outcome.verified) {
-      ++detected;
-    } else if (report.value().coverage == 1.0 &&
-               report.value().outcome.value ==
-                   static_cast<double>(
-                       Snapshot(fx.trace, 100 + trial).exact_sum)) {
-      ++harmless;  // absorbed bitmap bit: result still exact + complete
-    }
+    if (!report.value().outcome.verified) ++detected;
   }
   EXPECT_GT(attacks, 0);
-  EXPECT_EQ(detected + harmless, attacks);
+  EXPECT_EQ(detected, attacks);
   fx.network.SetAdversary(nullptr);
 }
 
@@ -243,13 +251,12 @@ TEST(SiesAttackTest, AuditTrailRecordsExactlyTheInjectedTampering) {
 }
 
 TEST(SiesLossTest, RadioLossYieldsVerifiedPartialsNeverWrongSums) {
-  // A lossy radio with no out-of-band failure reporting: the bitmap is
-  // the in-band report. Every answered epoch must verify over EXACTLY
+  // A lossy radio with no out-of-band failure reporting: the contributor
+  // set is the in-band report. Every answered epoch must verify over EXACTLY
   // the contributor set it declares — loss shows up as reduced
   // coverage, never as a wrong sum presented as complete.
   SiesFixture fx;
   ASSERT_TRUE(fx.network.SetLossRate(0.15, 33).ok());
-  SourceIndexMap map(fx.network.topology());
   int lossy_epochs = 0, clean_epochs = 0;
   for (uint64_t epoch = 1; epoch <= 25; ++epoch) {
     auto report = fx.network.RunEpoch(fx.protocol, epoch);
@@ -260,7 +267,8 @@ TEST(SiesLossTest, RadioLossYieldsVerifiedPartialsNeverWrongSums) {
         << "loss misread as tampering at epoch " << epoch;
     uint64_t partial = 0;
     for (net::NodeId node : r.outcome.contributors) {
-      partial += fx.trace.ValueAt(map.IndexOf(node).value(), epoch);
+      partial += fx.trace.ValueAt(
+          fx.network.topology().SourceIndex(node).value(), epoch);
     }
     EXPECT_EQ(r.outcome.value, static_cast<double>(partial));
     if (r.coverage < 1.0) {
@@ -274,6 +282,138 @@ TEST(SiesLossTest, RadioLossYieldsVerifiedPartialsNeverWrongSums) {
     }
   }
   EXPECT_GT(lossy_epochs, 0) << "loss model produced no lossy epochs";
+}
+
+// The contributor set is reporting, not trust (DESIGN.md §9): any edit
+// an adversary makes to it in flight either breaks the canonical
+// encoding (a parse error: the epoch is rejected) or changes the share
+// subset the querier verifies against (verification fails). Never an
+// acceptance, never a crash.
+enum class SetEdit { kNone, kRemoveRun, kAddRun, kShiftRun };
+
+TEST(SiesContributorSetAttackTest, EditedAbsentListNeverVerifies) {
+  // 300 sources: the root's field is an absent list (2-byte offsets)
+  // while fewer than 10 runs are missing.
+  for (SetEdit edit : {SetEdit::kNone, SetEdit::kRemoveRun,
+                       SetEdit::kAddRun, SetEdit::kShiftRun}) {
+    SiesFixture fx(/*n=*/300, /*fanout=*/4);
+    const net::Topology& topo = fx.network.topology();
+    // Lose one source and one aggregator's whole subtree.
+    const net::NodeId lost_source = topo.sources()[17];
+    const net::NodeId lost_subtree = topo.parent(topo.sources()[200]);
+    bool edited = false;
+    net::CallbackAdversary adv([&](net::Message& msg) {
+      if (msg.from == lost_source || msg.from == lost_subtree) return false;
+      if (msg.to != net::kQuerierId) return true;
+      const size_t field = FieldBytes(fx.params, msg.payload);
+      auto set = core::ContributorSet::Parse({0, 300}, msg.payload.data(),
+                                             field);
+      EXPECT_TRUE(set.ok()) << set.status().ToString();
+      if (!set.ok()) return true;
+      std::vector<net::SourceRange> runs = set.value().absent();
+      EXPECT_EQ(runs.size(), 2u);
+      switch (edit) {
+        case SetEdit::kNone:
+          break;
+        case SetEdit::kRemoveRun:  // claim source 17 contributed
+          runs.erase(runs.begin());
+          break;
+        case SetEdit::kAddRun:  // claim source 100 was lost
+          runs.insert(runs.begin() + 1, net::SourceRange{100, 101});
+          break;
+        case SetEdit::kShiftRun:  // blame source 18 instead of 17
+          runs[0] = {runs[0].lo + 1, runs[0].hi + 1};
+          break;
+      }
+      core::ContributorSet forged({0, 300});
+      for (net::SourceRange run : runs) {
+        EXPECT_TRUE(forged.AddAbsent(run).ok());
+      }
+      Bytes payload;
+      forged.AppendField(payload);
+      payload.insert(payload.end(), msg.payload.begin() + field,
+                     msg.payload.end());
+      edited = payload != msg.payload;
+      msg.payload = std::move(payload);
+      return true;
+    });
+    fx.network.SetAdversary(&adv);
+    auto report = fx.network.RunEpoch(fx.protocol, 11);
+    if (edit == SetEdit::kNone) {
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      EXPECT_TRUE(report.value().outcome.verified);
+      EXPECT_EQ(report.value().contributing_sources,
+                300u - 1u - topo.source_range(lost_subtree).size());
+      continue;
+    }
+    EXPECT_TRUE(edited);
+    EXPECT_TRUE(!report.ok() || !report.value().outcome.verified)
+        << "edit " << static_cast<int>(edit) << " verified";
+  }
+}
+
+TEST(SiesContributorSetAttackTest, FlippedBitmapBitNeverVerifies) {
+  // 16 sources: the root's field is always the 2-byte bitmap. With
+  // source 5 lost, flip each of the 16 source bits in turn: the lost
+  // source's bit makes an all-ones (non-canonical) bitmap, any other
+  // hides a genuine contributor.
+  for (uint32_t bit = 0; bit < 16; ++bit) {
+    SiesFixture fx;
+    const net::NodeId lost = fx.network.topology().sources()[5];
+    net::CallbackAdversary adv([&](net::Message& msg) {
+      if (msg.from == lost) return false;
+      if (msg.to == net::kQuerierId) {
+        EXPECT_EQ(FieldBytes(fx.params, msg.payload), 2u);
+        msg.payload[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+      }
+      return true;
+    });
+    fx.network.SetAdversary(&adv);
+    auto report = fx.network.RunEpoch(fx.protocol, 12);
+    EXPECT_TRUE(!report.ok() || !report.value().outcome.verified)
+        << "bit " << bit;
+  }
+}
+
+TEST(SiesContributorSetAttackTest, SwappedChildPayloadsNeverVerify) {
+  // Each of the root's 4 children covers 4 sources. Child 0 lost one
+  // source, child 1 is complete. Delivered in swapped slots, child 0's
+  // field is read against child 1's range and blames the wrong source.
+  // (Swapping two complete children changes neither the sum nor the set
+  // — there is nothing to detect.)
+  SiesFixture fx;
+  const net::Topology& topo = fx.network.topology();
+  const uint64_t epoch = 13;
+  auto subtree = [&](net::NodeId agg, int lose) {
+    std::vector<Bytes> slots;
+    for (size_t i = 0; i < topo.children(agg).size(); ++i) {
+      slots.push_back(static_cast<int>(i) == lose
+                          ? Bytes()
+                          : fx.protocol
+                                .SourceInitialize(topo.children(agg)[i], epoch)
+                                .value());
+    }
+    return fx.protocol.AggregatorMerge(agg, epoch, slots).value();
+  };
+  const std::span<const net::NodeId> kids = topo.children(topo.root());
+  ASSERT_EQ(kids.size(), 4u);
+  std::vector<Bytes> slots;
+  for (size_t i = 0; i < kids.size(); ++i) {
+    slots.push_back(subtree(kids[i], i == 0 ? 1 : -1));
+  }
+  auto evaluate = [&](const std::vector<Bytes>& root_slots) {
+    auto root = fx.protocol.AggregatorMerge(topo.root(), epoch, root_slots);
+    if (!root.ok()) return StatusOr<net::EvalOutcome>(root.status());
+    return fx.protocol.QuerierEvaluate(epoch, root.value(), {});
+  };
+  auto honest = evaluate(slots);
+  ASSERT_TRUE(honest.ok()) << honest.status().ToString();
+  EXPECT_TRUE(honest.value().verified);
+  EXPECT_EQ(honest.value().contributors.size(), 15u);
+
+  std::swap(slots[0], slots[1]);
+  auto swapped = evaluate(slots);
+  EXPECT_TRUE(!swapped.ok() || !swapped.value().verified);
 }
 
 // The threat-model boundary (paper Section III-C): a compromised SOURCE
@@ -294,7 +434,7 @@ TEST(SiesCompromisedSourceTest, OwnReadingLieIsAcceptedAsCorrect) {
   net::NodeId victim_node = topology.sources()[2];
   net::CallbackAdversary adv([&](net::Message& msg) {
     if (msg.from == victim_node) {
-      msg.payload = lying_source.CreateWirePsr(99999, msg.epoch).value();
+      msg.payload = lying_source.CreatePsr(99999, msg.epoch).value();
     }
     return true;
   });
@@ -343,13 +483,11 @@ TEST(SiesCompromisedSourceTest, CannotDoubleCountItself) {
   // fails — a source cannot inflate its weight in the aggregate.
   SiesFixture fx;
   net::NodeId victim_node = fx.network.topology().sources()[2];
-  size_t skip = core::WireBitmapBytes(fx.params);
   Bytes captured;
   net::CallbackAdversary adv([&](net::Message& msg) {
-    if (msg.from == victim_node) {
-      captured = Bytes(msg.payload.begin() + skip, msg.payload.end());
-    }
+    if (msg.from == victim_node) captured = msg.payload;  // a bare PSR
     if (msg.to == net::kQuerierId && !captured.empty()) {
+      const size_t skip = FieldBytes(fx.params, msg.payload);
       Bytes body(msg.payload.begin() + skip, msg.payload.end());
       auto total = crypto::BigUint::FromBytes(body);
       auto extra = crypto::BigUint::FromBytes(captured);

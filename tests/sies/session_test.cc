@@ -17,6 +17,8 @@ class SessionTest : public ::testing::Test {
         keys_(GenerateKeys(params_, {3, 1})) {
     all_.resize(kN);
     std::iota(all_.begin(), all_.end(), 0u);
+    // Every run merges at one root with the kN sources as children.
+    for (uint32_t i = 0; i < kN; ++i) star_.push_back({i, i + 1});
     readings_ = {
         {20.5, 40, 100, 2.5}, {25.0, 45, 200, 2.6}, {30.5, 50, 300, 2.7},
         {35.0, 55, 400, 2.4}, {40.5, 60, 500, 2.3}, {45.0, 65, 600, 2.2}};
@@ -34,18 +36,17 @@ class SessionTest : public ::testing::Test {
       if (!payload.ok()) return payload.status();
       payloads.push_back(std::move(payload).value());
     }
-    auto final_payload = agg.Merge(payloads);
+    auto final_payload = agg.Merge(star_, payloads);
     if (!final_payload.ok()) return final_payload.status();
     last_payload_ = final_payload.value();
     return querier.Evaluate(final_payload.value(), epoch);
   }
 
-  size_t BitmapBytes() const { return WireBitmapBytes(params_); }
-
   Params params_;
   QuerierKeys keys_;
   std::vector<SensorReading> readings_;
   std::vector<uint32_t> all_;
+  std::vector<net::SourceRange> star_;
   Bytes last_payload_;
 };
 
@@ -68,7 +69,8 @@ TEST_F(SessionTest, SumQueryExact) {
   EXPECT_TRUE(outcome.verified);
   // Sum of trunc(temp*10)/10 = (205+250+305+350+405+450)/10 = 196.5.
   EXPECT_DOUBLE_EQ(outcome.result.value, 196.5);
-  EXPECT_EQ(last_payload_.size(), BitmapBytes() + params_.PsrBytes());
+  // Lossless: an empty contributor field, one PSR.
+  EXPECT_EQ(last_payload_.size(), params_.PsrBytes());
   EXPECT_EQ(outcome.contributors, all_);
   EXPECT_DOUBLE_EQ(outcome.coverage, 1.0);
 }
@@ -92,7 +94,7 @@ TEST_F(SessionTest, AvgQueryTwoChannels) {
   // humidity {40,45,50,55,60,65}: mean = 52.5.
   EXPECT_DOUBLE_EQ(outcome.result.value, 52.5);
   EXPECT_EQ(outcome.result.count, kN);
-  EXPECT_EQ(last_payload_.size(), BitmapBytes() + 2 * params_.PsrBytes());
+  EXPECT_EQ(last_payload_.size(), 2 * params_.PsrBytes());
 }
 
 TEST_F(SessionTest, VarianceQueryThreeChannels) {
@@ -104,7 +106,7 @@ TEST_F(SessionTest, VarianceQueryThreeChannels) {
   EXPECT_TRUE(outcome.verified);
   // Population variance of {40,45,50,55,60,65} = 72.9166...
   EXPECT_NEAR(outcome.result.value, 875.0 / 12.0, 1e-9);
-  EXPECT_EQ(last_payload_.size(), BitmapBytes() + 3 * params_.PsrBytes());
+  EXPECT_EQ(last_payload_.size(), 3 * params_.PsrBytes());
 }
 
 TEST_F(SessionTest, StddevQuery) {
@@ -132,10 +134,10 @@ TEST_F(SessionTest, TamperedPayloadFailsAllAggregates) {
   q.attribute = Field::kHumidity;
   ASSERT_TRUE(Run(q, 7).value().verified);
   QuerierSession querier(q, params_, keys_);
-  // Byte 0 is the contributor bitmap (bit 4 names a valid source);
-  // the later offsets land in the first and third channel ciphertexts.
-  for (size_t byte : {size_t{0}, BitmapBytes() + params_.PsrBytes(),
-                      BitmapBytes() + 2 * params_.PsrBytes() + 5}) {
+  // The lossless payload is all ciphertext: the offsets land in the
+  // first, second and third channel.
+  for (size_t byte : {size_t{5}, params_.PsrBytes(),
+                      2 * params_.PsrBytes() + 5}) {
     Bytes tampered = last_payload_;
     tampered[byte] ^= 0x10;
     auto outcome = querier.Evaluate(tampered, 7);
@@ -146,17 +148,20 @@ TEST_F(SessionTest, TamperedPayloadFailsAllAggregates) {
 }
 
 TEST_F(SessionTest, ClearedContributorBitFailsVerification) {
-  // A bit cleared in flight hides a source that DID contribute: the
-  // querier's share sum is then short one share and must mismatch.
+  // A contributor field inserted in flight hides a source that DID
+  // contribute: the querier's share sum is then short one share and
+  // must mismatch.
   Query q;
   q.aggregate = Aggregate::kSum;
   q.attribute = Field::kHumidity;
   q.scale_pow10 = 0;
   ASSERT_TRUE(Run(q, 11).value().verified);
   QuerierSession querier(q, params_, keys_);
-  Bytes tampered = last_payload_;
-  ASSERT_EQ(tampered[0] & 0x08, 0x08);  // source 3 contributed
-  tampered[0] = static_cast<uint8_t>(tampered[0] & ~0x08);
+  ASSERT_EQ(last_payload_.size(), params_.PsrBytes());  // complete set
+  // Bitmap over the 6 sources with source 3's bit cleared (the absent
+  // list would take 2 bytes, the bitmap 1).
+  Bytes tampered = {0x37};
+  tampered.insert(tampered.end(), last_payload_.begin(), last_payload_.end());
   auto outcome = querier.Evaluate(tampered, 11).value();
   EXPECT_FALSE(outcome.verified);
   EXPECT_EQ(outcome.contributors.size(), kN - 1);
@@ -172,20 +177,21 @@ TEST_F(SessionTest, ReplayAcrossEpochsFails) {
 }
 
 TEST_F(SessionTest, PartialMergeYieldsVerifiedPartialResult) {
-  // Only sources {0, 2, 5} survive the radio: the merged bitmap names
-  // exactly them and the partial SUM verifies over that subset.
+  // Only sources {0, 2, 5} survive the radio: the merged contributor set
+  // names exactly them and the partial SUM verifies over that subset.
   Query q;
   q.aggregate = Aggregate::kSum;
   q.attribute = Field::kHumidity;
   q.scale_pow10 = 0;
   AggregatorSession agg(q, params_);
   QuerierSession querier(q, params_, keys_);
-  std::vector<Bytes> payloads;
+  std::vector<Bytes> payloads(kN);  // empty slot: lost on the radio
   for (uint32_t i : {0u, 2u, 5u}) {
     SourceSession src(q, params_, i, KeysForSource(keys_, i).value());
-    payloads.push_back(src.CreatePayload(readings_[i], /*epoch=*/4).value());
+    payloads[i] = src.CreatePayload(readings_[i], /*epoch=*/4).value();
   }
-  auto outcome = querier.Evaluate(agg.Merge(payloads).value(), 4).value();
+  auto outcome =
+      querier.Evaluate(agg.Merge(star_, payloads).value(), 4).value();
   EXPECT_TRUE(outcome.verified);
   EXPECT_DOUBLE_EQ(outcome.result.value, 40.0 + 50.0 + 65.0);
   EXPECT_EQ(outcome.contributors, (std::vector<uint32_t>{0, 2, 5}));
@@ -197,8 +203,10 @@ TEST_F(SessionTest, WidthValidation) {
   q.aggregate = Aggregate::kAvg;
   AggregatorSession agg(q, params_);
   QuerierSession querier(q, params_, keys_);
-  EXPECT_FALSE(agg.Merge({Bytes(5, 0)}).ok());
-  EXPECT_FALSE(agg.Merge({}).ok());
+  const std::span<const net::SourceRange> one_source(star_.data(), 1);
+  EXPECT_FALSE(agg.Merge(one_source, {Bytes(5, 0)}).ok());
+  EXPECT_FALSE(agg.Merge({}, {}).ok());
+  EXPECT_FALSE(agg.Merge(one_source, {Bytes()}).ok());  // nothing arrived
   EXPECT_FALSE(querier.Evaluate(Bytes(5, 0), 1).ok());
 }
 
@@ -225,7 +233,7 @@ TEST_F(SessionTest, ConcurrentQueriesDoNotInterfere) {
       payloads.push_back(src.CreatePayload(readings_[i], /*epoch=*/3)
                              .value());
     }
-    return querier.Evaluate(agg.Merge(payloads).value(), 3).value();
+    return querier.Evaluate(agg.Merge(star_, payloads).value(), 3).value();
   };
 
   auto sum_outcome = run_one(sum_query);
@@ -248,7 +256,7 @@ TEST_F(SessionTest, ConcurrentQueriesDoNotInterfere) {
   impostor.query_id = 3;
   QuerierSession wrong_querier(impostor, params_, keys_);
   auto crossed =
-      wrong_querier.Evaluate(agg1.Merge(payloads).value(), 3).value();
+      wrong_querier.Evaluate(agg1.Merge(star_, payloads).value(), 3).value();
   EXPECT_FALSE(crossed.verified);
 }
 
@@ -259,7 +267,7 @@ TEST_F(SessionTest, ChannelsAreIndependentlyKeyed) {
   q.aggregate = Aggregate::kAvg;
   SourceSession src(q, params_, 0, KeysForSource(keys_, 0).value());
   Bytes payload = src.CreatePayload(readings_[0], 1).value();
-  auto body = payload.begin() + WireBitmapBytes(params_);
+  auto body = payload.begin();  // a source's contributor field is empty
   Bytes sum_psr(body, body + params_.PsrBytes());
   Bytes count_psr(body + params_.PsrBytes(), payload.end());
   EXPECT_NE(sum_psr, count_psr);

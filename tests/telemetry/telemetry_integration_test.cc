@@ -97,7 +97,7 @@ TEST(TelemetryIntegrationTest, AdversaryDropsAreAttributedToTheVictim) {
   auto report = fx.network.RunEpoch(fx.protocol, 3).value();
   fx.network.SetAdversary(nullptr);
 
-  // The contributor bitmap turns the drop into a verified partial;
+  // The contributor set turns the drop into a verified partial;
   // the audit trail still attributes the suppression to the victim and
   // records the epoch's reduced coverage as reported loss.
   EXPECT_TRUE(report.outcome.verified);
