@@ -8,6 +8,7 @@
 
 #include <memory>
 
+#include "engine/epoch_scheduler.h"
 #include "net/energy.h"
 #include "runner/runner.h"
 
@@ -50,9 +51,14 @@ int main() {
     switch (scheme) {
       case runner::Scheme::kSies: {
         auto params = core::MakeParams(kN, config.seed).value();
-        protocol = std::make_unique<runner::SiesProtocol>(
-            params, core::GenerateKeys(params, master_seed), topology,
-            values);
+        auto scheduler = std::make_unique<engine::EpochScheduler>(
+            std::make_shared<engine::MultiQueryEngine>(
+                params, core::GenerateKeys(params, master_seed)),
+            topology, [trace](uint32_t i, uint64_t e) {
+              return trace->ReadingAt(i, e);
+            });
+        if (!scheduler->Admit(core::Query{}, 1).ok()) return 1;  // SUM
+        protocol = std::move(scheduler);
         break;
       }
       case runner::Scheme::kCmt: {

@@ -2,9 +2,9 @@
 //
 // The engine's pitch is that K concurrent continuous queries cost ONE
 // wire round per epoch and share deduplicated channels, where K
-// independent QuerierSessions would each run their own round with their
-// own channels. This bench measures both sides for K = 1, 2, 4, 8 over
-// the same trace and network:
+// independent single-query deployments would each run their own round
+// with their own channels. This bench measures both sides for
+// K = 1, 2, 4, 8 over the same trace and network:
 //
 //   * engine:   one RunEngineExperiment carrying the whole K-query mix;
 //   * sessions: K single-query runs, costs summed — what the pre-engine

@@ -4,16 +4,18 @@
 // Demonstrates that every attack from the threat model (Section III-C)
 // is detected, while reported node failures are handled gracefully.
 #include <cstdio>
+#include <memory>
 
+#include "engine/epoch_scheduler.h"
 #include "net/adversary.h"
-#include "runner/runner.h"
+#include "workload/workload.h"
 
 using namespace sies;
 
 namespace {
 
 // Movement detection: source i "detects" movement when its light channel
-// dips below a threshold; the COUNT query sums 0/1 indicators.
+// dips below a threshold — the query COUNT WHERE light < 400.
 struct Scenario {
   static constexpr uint32_t kN = 32;
 
@@ -21,16 +23,17 @@ struct Scenario {
       : topology(net::Topology::BuildCompleteTree(kN, 4).value()),
         network(topology),
         params(core::MakeParams(kN, 17).value()),
-        keys(core::GenerateKeys(params, {1, 7})),
         trace([] {
           workload::TraceConfig c;
           c.num_sources = kN;
           c.seed = 17;
           return workload::TraceGenerator(c);
         }()),
-        protocol(params, keys, topology, [this](uint32_t i, uint64_t e) {
-          return trace.ReadingAt(i, e).light < 400.0 ? 1ull : 0ull;
-        }) {}
+        protocol(std::make_shared<engine::MultiQueryEngine>(
+                     params, core::GenerateKeys(params, {1, 7})),
+                 topology, [this](uint32_t i, uint64_t e) {
+                   return trace.ReadingAt(i, e);
+                 }) {}
 
   uint64_t TrueCount(uint64_t epoch) {
     uint64_t count = 0;
@@ -43,16 +46,20 @@ struct Scenario {
   net::Topology topology;
   net::Network network;
   core::Params params;
-  core::QuerierKeys keys;
   workload::TraceGenerator trace;
-  runner::SiesProtocol protocol;
+  engine::EpochScheduler protocol;
 };
 
 }  // namespace
 
 int main() {
   Scenario scenario;
-  std::printf("SELECT COUNT(*) FROM Sensors WHERE movement EPOCH 1000ms\n");
+  core::Query movement;
+  movement.aggregate = core::Aggregate::kCount;
+  movement.where =
+      core::Predicate{core::Field::kLight, core::CompareOp::kLess, 400.0};
+  if (!scenario.protocol.Admit(movement, 1).ok()) return 1;
+  std::printf("%s\n", movement.ToSql().c_str());
   std::printf("32 posts, fanout-4 aggregation tree, epoch-by-epoch:\n\n");
   int failures = 0;
 

@@ -11,9 +11,11 @@
 //   3. the customer's querier does a few milliseconds of work per epoch
 //      while the heavy lifting stays inside the provider's network.
 #include <cstdio>
+#include <memory>
 
+#include "engine/epoch_scheduler.h"
 #include "net/adversary.h"
-#include "runner/runner.h"
+#include "workload/workload.h"
 
 using namespace sies;
 
@@ -24,16 +26,20 @@ int main() {
   auto topology = net::Topology::BuildCompleteTree(kN, 4).value();
   net::Network provider_network(topology);
   auto params = core::MakeParams(kN, kSeed).value();
-  auto keys = core::GenerateKeys(params, EncodeUint64(kSeed));
   workload::TraceConfig tc;
   tc.num_sources = kN;
   tc.seed = kSeed;
   workload::TraceGenerator trace(tc);
   // A constant reading for sensor 0 makes the unlinkability visible.
-  runner::SiesProtocol protocol(
-      params, keys, topology, [&trace](uint32_t i, uint64_t e) {
-        return i == 0 ? 2500ull : trace.ValueAt(i, e);
+  engine::EpochScheduler protocol(
+      std::make_shared<engine::MultiQueryEngine>(
+          params, core::GenerateKeys(params, EncodeUint64(kSeed))),
+      topology, [&trace](uint32_t i, uint64_t e) {
+        core::SensorReading reading = trace.ReadingAt(i, e);
+        if (i == 0) reading.temperature = 25.0;
+        return reading;
       });
+  if (!protocol.Admit(core::Query{}, 1).ok()) return 1;  // SUM(temperature)
 
   std::printf("scenario: %u sensors, aggregation outsourced to an\n"
               "untrusted provider; customer holds the keys.\n\n",
@@ -92,7 +98,7 @@ int main() {
   // --- 3. Honest service resumes; customer-side cost is tiny. ---
   provider_network.SetAdversary(nullptr);
   auto honest = provider_network.RunEpoch(protocol, 5).value();
-  std::printf("\n3) honest epoch 5: SUM=%.0f verified=%s\n",
+  std::printf("\n3) honest epoch 5: SUM=%.2f C verified=%s\n",
               honest.outcome.value,
               honest.outcome.verified ? "yes" : "NO");
   std::printf("   customer (querier) CPU: %.3f ms;"

@@ -531,7 +531,7 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    std::printf("scheme            : SIES_ENGINE (%zu queries)\n",
+    std::printf("scheme            : SIES (%zu queries)\n",
                 er.queries.size());
     std::printf(
         "network           : N=%u, F=%u, D=[18,50]x10^%u, %u epochs\n",

@@ -653,27 +653,37 @@ fi
 if [[ $TSAN_ONLY -eq 1 ]]; then
   # TSan objects live in their own tree; only the concurrency-sensitive
   # test subset is built (the full suite under TSan is needlessly slow).
+  # The build list is whatever the selected labels run: ctest -N names
+  # the tests, and each test's binary is the one its generated add_test
+  # line starts (ctest leaves commands out of its JSON until the binary
+  # exists). So a `_portable` twin maps to its base test and
+  # example_sies_sim_engine to sies_sim, and a test that joins one of
+  # the labels is built without editing this script.
   BUILD=build-tsan
+  TSAN_LABELS='race|engine|telemetry|threadpool|loss|ops|net|predicate|fuzz'
   configure "$BUILD" -DSIES_TSAN=ON
-  cmake --build "$BUILD" --target sies_sim \
-      race_stress_test pool_oversubscription_test thread_pool_test \
-      loss_resilience_test \
-      telemetry_metrics_test telemetry_trace_test telemetry_audit_test \
-      telemetry_integration_test telemetry_epoch_timeline_test \
-      engine_channel_plan_test \
-      engine_query_registry_test engine_differential_test \
-      engine_epoch_scheduler_test engine_query_spec_test \
-      engine_pipeline_test \
-      ops_http_server_test ops_admin_server_test ops_integration_test \
-      transport_test transport_differential_test \
-      fuzz_wire_envelope_replay fuzz_datagram_replay fuzz_query_spec_replay \
-      fuzz_http_request_replay fuzz_flags_replay fuzz_hex_replay
-  echo "== TSan run (labels: race engine telemetry threadpool loss ops net" \
-       "predicate fuzz) =="
+  # A command substitution, not a process substitution, so that a test
+  # with no add_test line fails the script (set -e, pipefail).
+  tsan_targets=$(
+    ctest --test-dir "$BUILD" -N -L "$TSAN_LABELS" --show-only=json-v1 |
+      python3 -c 'import json, pathlib, re, sys
+binary = {}
+for testfile in pathlib.Path(sys.argv[1]).rglob("CTestTestfile.cmake"):
+    for name, command in re.findall(
+            r"^add_test\((?:\[=\[)?([^\s\]]+)(?:\]=\])? \"([^\"]+)\"",
+            testfile.read_text(), re.M):
+        binary[name] = pathlib.Path(command).name
+for test in json.load(sys.stdin)["tests"]:
+    print(binary[test["name"]])' "$BUILD" | sort -u)
+  if [[ -z $tsan_targets ]]; then
+    echo "no tests carry the labels $TSAN_LABELS" >&2
+    exit 1
+  fi
+  # shellcheck disable=SC2086  # one target name per word
+  cmake --build "$BUILD" --target $tsan_targets
+  echo "== TSan run (labels: $TSAN_LABELS) =="
   TSAN_OPTIONS="suppressions=$PWD/scripts/tsan.supp halt_on_error=1 second_deadlock_stack=1" \
-      ctest --test-dir "$BUILD" \
-            -L 'race|engine|telemetry|threadpool|loss|ops|net|predicate|fuzz' \
-            --output-on-failure
+      ctest --test-dir "$BUILD" -L "$TSAN_LABELS" --output-on-failure
   echo "TSAN CHECKS PASSED"
   exit 0
 fi

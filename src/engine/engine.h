@@ -1,7 +1,8 @@
-// MultiQueryEngine: K continuous queries over ONE epoch pipeline.
+// MultiQueryEngine: K continuous queries over ONE epoch pipeline — the
+// only SIES data path; a single query is simply K = 1.
 //
-// A single-query Session costs one network round per query per epoch; K
-// queries cost K rounds and K disjoint key derivations. The engine
+// Running each query on its own would cost one network round per query
+// per epoch, so K rounds and K disjoint key derivations. The engine
 // multiplexes instead: the QueryRegistry's ChannelPlan deduplicates the
 // queries' channels into a minimal set of physical wire slots, every
 // source emits ONE envelope per epoch carrying all live channels'
@@ -31,7 +32,7 @@
 #include "engine/query_registry.h"
 #include "sies/aggregator.h"
 #include "sies/querier.h"
-#include "sies/session.h"
+#include "sies/query.h"
 #include "sies/source.h"
 
 namespace sies::engine {

@@ -123,8 +123,8 @@ StatusOr<Bytes> EpochScheduler::AggregatorMerge(
 StatusOr<net::EvalOutcome> EpochScheduler::QuerierEvaluate(
     uint64_t epoch, const Bytes& final_payload,
     const std::vector<net::NodeId>& /*participating*/) {
-  // Like SiesProtocol, the participating set comes from the envelope's
-  // contributor field, not the simulator's out-of-band knowledge.
+  // The participating set comes from the envelope's contributor field,
+  // not the simulator's out-of-band knowledge.
   if (pipelining_) {
     JoinPrefetch();
     // Capture epoch t+1's work list NOW, on the run thread, from the

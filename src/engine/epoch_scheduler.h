@@ -1,4 +1,7 @@
 // EpochScheduler: binds the MultiQueryEngine to the network simulator.
+// It is the only SIES net::AggregationProtocol: the paper-figure runner
+// (runner::RunExperiment) and the μTesla deployment
+// (runner::ContinuousDeployment) run it with one live query.
 //
 // One RunEpoch drives ONE wire round carrying every live query's
 // channels — K queries no longer cost K network rounds. The scheduler
@@ -71,7 +74,7 @@ class EpochScheduler : public net::AggregationProtocol {
                  const net::Topology& topology, ReadingFn readings);
   ~EpochScheduler() override;
 
-  std::string Name() const override { return "SIES_ENGINE"; }
+  std::string Name() const override { return "SIES"; }
   StatusOr<Bytes> SourceInitialize(net::NodeId id, uint64_t epoch) override;
   StatusOr<Bytes> AggregatorMerge(
       net::NodeId id, uint64_t epoch,

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "sies/query.h"
-#include "sies/session.h"
 #include "sketch/ams_sketch.h"
 
 namespace sies::predicate {

@@ -1,7 +1,5 @@
 #include "predicate/compiler.h"
 
-#include "sies/session.h"  // core::ActiveChannels
-
 namespace sies::predicate {
 
 using core::Channel;

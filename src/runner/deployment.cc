@@ -1,69 +1,8 @@
 #include "runner/deployment.h"
 
+#include <algorithm>
+
 namespace sies::runner {
-
-// Session-backed simulator binding for the active query.
-class ContinuousDeployment::Protocol : public net::AggregationProtocol {
- public:
-  Protocol(core::Query query, const core::Params& params,
-           const core::QuerierKeys& keys, const net::Topology& topology,
-           workload::TraceGenerator* trace)
-      : topology_(topology),
-        aggregator_(query, params),
-        querier_(query, params, keys),
-        trace_(trace) {
-    sources_.reserve(topology.num_sources());
-    for (uint32_t index = 0; index < topology.num_sources(); ++index) {
-      sources_.emplace_back(query, params, index,
-                            core::KeysForSource(keys, index).value());
-    }
-  }
-
-  std::string Name() const override { return "SIES/deployment"; }
-
-  StatusOr<Bytes> SourceInitialize(net::NodeId id, uint64_t epoch) override {
-    auto index = topology_.SourceIndex(id);
-    if (!index.ok()) return index.status();
-    return sources_[index.value()].CreatePayload(
-        trace_->ReadingAt(index.value(), epoch), epoch);
-  }
-
-  StatusOr<Bytes> AggregatorMerge(
-      net::NodeId id, uint64_t, const std::vector<Bytes>& children) override {
-    if (id >= topology_.num_nodes()) return Status::NotFound("no such node");
-    return aggregator_.Merge(topology_.child_ranges(id), children);
-  }
-
-  StatusOr<net::EvalOutcome> QuerierEvaluate(
-      uint64_t epoch, const Bytes& final_payload,
-      const std::vector<net::NodeId>& /*participating*/) override {
-    // The participating set comes from the wire envelope's contributor
-    // field (in-band loss reporting), not from simulator-side
-    // knowledge of which sources are live.
-    auto outcome = querier_.Evaluate(final_payload, epoch);
-    if (!outcome.ok()) return outcome.status();
-    last_result_ = outcome.value().result;
-    net::EvalOutcome out;
-    out.value = outcome.value().result.value;
-    out.verified = outcome.value().verified;
-    out.has_contributors = true;
-    out.contributors.reserve(outcome.value().contributors.size());
-    for (uint32_t index : outcome.value().contributors) {
-      out.contributors.push_back(topology_.sources()[index]);
-    }
-    return out;
-  }
-
-  const core::QueryResult& last_result() const { return last_result_; }
-
- private:
-  net::Topology topology_;
-  core::AggregatorSession aggregator_;
-  core::QuerierSession querier_;
-  workload::TraceGenerator* trace_;
-  std::vector<core::SourceSession> sources_;
-  core::QueryResult last_result_;
-};
 
 StatusOr<ContinuousDeployment> ContinuousDeployment::Create(
     net::Topology topology, uint64_t seed,
@@ -72,13 +11,19 @@ StatusOr<ContinuousDeployment> ContinuousDeployment::Create(
   auto params = core::MakeParams(topology.num_sources(), seed,
                                  /*value_bytes=*/8);
   if (!params.ok()) return params.status();
-  deployment.params_ = std::move(params).value();
-  deployment.keys_ =
-      core::GenerateKeys(deployment.params_, EncodeUint64(seed));
   deployment.network_ = std::make_unique<net::Network>(std::move(topology));
-  trace_config.num_sources = deployment.params_.num_sources;
+  trace_config.num_sources = params.value().num_sources;
   deployment.trace_ =
       std::make_unique<workload::TraceGenerator>(trace_config);
+  workload::TraceGenerator* trace = deployment.trace_.get();
+  deployment.scheduler_ = std::make_unique<engine::EpochScheduler>(
+      std::make_shared<engine::MultiQueryEngine>(
+          params.value(),
+          core::GenerateKeys(params.value(), EncodeUint64(seed))),
+      deployment.network_->topology(),
+      [trace](uint32_t index, uint64_t epoch) {
+        return trace->ReadingAt(index, epoch);
+      });
   auto broadcaster = mutesla::Broadcaster::Create(
       EncodeUint64(seed ^ 0xb40adca57ull), chain_length,
       /*disclosure_delay=*/1);
@@ -122,10 +67,22 @@ Status ContinuousDeployment::RegisterQuery(const core::Query& query) {
     }
   }
 
-  // Keys unchanged; only the sessions are rebuilt for the new query.
+  // Keys unchanged; only the live query is swapped. Teardown first, so
+  // re-registering the live id (whose channels the teardown frees)
+  // admits cleanly.
+  const uint64_t next_epoch = last_epoch_ + 1;
+  if (active_query_.has_value()) {
+    SIES_RETURN_IF_ERROR(
+        scheduler_->Teardown(active_query_->query_id, next_epoch));
+  }
+  Status admitted = scheduler_->Admit(query, next_epoch);
+  if (!admitted.ok()) {
+    if (active_query_.has_value()) {
+      SIES_RETURN_IF_ERROR(scheduler_->Admit(*active_query_, next_epoch));
+    }
+    return admitted;
+  }
   active_query_ = query;
-  protocol_ = std::make_unique<Protocol>(query, params_, keys_,
-                                         network_->topology(), trace_.get());
   return Status::OK();
 }
 
@@ -141,7 +98,8 @@ StatusOr<DeploymentEpoch> ContinuousDeployment::RunEpoch(uint64_t epoch) {
   if (!active_query_.has_value()) {
     return Status::FailedPrecondition("no query registered");
   }
-  auto report = network_->RunEpoch(*protocol_, epoch);
+  last_epoch_ = std::max(last_epoch_, epoch);
+  auto report = network_->RunEpoch(*scheduler_, epoch);
   if (!report.ok()) return report.status();
   const net::EpochReport& r = report.value();
   DeploymentEpoch out;
@@ -155,7 +113,7 @@ StatusOr<DeploymentEpoch> ContinuousDeployment::RunEpoch(uint64_t epoch) {
   out.verified = r.outcome.verified;
   out.contributors = r.contributing_sources;
   out.coverage = r.coverage;
-  out.result = static_cast<Protocol*>(protocol_.get())->last_result();
+  out.result = scheduler_->last_outcomes().front().outcome.result;
   SIES_RETURN_IF_ERROR(
       log_.Record(epoch, out.result.value, out.verified, out.coverage));
   return out;

@@ -7,17 +7,18 @@
 // the network, WITHOUT re-establishing any keys". This driver implements
 // exactly that: long-term keys are fixed at construction; queries come
 // and go via authenticated broadcast; every epoch runs the active query
-// through the simulator and feeds the querier-side ResultLog.
+// through the simulator — as the one live query of a multi-query engine
+// (engine::EpochScheduler) — and feeds the querier-side ResultLog.
 #ifndef SIES_RUNNER_DEPLOYMENT_H_
 #define SIES_RUNNER_DEPLOYMENT_H_
 
 #include <memory>
 #include <optional>
 
+#include "engine/epoch_scheduler.h"
 #include "mutesla/mutesla.h"
 #include "net/network.h"
 #include "sies/result_log.h"
-#include "sies/session.h"
 #include "workload/workload.h"
 
 namespace sies::runner {
@@ -48,9 +49,11 @@ class ContinuousDeployment {
       workload::TraceConfig trace_config, uint64_t chain_length = 256);
 
   /// Registers (or replaces) the continuous query: broadcasts its SQL
-  /// via μTesla, every source authenticates it, and on success the
-  /// sessions for the new query are built — with the SAME long-term
-  /// keys. Returns an error if any source rejects the broadcast.
+  /// via μTesla, every source authenticates it, and on success the live
+  /// query is torn down and the new one admitted for the next epoch —
+  /// with the SAME long-term keys. Returns an error if any source
+  /// rejects the broadcast or the engine rejects the query; the live
+  /// query then stays as it was.
   Status RegisterQuery(const core::Query& query);
 
   /// Configures the lossy radio and its link-layer retransmission
@@ -74,18 +77,14 @@ class ContinuousDeployment {
  private:
   ContinuousDeployment() = default;
 
-  // Session-backed protocol binding (per active query).
-  class Protocol;
-
-  core::Params params_;
-  core::QuerierKeys keys_;
   std::unique_ptr<net::Network> network_;
   std::unique_ptr<workload::TraceGenerator> trace_;
   std::unique_ptr<mutesla::Broadcaster> broadcaster_;
+  std::unique_ptr<engine::EpochScheduler> scheduler_;
   std::optional<core::Query> active_query_;
-  std::unique_ptr<net::AggregationProtocol> protocol_;
   core::ResultLog log_;
   uint64_t broadcast_interval_ = 0;
+  uint64_t last_epoch_ = 0;  ///< newest epoch run; admissions take the next
 };
 
 }  // namespace sies::runner

@@ -3,68 +3,11 @@
 #include <cmath>
 
 #include "crypto/prime.h"
+#include "engine/epoch_scheduler.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
 namespace sies::runner {
-
-// ---------------------------------------------------------------------------
-// SIES
-// ---------------------------------------------------------------------------
-
-SiesProtocol::SiesProtocol(core::Params params, core::QuerierKeys keys,
-                           const net::Topology& topology, ValueFn values)
-    : params_(params),
-      topology_(topology),
-      aggregator_(params),
-      querier_(params, keys),
-      values_(std::move(values)) {
-  // All simulated sources share one epoch-key cache: K_t is derived once
-  // per epoch for the whole network instead of once per source.
-  auto source_cache = std::make_shared<core::EpochKeyCache>();
-  sources_.reserve(topology_.num_sources());
-  for (uint32_t i = 0; i < topology_.num_sources(); ++i) {
-    sources_.emplace_back(params_, i,
-                          core::KeysForSource(keys, i).value());
-    sources_.back().SetEpochKeyCache(source_cache);
-  }
-}
-
-StatusOr<Bytes> SiesProtocol::SourceInitialize(net::NodeId id,
-                                               uint64_t epoch) {
-  auto index = topology_.SourceIndex(id);
-  if (!index.ok()) return index.status();
-  uint64_t value = values_(index.value(), epoch);
-  // A source's envelope is its bare PSR: its range is itself, complete.
-  return sources_[index.value()].CreatePsr(value, epoch);
-}
-
-StatusOr<Bytes> SiesProtocol::AggregatorMerge(
-    net::NodeId id, uint64_t, const std::vector<Bytes>& children) {
-  if (id >= topology_.num_nodes()) return Status::NotFound("no such node");
-  return aggregator_.MergeWire(topology_.child_ranges(id), children,
-                               /*channels=*/1);
-}
-
-StatusOr<net::EvalOutcome> SiesProtocol::QuerierEvaluate(
-    uint64_t epoch, const Bytes& final_payload,
-    const std::vector<net::NodeId>& /*participating*/) {
-  // The participating set comes from the wire envelope's contributor
-  // field, not from the simulator's out-of-band knowledge — losses are
-  // reported in-band and the sum verifies over exactly the contributors.
-  auto eval = querier_.EvaluateWire(final_payload, epoch);
-  if (!eval.ok()) return eval.status();
-  net::EvalOutcome outcome;
-  outcome.value = static_cast<double>(eval.value().sum);
-  outcome.verified = eval.value().verified;
-  outcome.exact = true;
-  outcome.has_contributors = true;
-  outcome.contributors.reserve(eval.value().contributors.size());
-  for (uint32_t index : eval.value().contributors) {
-    outcome.contributors.push_back(topology_.sources()[index]);
-  }
-  return outcome;
-}
 
 // ---------------------------------------------------------------------------
 // CMT
@@ -260,9 +203,16 @@ StatusOr<ExperimentResult> RunExperiment(const ExperimentConfig& config) {
     case Scheme::kSies: {
       auto params = core::MakeParams(config.num_sources, config.seed);
       if (!params.ok()) return params.status();
-      core::QuerierKeys keys = core::GenerateKeys(params.value(), master_seed);
-      protocol = std::make_unique<SiesProtocol>(
-          params.value(), std::move(keys), network.topology(), values);
+      auto scheduler = std::make_unique<engine::EpochScheduler>(
+          std::make_shared<engine::MultiQueryEngine>(
+              params.value(), core::GenerateKeys(params.value(), master_seed)),
+          network.topology(), [trace](uint32_t index, uint64_t epoch) {
+            return trace->ReadingAt(index, epoch);
+          });
+      core::Query sum;  // SUM(temperature), query id 0
+      sum.scale_pow10 = config.scale_pow10;
+      SIES_RETURN_IF_ERROR(scheduler->Admit(sum, 1));
+      protocol = std::move(scheduler);
       break;
     }
     case Scheme::kCmt: {
@@ -378,7 +328,9 @@ StatusOr<ExperimentResult> RunExperiment(const ExperimentConfig& config) {
 
     if (r.outcome.has_contributors) {
       // The exact sum over exactly the reported contributors: a verified
-      // partial must match it.
+      // partial must match it. The engine answers in attribute units
+      // (sum / 10^k, core::CombineChannels), so the truth is divided by
+      // the same expression and an exact answer still reads 0.0.
       uint64_t exact = 0;
       for (net::NodeId node : r.outcome.contributors) {
         auto index = network.topology().SourceIndex(node);
@@ -386,8 +338,9 @@ StatusOr<ExperimentResult> RunExperiment(const ExperimentConfig& config) {
         exact += trace->ValueAt(index.value(), epoch);
       }
       if (exact > 0) {
-        error_sum += std::abs(r.outcome.value - static_cast<double>(exact)) /
-                     static_cast<double>(exact);
+        const double truth = static_cast<double>(exact) /
+                             std::pow(10.0, config.scale_pow10);
+        error_sum += std::abs(r.outcome.value - truth) / truth;
       }
     } else {
       workload::EpochSnapshot snap = Snapshot(*trace, epoch);

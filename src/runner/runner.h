@@ -1,7 +1,9 @@
-// Experiment runner: binds each scheme (SIES / CMT / SECOA_S) to the
+// Experiment runner: binds each baseline scheme (CMT / SECOA_S) to the
 // network simulator's AggregationProtocol interface and drives multi-
-// epoch experiments, reproducing the measurement methodology of the
-// paper's Section VI (average per-epoch cost per party over E epochs).
+// epoch experiments for all three schemes, reproducing the measurement
+// methodology of the paper's Section VI (average per-epoch cost per
+// party over E epochs). SIES runs through the multi-query engine's
+// EpochScheduler with one SUM query, like every other SIES run.
 #ifndef SIES_RUNNER_RUNNER_H_
 #define SIES_RUNNER_RUNNER_H_
 
@@ -13,9 +15,6 @@
 #include "net/network.h"
 #include "secoa/secoa_max.h"
 #include "secoa/secoa_sum.h"
-#include "sies/aggregator.h"
-#include "sies/querier.h"
-#include "sies/source.h"
 #include "workload/workload.h"
 
 namespace sies::runner {
@@ -23,37 +22,6 @@ namespace sies::runner {
 /// Supplies the scaled integer reading of logical source `index` at
 /// `epoch` (typically backed by workload::TraceGenerator).
 using ValueFn = std::function<uint64_t(uint32_t index, uint64_t epoch)>;
-
-/// SIES bound to the simulator.
-class SiesProtocol : public net::AggregationProtocol {
- public:
-  SiesProtocol(core::Params params, core::QuerierKeys keys,
-               const net::Topology& topology, ValueFn values);
-
-  std::string Name() const override { return "SIES"; }
-  StatusOr<Bytes> SourceInitialize(net::NodeId id, uint64_t epoch) override;
-  StatusOr<Bytes> AggregatorMerge(net::NodeId id, uint64_t epoch,
-                                  const std::vector<Bytes>& children) override;
-  StatusOr<net::EvalOutcome> QuerierEvaluate(
-      uint64_t epoch, const Bytes& final_payload,
-      const std::vector<net::NodeId>& participating) override;
-
-  /// Sources are independent; they share only a mutex-guarded
-  /// EpochKeyCache, so per-source PSR creation may fan out.
-  bool ParallelSourceInitSafe() const override { return true; }
-  /// Forwards the pool to the querier's N-way share recomputation.
-  void SetThreadPool(common::ThreadPool* pool) override {
-    querier_.SetThreadPool(pool);
-  }
-
- private:
-  core::Params params_;
-  net::Topology topology_;
-  std::vector<core::Source> sources_;
-  core::Aggregator aggregator_;
-  core::Querier querier_;
-  ValueFn values_;
-};
 
 /// CMT bound to the simulator.
 class CmtProtocol : public net::AggregationProtocol {

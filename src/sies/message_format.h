@@ -70,8 +70,8 @@ StatusOr<crypto::BigUint> ParsePsr(const Params& params, const uint8_t* data,
 // --- Loss-reporting wire envelope -----------------------------------------
 //
 // wire payload = [contributor field ‖ body], where the body is one PSR
-// per channel: a single PSR (runner::SiesProtocol) or the per-channel
-// PSRs of a session or engine payload. The field is the sender's
+// per channel, in the engine's plan wire order (a single PSR for a
+// plain SUM or COUNT query). The field is the sender's
 // ContributorSet relative to its own source range (contributor_set.h):
 // empty when every source below the sender contributed, so a lossless
 // envelope is exactly channels × PsrBytes at any N, and a source (whose

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 
@@ -109,6 +110,9 @@ uint32_t ChannelCount(Aggregate aggregate);
 /// True if `channel` is among the channels `aggregate` needs.
 bool UsesChannel(Aggregate aggregate, Channel channel);
 
+/// Channels used by `query`, in wire order.
+std::vector<Channel> ActiveChannels(const Query& query);
+
 /// trunc(GetField(reading, field) * 10^scale_pow10) as an unsigned
 /// integer — the scaling every SIES channel applies before encryption.
 /// Fails on negative values and 64-bit overflow.
@@ -148,6 +152,27 @@ struct QueryResult {
 /// results (pass 0 for unused channels).
 StatusOr<QueryResult> CombineChannels(const Query& query, uint64_t sum,
                                       uint64_t sum_squares, uint64_t count);
+
+/// Outcome of one epoch of one continuous query.
+struct EpochOutcome {
+  QueryResult result;
+  bool verified = false;  ///< all channels verified
+  /// Contributing source indices reported in-band, increasing. When
+  /// verified, `result` is the exact aggregate over exactly this set.
+  std::vector<uint32_t> contributors;
+  double coverage = 0.0;  ///< contributors ÷ N
+};
+
+/// Assembles the final per-query outcome from verified channel sums:
+/// computes coverage, short-circuits COUNT-dependent aggregates over
+/// zero matches, and otherwise combines the channels into the numeric
+/// answer. `sum`/`sum_squares`/`count` are the decrypted channel results
+/// (0 for unused channels). The multi-query engine assembles every
+/// answer here.
+StatusOr<EpochOutcome> AssembleOutcome(const Query& query, uint32_t num_sources,
+                                       uint64_t sum, uint64_t sum_squares,
+                                       uint64_t count, bool verified,
+                                       std::vector<uint32_t> contributors);
 
 }  // namespace sies::core
 

@@ -37,9 +37,10 @@ class Source {
   Status CreatePsrInto(uint64_t value, uint64_t epoch, uint8_t* out) const;
 
   /// Optional: share an EpochKeyCache with co-located sources so K_t is
-  /// derived once per epoch instead of once per source. The simulator's
-  /// SiesProtocol wires one cache into all N sources; a real deployment
-  /// (one process per source) simply skips this.
+  /// derived once per epoch instead of once per source. The simulated
+  /// engine (engine::MultiQueryEngine) wires one cache into all N
+  /// sources; a real deployment (one process per source) simply skips
+  /// this.
   void SetEpochKeyCache(std::shared_ptr<EpochKeyCache> cache) {
     cache_ = std::move(cache);
   }

@@ -3,7 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include "sies/session.h"
+#include "sies/query.h"
 
 namespace sies::engine {
 namespace {

@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "engine/engine.h"
-#include "sies/session.h"
+#include "oracle/session.h"
 #include "workload/workload.h"
 
 namespace sies::engine {

@@ -6,14 +6,17 @@
 // admission — while using at most 2 * ceil(log2 D) channels per kind.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "engine/engine.h"
+#include "oracle/session.h"
+#include "predicate/answer.h"
 #include "predicate/compiler.h"
 #include "predicate/dyadic.h"
-#include "sies/session.h"
 #include "workload/workload.h"
 
 namespace sies::engine {
@@ -350,6 +353,116 @@ TEST(PredicateDifferentialTest, OverlappingBandsDedupSharedBuckets) {
     EXPECT_EQ(outcomes.value()[i].outcome.result.value,
               direct.value().result.value);
     EXPECT_TRUE(outcomes.value()[i].outcome.verified);
+  }
+}
+
+TEST(PredicateDifferentialTest, HistogramCellsThroughTheEngine) {
+  // A compiled histogram end to end: each cell's verified COUNT equals a
+  // brute-force count over the readings of the sources that took part
+  // (with and without a WHERE filter on every cell); a flipped bit fails
+  // exactly the cells reading the corrupted wire channel; a replayed
+  // envelope fails every cell.
+  Fixture f;
+  predicate::HistogramSpec spec;
+  spec.lo = 18.0;
+  spec.hi = 50.0;
+  spec.buckets = 8;
+  auto cells = predicate::CompileHistogram(spec, /*first_query_id=*/0);
+  ASSERT_TRUE(cells.ok()) << cells.status().ToString();
+  auto bounds = predicate::PartitionBands(spec.lo, spec.hi, spec.buckets,
+                                          spec.scale_pow10);
+  ASSERT_TRUE(bounds.ok());
+  auto assemble = [&](const std::vector<QueryEpochOutcome>& outcomes) {
+    std::vector<core::EpochOutcome> cell_outcomes;
+    for (const QueryEpochOutcome& qo : outcomes) {
+      cell_outcomes.push_back(qo.outcome);
+    }
+    return predicate::AssembleCells(spec.lo, spec.hi, spec.buckets,
+                                    spec.scale_pow10, cell_outcomes)
+        .value();
+  };
+
+  const core::Predicate below_30{core::Field::kTemperature,
+                                 core::CompareOp::kLess, 30.0};
+  for (const std::optional<core::Predicate>& where :
+       {std::optional<core::Predicate>(), std::optional(below_30)}) {
+    MultiQueryEngine eng = f.MakeEngine();
+    for (core::Query cell : cells.value()) {
+      cell.where = where;
+      ASSERT_TRUE(eng.Admit(cell, 1).ok());
+    }
+    for (const auto& [participants, epoch] :
+         {std::pair{AllSources(), uint64_t{1}},
+          std::pair{EveryOtherSource(), uint64_t{4}}}) {
+      auto merged = f.EngineRound(eng, participants, epoch);
+      ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+      auto outcomes = eng.Evaluate(merged.value(), epoch);
+      ASSERT_TRUE(outcomes.ok()) << outcomes.status().ToString();
+      const predicate::ShapeAnswer histogram = assemble(outcomes.value());
+      EXPECT_TRUE(histogram.all_verified);
+      uint64_t total = 0;
+      for (size_t c = 0; c < histogram.cells.size(); ++c) {
+        uint64_t brute = 0;
+        for (uint32_t i : participants) {
+          const core::SensorReading r = f.trace_->ReadingAt(i, epoch);
+          const uint64_t v =
+              core::ScaledFieldValue(r, spec.field, spec.scale_pow10)
+                  .value();
+          if (v >= bounds.value()[c].scaled_lo &&
+              v <= bounds.value()[c].scaled_hi &&
+              (!where.has_value() || where->Matches(r))) {
+            ++brute;
+          }
+        }
+        EXPECT_EQ(histogram.cells[c].count, brute)
+            << "cell " << c << " epoch " << epoch;
+        total += brute;
+      }
+      EXPECT_EQ(histogram.total_count, total);
+      if (!where.has_value()) {
+        EXPECT_EQ(total, participants.size());
+      }
+    }
+  }
+
+  MultiQueryEngine eng = f.MakeEngine();
+  for (const core::Query& cell : cells.value()) {
+    ASSERT_TRUE(eng.Admit(cell, 1).ok());
+  }
+
+  // Tamper: flip the low bit of one channel's PSR at a time. A lossless
+  // root envelope has an empty contributor field, so slot s is bytes
+  // [s * width, (s + 1) * width) of the payload.
+  auto merged = f.EngineRound(eng, AllSources(), 2);
+  ASSERT_TRUE(merged.ok());
+  const size_t width = f.params_.PsrBytes();
+  const uint32_t slots = eng.registry().plan().Count();
+  ASSERT_EQ(merged.value().size(), slots * width);
+  for (uint32_t slot = 0; slot < slots; ++slot) {
+    Bytes tampered = merged.value();
+    tampered[(slot + 1) * width - 1] ^= 0x01;
+    auto outcomes = eng.Evaluate(tampered, 2);
+    ASSERT_TRUE(outcomes.ok()) << outcomes.status().ToString();
+    size_t failed = 0;
+    for (size_t c = 0; c < cells.value().size(); ++c) {
+      auto read = eng.registry().plan().ChannelsOf(cells.value()[c]);
+      ASSERT_TRUE(read.ok());
+      const bool reads_slot = std::find(read.value().begin(),
+                                        read.value().end(),
+                                        slot) != read.value().end();
+      EXPECT_EQ(outcomes.value()[c].outcome.verified, !reads_slot)
+          << "cell " << c << " slot " << slot;
+      if (reads_slot) ++failed;
+    }
+    EXPECT_GE(failed, 1u) << "slot " << slot << " is read by no cell";
+    EXPECT_FALSE(assemble(outcomes.value()).all_verified);
+  }
+
+  // Replay: epoch 2's envelope presented as epoch 3's.
+  auto replayed = eng.Evaluate(merged.value(), 3);
+  ASSERT_TRUE(replayed.ok());
+  for (const QueryEpochOutcome& qo : replayed.value()) {
+    EXPECT_FALSE(qo.outcome.verified) << "cell q" << qo.query_id;
   }
 }
 

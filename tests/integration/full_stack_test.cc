@@ -14,6 +14,7 @@
 #include "runner/runner.h"
 #include "sies/message_format.h"
 #include "sies/provisioning.h"
+#include "support/sies_fixture.h"
 
 namespace sies::runner {
 namespace {
@@ -100,29 +101,20 @@ TEST(FullStackTest, LifecycleAcrossAllLayers) {
   (void)clean;
 }
 
-// The same end-to-end flow holds at every supported prime width.
+// The same end-to-end flow holds at every supported prime width — the
+// engine's only network-level run on primes other than 256 bits.
 class PrimeWidthEndToEnd : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(PrimeWidthEndToEnd, FullNetworkExactAtWidth) {
   size_t bits = GetParam();
   constexpr uint32_t kN = 12;
-  auto params = core::MakeParams(kN, bits, 4, bits).value();
-  auto keys = core::GenerateKeys(params, EncodeUint64(bits));
-  auto topology = net::Topology::BuildCompleteTree(kN, 3).value();
-  net::Network network(topology);
-  workload::TraceConfig tc;
-  tc.num_sources = kN;
-  tc.seed = bits;
-  workload::TraceGenerator trace(tc);
-  SiesProtocol protocol(params, keys, topology,
-                        [&trace](uint32_t i, uint64_t e) {
-                          return trace.ValueAt(i, e);
-                        });
+  testutil::SiesFixture fx(net::Topology::BuildCompleteTree(kN, 3).value(),
+                           core::MakeParams(kN, bits, 4, bits).value(),
+                           testutil::SiesFixture::Trace(kN, bits), bits);
   for (uint64_t epoch = 1; epoch <= 2; ++epoch) {
-    auto report = network.RunEpoch(protocol, epoch).value();
+    auto report = fx.network.RunEpoch(fx.scheduler, epoch).value();
     EXPECT_TRUE(report.outcome.verified) << bits << " bits";
-    EXPECT_EQ(report.outcome.value,
-              static_cast<double>(Snapshot(trace, epoch).exact_sum));
+    EXPECT_EQ(report.outcome.value, fx.ExactSum(epoch));
     // Lossless: every edge carries the bare PSR, at any prime width.
     for (const net::EdgeTraffic* edge :
          {&report.source_to_aggregator, &report.aggregator_to_aggregator,
@@ -137,8 +129,9 @@ INSTANTIATE_TEST_SUITE_P(Widths, PrimeWidthEndToEnd,
                          ::testing::Values(224, 256, 320, 512));
 
 // Paper Table V at any N: with nothing lost, every SIES edge carries
-// exactly channels × 32 B on each of the three bindings (the engine, the
-// figure runner's SiesProtocol, and the deployment's sessions).
+// exactly channels × 32 B however the engine is driven — a scheduler
+// with a multi-channel query, the figure runner (RunExperiment), and the
+// μTesla deployment.
 class LosslessEdgeWidth : public ::testing::TestWithParam<uint32_t> {
  protected:
   // Sees every delivered message; records the narrowest and widest.
@@ -193,22 +186,20 @@ TEST_P(LosslessEdgeWidth, EngineBinding) {
 }
 
 TEST_P(LosslessEdgeWidth, RunnerBinding) {
-  const uint32_t n = GetParam();
-  auto topology = net::Topology::BuildCompleteTree(n, 4).value();
-  auto params = core::MakeParams(n, 12).value();
-  workload::TraceConfig tc;
-  tc.num_sources = n;
-  workload::TraceGenerator trace(tc);
-  SiesProtocol protocol(params, core::GenerateKeys(params, EncodeUint64(12)),
-                        topology, [&trace](uint32_t i, uint64_t e) {
-                          return trace.ValueAt(i, e);
-                        });
-  net::Network network(topology);
-  WidthProbe probe;
-  network.SetAdversary(&probe);
-  auto report = network.RunEpoch(protocol, 1);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  ExpectEveryEdge(probe, report.value(), 1);
+  ExperimentConfig config;
+  config.scheme = Scheme::kSies;
+  config.num_sources = GetParam();
+  config.epochs = 1;
+  config.seed = 12;
+  auto result = RunExperiment(config);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result.value().all_verified);
+  EXPECT_DOUBLE_EQ(result.value().mean_coverage, 1.0);
+  // A lossless envelope is never narrower than its one PSR, so a 32 B
+  // mean on each edge class means every message on it is 32 B.
+  EXPECT_DOUBLE_EQ(result.value().source_to_aggregator_bytes, 32.0);
+  EXPECT_DOUBLE_EQ(result.value().aggregator_to_aggregator_bytes, 32.0);
+  EXPECT_DOUBLE_EQ(result.value().aggregator_to_querier_bytes, 32.0);
 }
 
 TEST_P(LosslessEdgeWidth, DeploymentBinding) {

@@ -5,10 +5,13 @@
 
 #include "net/adversary.h"
 #include "runner/runner.h"
+#include "support/sies_fixture.h"
 #include "telemetry/audit.h"
 
 namespace sies::runner {
 namespace {
+
+using testutil::SiesFixture;
 
 ExperimentConfig LossyConfig(double loss_rate, uint32_t max_retries) {
   ExperimentConfig c;
@@ -80,38 +83,17 @@ TEST(LossResilienceTest, TotalBlackoutLeavesAllEpochsUnanswered) {
   EXPECT_TRUE(result.all_verified);
 }
 
-// Shared fixture for audit-trail checks over the raw network.
-struct AuditFixture {
-  explicit AuditFixture(uint32_t n = 16, uint64_t seed = 51)
-      : network(net::Topology::BuildCompleteTree(n, 4).value()),
-        params(core::MakeParams(n, seed).value()),
-        keys(core::GenerateKeys(params, EncodeUint64(seed))),
-        trace([&] {
-          workload::TraceConfig c;
-          c.num_sources = n;
-          c.seed = seed;
-          return workload::TraceGenerator(c);
-        }()),
-        protocol(params, keys, network.topology(),
-                 [this](uint32_t index, uint64_t epoch) {
-                   return trace.ValueAt(index, epoch);
-                 }) {}
-
-  net::Network network;
-  core::Params params;
-  core::QuerierKeys keys;
-  workload::TraceGenerator trace;
-  SiesProtocol protocol;
-};
-
+// Seed of the audit-trail checks over the raw network (16 sources,
+// fanout 4).
+constexpr uint64_t kAuditSeed = 51;
 TEST(LossResilienceTest, PureRadioLossNeverAuditedAsTampering) {
-  AuditFixture fx;
+  SiesFixture fx(16, 4, kAuditSeed);
   auto& audit = telemetry::AuditTrail::Global();
   audit.Reset();
   audit.Enable();
   ASSERT_TRUE(fx.network.SetLossRate(0.2, 77).ok());
   for (uint64_t epoch = 1; epoch <= 20; ++epoch) {
-    (void)fx.network.RunEpoch(fx.protocol, epoch);
+    (void)fx.network.RunEpoch(fx.scheduler, epoch);
   }
   EXPECT_GT(fx.network.lost_messages(), 0u);
   EXPECT_GT(audit.CountOf(telemetry::AuditKind::kRadioLoss), 0u);
@@ -123,7 +105,7 @@ TEST(LossResilienceTest, PureRadioLossNeverAuditedAsTampering) {
 }
 
 TEST(LossResilienceTest, AdversaryDropAndRadioLossAreDistinctEvents) {
-  AuditFixture fx;
+  SiesFixture fx(16, 4, kAuditSeed);
   auto& audit = telemetry::AuditTrail::Global();
   audit.Reset();
   audit.Enable();
@@ -131,7 +113,7 @@ TEST(LossResilienceTest, AdversaryDropAndRadioLossAreDistinctEvents) {
   net::NodeId victim = fx.network.topology().sources()[2];
   net::DropAdversary adv(victim);
   fx.network.SetAdversary(&adv);
-  auto report = fx.network.RunEpoch(fx.protocol, 1).value();
+  auto report = fx.network.RunEpoch(fx.scheduler, 1).value();
   fx.network.SetAdversary(nullptr);
   EXPECT_TRUE(report.outcome.verified);
   EXPECT_LT(report.coverage, 1.0);
@@ -146,12 +128,12 @@ TEST(LossResilienceTest, AdversaryDropAndRadioLossAreDistinctEvents) {
 }
 
 TEST(LossResilienceTest, RetransmitCountersAttributedPerEdge) {
-  AuditFixture fx;
+  SiesFixture fx(16, 4, kAuditSeed);
   ASSERT_TRUE(fx.network.SetLossRate(0.3, 12).ok());
   fx.network.SetMaxRetries(4);
   uint64_t edge_retransmits = 0;
   for (uint64_t epoch = 1; epoch <= 10; ++epoch) {
-    auto report = fx.network.RunEpoch(fx.protocol, epoch).value();
+    auto report = fx.network.RunEpoch(fx.scheduler, epoch).value();
     edge_retransmits += report.source_to_aggregator.retransmits +
                         report.aggregator_to_aggregator.retransmits +
                         report.aggregator_to_querier.retransmits;

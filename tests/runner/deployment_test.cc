@@ -71,6 +71,44 @@ TEST(DeploymentTest, QuerySwitchWithoutRekeying) {
   EXPECT_TRUE(deployment.RunEpoch(3).value().verified);
 }
 
+TEST(DeploymentTest, ReRegisteringTheLiveIdSwapsTheAggregate) {
+  // Same id, different aggregate: the swap tears the live query down
+  // before admitting the new one, so the id (and the channels its
+  // teardown freed) is reused cleanly and the very next epoch answers
+  // the NEW query. Admitting before tearing down would find the id
+  // still live and fail the registration.
+  auto deployment = MakeDeployment();
+  ASSERT_TRUE(deployment.RegisterQuery(SumTempQuery()).ok());
+  auto sum_epoch = deployment.RunEpoch(1).value();
+  ASSERT_TRUE(sum_epoch.verified);
+
+  core::Query count = SumTempQuery();
+  count.aggregate = core::Aggregate::kCount;
+  ASSERT_EQ(count.query_id, sum_epoch.query_id);
+  Status swapped = deployment.RegisterQuery(count);
+  ASSERT_TRUE(swapped.ok()) << swapped.ToString();
+  auto count_epoch = deployment.RunEpoch(2).value();
+  EXPECT_TRUE(count_epoch.verified);
+  EXPECT_EQ(count_epoch.query_id, count.query_id);
+  EXPECT_EQ(count_epoch.result.value, 16.0);  // every one of the 16 sources
+  EXPECT_EQ(count_epoch.result.count, 16u);
+}
+
+TEST(DeploymentTest, RejectedQueryLeavesTheLiveOneRunning) {
+  // The broadcast authenticates, but the engine refuses an id beyond the
+  // 14-bit salt field: the registration fails and the live query keeps
+  // answering.
+  auto deployment = MakeDeployment();
+  ASSERT_TRUE(deployment.RegisterQuery(SumTempQuery()).ok());
+  core::Query bad = AvgHumidityQuery();
+  bad.query_id = 1u << 14;
+  EXPECT_FALSE(deployment.RegisterQuery(bad).ok());
+  auto out = deployment.RunEpoch(1).value();
+  EXPECT_TRUE(out.verified);
+  EXPECT_EQ(out.query_id, SumTempQuery().query_id);
+  EXPECT_GE(out.result.value, 16 * 18.0);  // a SUM over 16 sources >= 18 C
+}
+
 TEST(DeploymentTest, AttacksStillDetectedAfterQuerySwitch) {
   auto deployment = MakeDeployment();
   ASSERT_TRUE(deployment.RegisterQuery(SumTempQuery()).ok());

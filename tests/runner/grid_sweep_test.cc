@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "runner/runner.h"
+#include "support/sies_fixture.h"
 
 namespace sies::runner {
 namespace {
@@ -112,32 +113,23 @@ TEST_P(RandomTopologySweep, ExactOnIrregularTrees) {
   Xoshiro256 rng(seed);
   uint32_t n = 4 + static_cast<uint32_t>(rng.NextBelow(60));
   uint32_t f = 2 + static_cast<uint32_t>(rng.NextBelow(5));
-  auto topology = net::Topology::BuildRandomTree(n, f, rng).value();
-  net::Network network(topology);
-  auto params = core::MakeParams(n, seed).value();
-  auto keys = core::GenerateKeys(params, EncodeUint64(seed));
-  workload::TraceConfig tc;
-  tc.num_sources = n;
-  tc.seed = seed;
+  workload::TraceConfig tc = testutil::SiesFixture::Trace(n, seed);
   tc.temporal_model = workload::TemporalModel::kRandomWalk;
-  workload::TraceGenerator trace(tc);
-  SiesProtocol protocol(params, keys, topology,
-                        [&trace](uint32_t i, uint64_t e) {
-                          return trace.ValueAt(i, e);
-                        });
+  testutil::SiesFixture fx(net::Topology::BuildRandomTree(n, f, rng).value(),
+                           core::MakeParams(n, seed).value(), tc, seed);
   for (uint64_t epoch = 1; epoch <= 3; ++epoch) {
-    auto report = network.RunEpoch(protocol, epoch).value();
+    auto report = fx.network.RunEpoch(fx.scheduler, epoch).value();
     EXPECT_TRUE(report.outcome.verified)
         << "seed " << seed << " epoch " << epoch;
-    EXPECT_EQ(report.outcome.value,
-              static_cast<double>(Snapshot(trace, epoch).exact_sum));
+    EXPECT_EQ(report.outcome.value, fx.ExactSum(epoch));
   }
   // One reported failure; the rest must still verify exactly.
   if (n > 1) {
+    const net::Topology& topology = fx.network.topology();
     net::NodeId victim =
         topology.sources()[rng.NextBelow(topology.sources().size())];
-    network.FailSource(victim);
-    auto report = network.RunEpoch(protocol, 4).value();
+    fx.network.FailSource(victim);
+    auto report = fx.network.RunEpoch(fx.scheduler, 4).value();
     EXPECT_TRUE(report.outcome.verified) << "seed " << seed;
   }
 }

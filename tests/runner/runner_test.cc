@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "support/sies_fixture.h"
+
 namespace sies::runner {
 namespace {
 
@@ -88,29 +90,23 @@ TEST(RunExperimentTest, ResultsBitIdenticalAcrossThreadCounts) {
   };
   auto run = [](uint32_t threads) {
     std::vector<EpochResult> results;
-    net::Network network(net::Topology::BuildCompleteTree(16, 4).value());
-    EXPECT_TRUE(network.SetLossRate(0.15, 99).ok());
+    testutil::SiesFixture fx(/*n=*/16, /*fanout=*/4, /*seed=*/11);
+    EXPECT_TRUE(fx.network.SetLossRate(0.15, 99).ok());
     common::ThreadPool pool(threads);
-    network.SetThreadPool(&pool);
-    auto params = core::MakeParams(16, 11).value();
-    core::QuerierKeys keys = core::GenerateKeys(params, EncodeUint64(11));
-    ValueFn values = [](uint32_t index, uint64_t epoch) {
-      return 1800 + 13 * index + epoch;
-    };
-    SiesProtocol protocol(params, std::move(keys), network.topology(),
-                          values);
-    protocol.SetThreadPool(&pool);
+    fx.network.SetThreadPool(&pool);
+    fx.scheduler.SetThreadPool(&pool);
     for (uint64_t epoch = 1; epoch <= 4; ++epoch) {
-      auto report = network.RunEpoch(protocol, epoch);
+      auto report = fx.network.RunEpoch(fx.scheduler, epoch);
       if (!report.ok()) {
         // Losses can starve the querier of a final payload; that must
         // happen identically for every thread count.
-        results.push_back({epoch, -1.0, false, network.lost_messages(), 0});
+        results.push_back(
+            {epoch, -1.0, false, fx.network.lost_messages(), 0});
         continue;
       }
       const net::EpochReport& r = report.value();
       results.push_back({epoch, r.outcome.value, r.outcome.verified,
-                         network.lost_messages(),
+                         fx.network.lost_messages(),
                          r.source_to_aggregator.bytes});
     }
     return results;

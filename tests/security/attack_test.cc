@@ -8,10 +8,13 @@
 #include "runner/runner.h"
 #include "sies/message_format.h"
 #include "sies/query.h"
+#include "support/sies_fixture.h"
 #include "telemetry/audit.h"
 
 namespace sies::runner {
 namespace {
+
+using testutil::SiesFixture;
 
 // Width of an envelope's contributor field: everything before the
 // trailing PSR (0 for a lossless envelope).
@@ -19,38 +22,12 @@ size_t FieldBytes(const core::Params& params, const Bytes& envelope) {
   return envelope.size() - params.PsrBytes();
 }
 
-// Builds a ready-to-run SIES network with protocol + trace.
-struct SiesFixture {
-  explicit SiesFixture(uint32_t n = 16, uint32_t fanout = 4,
-                       uint64_t seed = 21)
-      : network(net::Topology::BuildCompleteTree(n, fanout).value()),
-        params(core::MakeParams(n, seed).value()),
-        keys(core::GenerateKeys(params, EncodeUint64(seed))),
-        trace([&] {
-          workload::TraceConfig c;
-          c.num_sources = n;
-          c.seed = seed;
-          return workload::TraceGenerator(c);
-        }()),
-        protocol(params, keys, network.topology(),
-                 [this](uint32_t index, uint64_t epoch) {
-                   return trace.ValueAt(index, epoch);
-                 }) {}
-
-  net::Network network;
-  core::Params params;
-  core::QuerierKeys keys;
-  workload::TraceGenerator trace;
-  SiesProtocol protocol;
-};
-
 TEST(SiesAttackTest, HonestRunsVerifyAndAreExact) {
   SiesFixture fx;
   for (uint64_t epoch = 1; epoch <= 5; ++epoch) {
-    auto report = fx.network.RunEpoch(fx.protocol, epoch).value();
+    auto report = fx.network.RunEpoch(fx.scheduler, epoch).value();
     EXPECT_TRUE(report.outcome.verified) << "epoch " << epoch;
-    EXPECT_EQ(report.outcome.value,
-              static_cast<double>(Snapshot(fx.trace, epoch).exact_sum));
+    EXPECT_EQ(report.outcome.value, fx.ExactSum(epoch));
   }
 }
 
@@ -62,7 +39,7 @@ TEST(SiesAttackTest, BitFlipOnAnyEdgeDetected) {
        target += 3) {
     net::BitFlipAdversary adv(target, /*bit_index=*/100);
     fx.network.SetAdversary(&adv);
-    auto report = fx.network.RunEpoch(fx.protocol, 50 + target);
+    auto report = fx.network.RunEpoch(fx.scheduler, 50 + target);
     if (!report.ok()) continue;  // non-residue PSR rejected: also detected
     if (adv.tampered_count() == 0) continue;
     EXPECT_FALSE(report.value().outcome.verified)
@@ -76,9 +53,9 @@ TEST(SiesAttackTest, ReplayAttackDetected) {
   SiesFixture fx;
   net::ReplayAdversary adv(/*capture_epoch=*/1);
   fx.network.SetAdversary(&adv);
-  auto captured = fx.network.RunEpoch(fx.protocol, 1).value();
+  auto captured = fx.network.RunEpoch(fx.scheduler, 1).value();
   EXPECT_TRUE(captured.outcome.verified);
-  auto replayed = fx.network.RunEpoch(fx.protocol, 2).value();
+  auto replayed = fx.network.RunEpoch(fx.scheduler, 2).value();
   EXPECT_GT(adv.replayed_count(), 0u);
   EXPECT_FALSE(replayed.outcome.verified) << "replay accepted as fresh";
 }
@@ -94,18 +71,15 @@ TEST(SiesAttackTest, DroppedContributionIsReportedNeverSilent) {
   net::NodeId victim = fx.network.topology().sources()[5];
   net::DropAdversary adv(victim);
   fx.network.SetAdversary(&adv);
-  auto report = fx.network.RunEpoch(fx.protocol, 3).value();
+  auto report = fx.network.RunEpoch(fx.scheduler, 3).value();
   EXPECT_EQ(adv.dropped_count(), 1u);
   EXPECT_TRUE(report.outcome.verified);
   EXPECT_LT(report.coverage, 1.0);
   EXPECT_EQ(report.contributing_sources, 15u);
-  uint64_t partial = 0;
   for (net::NodeId node : report.outcome.contributors) {
     EXPECT_NE(node, victim);
-    partial +=
-        fx.trace.ValueAt(fx.network.topology().SourceIndex(node).value(), 3);
   }
-  EXPECT_EQ(report.outcome.value, static_cast<double>(partial));
+  EXPECT_EQ(report.outcome.value, fx.ExactSum(report.outcome.contributors, 3));
 }
 
 TEST(SiesAttackTest, DropPlusContributorForgeryDetected) {
@@ -131,7 +105,7 @@ TEST(SiesAttackTest, DropPlusContributorForgeryDetected) {
       return true;
     });
     fx.network.SetAdversary(&adv);
-    auto report = fx.network.RunEpoch(fx.protocol, 3);
+    auto report = fx.network.RunEpoch(fx.scheduler, 3);
     if (strip) {
       ASSERT_TRUE(report.ok()) << report.status().ToString();
       EXPECT_FALSE(report.value().outcome.verified);
@@ -159,7 +133,7 @@ TEST(SiesAttackTest, InjectedContributionDetected) {
     return true;
   });
   fx.network.SetAdversary(&adv);
-  auto report = fx.network.RunEpoch(fx.protocol, 4).value();
+  auto report = fx.network.RunEpoch(fx.scheduler, 4).value();
   EXPECT_FALSE(report.outcome.verified);
 }
 
@@ -182,7 +156,7 @@ TEST(SiesAttackTest, ValueShiftAttackDetected) {
     return true;
   });
   fx.network.SetAdversary(&adv);
-  auto report = fx.network.RunEpoch(fx.protocol, 5).value();
+  auto report = fx.network.RunEpoch(fx.scheduler, 5).value();
   EXPECT_FALSE(report.outcome.verified);
 }
 
@@ -192,7 +166,7 @@ TEST(SiesAttackTest, ReportedFailureVerifiesWithoutVictim) {
   SiesFixture fx;
   net::NodeId victim = fx.network.topology().sources()[2];
   fx.network.FailSource(victim);
-  auto report = fx.network.RunEpoch(fx.protocol, 6).value();
+  auto report = fx.network.RunEpoch(fx.scheduler, 6).value();
   EXPECT_TRUE(report.outcome.verified);
 }
 
@@ -209,7 +183,7 @@ TEST(SiesAttackTest, RandomizedTamperSweep) {
         rng.NextBelow(fx.network.topology().num_nodes()));
     net::BitFlipAdversary adv(target, rng.NextBelow(256));
     fx.network.SetAdversary(&adv);
-    auto report = fx.network.RunEpoch(fx.protocol, 100 + trial);
+    auto report = fx.network.RunEpoch(fx.scheduler, 100 + trial);
     if (!report.ok()) {
       ++attacks;
       ++detected;  // malformed PSR rejected outright
@@ -240,7 +214,7 @@ TEST(SiesAttackTest, AuditTrailRecordsExactlyTheInjectedTampering) {
         rng.NextBelow(fx.network.topology().num_nodes()));
     net::BitFlipAdversary adv(target, rng.NextBelow(256));
     fx.network.SetAdversary(&adv);
-    (void)fx.network.RunEpoch(fx.protocol, 200 + trial);
+    (void)fx.network.RunEpoch(fx.scheduler, 200 + trial);
     injected += adv.tampered_count();
   }
   fx.network.SetAdversary(nullptr);
@@ -259,26 +233,19 @@ TEST(SiesLossTest, RadioLossYieldsVerifiedPartialsNeverWrongSums) {
   ASSERT_TRUE(fx.network.SetLossRate(0.15, 33).ok());
   int lossy_epochs = 0, clean_epochs = 0;
   for (uint64_t epoch = 1; epoch <= 25; ++epoch) {
-    auto report = fx.network.RunEpoch(fx.protocol, epoch);
+    auto report = fx.network.RunEpoch(fx.scheduler, epoch);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     const auto& r = report.value();
     if (!r.answered) continue;  // the final payload itself was lost
     EXPECT_TRUE(r.outcome.verified)
         << "loss misread as tampering at epoch " << epoch;
-    uint64_t partial = 0;
-    for (net::NodeId node : r.outcome.contributors) {
-      partial += fx.trace.ValueAt(
-          fx.network.topology().SourceIndex(node).value(), epoch);
-    }
-    EXPECT_EQ(r.outcome.value, static_cast<double>(partial));
+    EXPECT_EQ(r.outcome.value, fx.ExactSum(r.outcome.contributors, epoch));
     if (r.coverage < 1.0) {
       ++lossy_epochs;
-      EXPECT_LT(r.outcome.value,
-                static_cast<double>(Snapshot(fx.trace, epoch).exact_sum));
+      EXPECT_LT(r.outcome.value, fx.ExactSum(epoch));
     } else {
       ++clean_epochs;
-      EXPECT_EQ(r.outcome.value,
-                static_cast<double>(Snapshot(fx.trace, epoch).exact_sum));
+      EXPECT_EQ(r.outcome.value, fx.ExactSum(epoch));
     }
   }
   EXPECT_GT(lossy_epochs, 0) << "loss model produced no lossy epochs";
@@ -338,7 +305,7 @@ TEST(SiesContributorSetAttackTest, EditedAbsentListNeverVerifies) {
       return true;
     });
     fx.network.SetAdversary(&adv);
-    auto report = fx.network.RunEpoch(fx.protocol, 11);
+    auto report = fx.network.RunEpoch(fx.scheduler, 11);
     if (edit == SetEdit::kNone) {
       ASSERT_TRUE(report.ok()) << report.status().ToString();
       EXPECT_TRUE(report.value().outcome.verified);
@@ -369,7 +336,7 @@ TEST(SiesContributorSetAttackTest, FlippedBitmapBitNeverVerifies) {
       return true;
     });
     fx.network.SetAdversary(&adv);
-    auto report = fx.network.RunEpoch(fx.protocol, 12);
+    auto report = fx.network.RunEpoch(fx.scheduler, 12);
     EXPECT_TRUE(!report.ok() || !report.value().outcome.verified)
         << "bit " << bit;
   }
@@ -389,11 +356,11 @@ TEST(SiesContributorSetAttackTest, SwappedChildPayloadsNeverVerify) {
     for (size_t i = 0; i < topo.children(agg).size(); ++i) {
       slots.push_back(static_cast<int>(i) == lose
                           ? Bytes()
-                          : fx.protocol
+                          : fx.scheduler
                                 .SourceInitialize(topo.children(agg)[i], epoch)
                                 .value());
     }
-    return fx.protocol.AggregatorMerge(agg, epoch, slots).value();
+    return fx.scheduler.AggregatorMerge(agg, epoch, slots).value();
   };
   const std::span<const net::NodeId> kids = topo.children(topo.root());
   ASSERT_EQ(kids.size(), 4u);
@@ -402,9 +369,9 @@ TEST(SiesContributorSetAttackTest, SwappedChildPayloadsNeverVerify) {
     slots.push_back(subtree(kids[i], i == 0 ? 1 : -1));
   }
   auto evaluate = [&](const std::vector<Bytes>& root_slots) {
-    auto root = fx.protocol.AggregatorMerge(topo.root(), epoch, root_slots);
+    auto root = fx.scheduler.AggregatorMerge(topo.root(), epoch, root_slots);
     if (!root.ok()) return StatusOr<net::EvalOutcome>(root.status());
-    return fx.protocol.QuerierEvaluate(epoch, root.value(), {});
+    return fx.scheduler.QuerierEvaluate(epoch, root.value(), {});
   };
   auto honest = evaluate(slots);
   ASSERT_TRUE(honest.ok()) << honest.status().ToString();
@@ -430,22 +397,26 @@ TEST(SiesCompromisedSourceTest, OwnReadingLieIsAcceptedAsCorrect) {
   core::Source lying_source(params, 2,
                             core::KeysForSource(fx.keys, 2).value());
   // Emulate via the in-flight adversary replacing source 2's honest PSR
-  // with one the compromised node signed itself.
+  // with one the compromised node signed itself — under the epoch the
+  // engine salts its SUM channel with, as a real source would.
   net::NodeId victim_node = topology.sources()[2];
   net::CallbackAdversary adv([&](net::Message& msg) {
     if (msg.from == victim_node) {
-      msg.payload = lying_source.CreatePsr(99999, msg.epoch).value();
+      msg.payload =
+          lying_source
+              .CreatePsr(99999, core::SaltedEpoch(msg.epoch, fx.query.query_id,
+                                                  core::Channel::kSum))
+              .value();
     }
     return true;
   });
   fx.network.SetAdversary(&adv);
-  auto report = fx.network.RunEpoch(fx.protocol, 9).value();
+  auto report = fx.network.RunEpoch(fx.scheduler, 9).value();
   EXPECT_TRUE(report.outcome.verified)
       << "a compromised source's own-value lie is undetectable by design";
   uint64_t honest_sum = Snapshot(fx.trace, 9).exact_sum;
   uint64_t honest_v2 = fx.trace.ValueAt(2, 9);
-  EXPECT_EQ(report.outcome.value,
-            static_cast<double>(honest_sum - honest_v2 + 99999));
+  EXPECT_EQ(report.outcome.value, fx.Units(honest_sum - honest_v2 + 99999));
 }
 
 // ...but the compromised source must NOT be able to break the rest of
@@ -499,7 +470,7 @@ TEST(SiesCompromisedSourceTest, CannotDoubleCountItself) {
     return true;
   });
   fx.network.SetAdversary(&adv);
-  auto report = fx.network.RunEpoch(fx.protocol, 10).value();
+  auto report = fx.network.RunEpoch(fx.scheduler, 10).value();
   EXPECT_FALSE(report.outcome.verified);
 }
 

@@ -1,4 +1,4 @@
-#include "sies/session.h"
+#include "oracle/session.h"
 
 #include <gtest/gtest.h>
 

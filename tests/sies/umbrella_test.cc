@@ -13,11 +13,11 @@ TEST(UmbrellaTest, AllPublicTypesReachable) {
   // One mention of each public family proves the include set is right.
   core::Params params;
   core::Query query;
-  core::HistogramQuery histogram;
+  core::EpochOutcome outcome;
   core::ResultLog log;
   (void)params;
   (void)query;
-  (void)histogram;
+  (void)outcome;
   (void)log;
   EXPECT_TRUE(core::EpochClock::Create(1000, 0).ok());
 }

@@ -12,39 +12,15 @@
 #include <string>
 
 #include "net/adversary.h"
-#include "runner/runner.h"
+#include "support/sies_fixture.h"
 #include "telemetry/telemetry.h"
 
 namespace sies::runner {
 namespace {
 
-// Same shape as the attack_test fixture: a ready-to-run SIES network.
-struct SiesFixture {
-  explicit SiesFixture(uint32_t n = 16, uint32_t fanout = 4,
-                       uint64_t seed = 21)
-      : network(net::Topology::BuildCompleteTree(n, fanout).value()),
-        params(core::MakeParams(n, seed).value()),
-        keys(core::GenerateKeys(params, EncodeUint64(seed))),
-        trace([&] {
-          workload::TraceConfig c;
-          c.num_sources = n;
-          c.seed = seed;
-          return workload::TraceGenerator(c);
-        }()),
-        protocol(params, keys, network.topology(),
-                 [this](uint32_t index, uint64_t epoch) {
-                   return trace.ValueAt(index, epoch);
-                 }) {}
-
-  net::Network network;
-  core::Params params;
-  core::QuerierKeys keys;
-  workload::TraceGenerator trace;
-  SiesProtocol protocol;
-};
-
 using telemetry::AuditKind;
 using telemetry::AuditTrail;
+using testutil::SiesFixture;
 
 TEST(TelemetryIntegrationTest, AuditTrailMatchesInjectedTamperingExactly) {
   SiesFixture fx;
@@ -61,7 +37,7 @@ TEST(TelemetryIntegrationTest, AuditTrailMatchesInjectedTamperingExactly) {
        target += 3) {
     net::BitFlipAdversary adv(target, /*bit_index=*/100);
     fx.network.SetAdversary(&adv);
-    auto report = fx.network.RunEpoch(fx.protocol, 50 + target);
+    auto report = fx.network.RunEpoch(fx.scheduler, 50 + target);
     injected += adv.tampered_count();
     if (report.ok() && !report.value().outcome.verified) ++failed_epochs;
   }
@@ -94,7 +70,7 @@ TEST(TelemetryIntegrationTest, AdversaryDropsAreAttributedToTheVictim) {
   net::NodeId victim = fx.network.topology().sources()[5];
   net::DropAdversary adv(victim);
   fx.network.SetAdversary(&adv);
-  auto report = fx.network.RunEpoch(fx.protocol, 3).value();
+  auto report = fx.network.RunEpoch(fx.scheduler, 3).value();
   fx.network.SetAdversary(nullptr);
 
   // The contributor set turns the drop into a verified partial;
@@ -122,7 +98,7 @@ TEST(TelemetryIntegrationTest, RadioLossEventsMatchTheLossCounter) {
 
   ASSERT_TRUE(fx.network.SetLossRate(0.2, 33).ok());
   for (uint64_t epoch = 1; epoch <= 10; ++epoch) {
-    (void)fx.network.RunEpoch(fx.protocol, epoch);  // loss epochs may error
+    (void)fx.network.RunEpoch(fx.scheduler, epoch);  // loss epochs may error
   }
   EXPECT_GT(fx.network.lost_messages(), 0u);
   EXPECT_EQ(audit.CountOf(AuditKind::kRadioLoss), fx.network.lost_messages());
@@ -139,7 +115,7 @@ TEST(TelemetryIntegrationTest, DisabledAuditRecordsNothingUnderAttack) {
   net::BitFlipAdversary adv(fx.network.topology().sources()[0],
                             /*bit_index=*/100);
   fx.network.SetAdversary(&adv);
-  (void)fx.network.RunEpoch(fx.protocol, 7);
+  (void)fx.network.RunEpoch(fx.scheduler, 7);
   fx.network.SetAdversary(nullptr);
 
   EXPECT_GT(adv.tampered_count(), 0u);
@@ -161,7 +137,7 @@ TEST(TelemetryIntegrationTest, PhaseHistogramsCountEveryPhase) {
   uint64_t merge0 = merge_h->TotalCount();
   uint64_t eval0 = eval_h->TotalCount();
 
-  auto report = fx.network.RunEpoch(fx.protocol, 1).value();
+  auto report = fx.network.RunEpoch(fx.scheduler, 1).value();
   EXPECT_TRUE(report.outcome.verified);
 
   // 16 sources, a 4-ary complete tree (5 aggregators), one evaluation.
@@ -176,7 +152,7 @@ TEST(TelemetryIntegrationTest, TracerCapturesPhaseSpans) {
   tracer.Reset();
   tracer.Enable();
 
-  auto report = fx.network.RunEpoch(fx.protocol, 1).value();
+  auto report = fx.network.RunEpoch(fx.scheduler, 1).value();
   EXPECT_TRUE(report.outcome.verified);
   tracer.Disable();
 
