@@ -148,9 +148,11 @@ int RunComparison(bool smoke) {
   }
   const BigUint& p = params.prime;
 
-  BigUint gk = DeriveEpochGlobalKey(params, keys.global_key, 1);
-  BigUint sk = DeriveEpochSourceKey(params, keys.source_keys[0], 1);
-  BigUint ss = DeriveEpochShare(params, keys.source_keys[0], 1);
+  const sies::crypto::PrfKey global_key(keys.global_key);
+  const sies::crypto::PrfKey source_key(keys.source_keys[0]);
+  BigUint gk = DeriveEpochGlobalKey(params, global_key, 1);
+  BigUint sk = DeriveEpochSourceKey(params, source_key, 1);
+  BigUint ss = DeriveEpochShare(params, source_key, 1);
   BigUint msg = PackMessage(params, 2345, ss).value();
   BigUint ct = Encrypt(params, msg, gk, sk).value();
   BigUint gk_inv = BigUint::ModInverse(gk, p).value();

@@ -71,6 +71,8 @@ int main() {
   // --- 2. A greedy provider inflates the aggregate. ---
   std::printf("2) provider inflates the result by +10%% before billing:\n");
   const auto& p = params;
+  // The provider guesses the global key; its schedule is built once.
+  const crypto::PrfKey guessed_key(Bytes(20, 0));
   net::CallbackAdversary greedy([&](net::Message& msg) {
     if (msg.to != net::kQuerierId) return true;
     auto c = crypto::BigUint::FromBytes(msg.payload);
@@ -79,7 +81,7 @@ int main() {
         crypto::BigUint(kN * 250ull), p.ValueShiftBits());
     c = crypto::BigUint::ModAdd(
             c, crypto::BigUint::ModMul(
-                   core::DeriveEpochGlobalKey(p, Bytes(20, 0), msg.epoch),
+                   core::DeriveEpochGlobalKey(p, guessed_key, msg.epoch),
                    forged, p.prime)
                    .value(),
             p.prime)

@@ -11,8 +11,10 @@ without leaking timing) across src/. Three rules:
                differing byte/limb through timing.
 
   secret-log   Key-material identifiers (global/source keys, k_i, K_t,
-               ss_*, seeds, derived MAC keys, DRBG state) must not flow
-               into logging or telemetry sinks (SIES_LOG streams, the
+               ss_*, seeds, derived MAC keys, DRBG state, key schedules
+               -- crypto::PrfKey, whose chaining values are
+               key-equivalent) must not flow into logging or telemetry
+               sinks (SIES_LOG streams, the
                AuditTrail, ToHex inside a sink expression). The audit
                trail records WHY verification failed, never WITH WHAT
                key.
@@ -23,9 +25,10 @@ without leaking timing) across src/. Three rules:
                explicitly wiped (SecureWipe/SecureZero/.Wipe()) in the
                same file before it can be flagged clean. The
                output-buffer derivations (the heap-free PRFs
-               HmacSha*Into / EpochPrfSha*Into and the batch kernels
-               HmacSha256Batch / HmacSha256x8 / EpochPrfSha256Batch) are
-               covered too: a locally declared buffer passed as their
+               HmacSha*Into / EpochPrfSha*Into, raw-key or
+               schedule-keyed, their pinned-body forms HmacSha*With, and
+               the batch kernels HmacSha256Batch / HmacSha256x8 /
+               EpochPrfSha256Batch / PrfSha256Batch) are covered too: a locally declared buffer passed as their
                output must be SecureZero'd in the same file — a stack
                digest is a derived key, and 8-lane staging arrays hold
                eight keys' worth at once. So is every HMAC pad: a local
@@ -69,7 +72,7 @@ SECRET_ID_RE = re.compile(
     r"\w*_key\b|key_\w*|\bkey\b|global_key\w*|source_key\w*|mac_key\w*|"
     r"chain_key\w*|seed_key\w*|\w*secret\w*|\bseed\w*|master_seed\w*|"
     r"k_i\w*|K_t\w*|ss_\w*|\bshares?\b|share_sum\w*|\w*drbg\w*|"
-    r"inflation_key\w*"
+    r"inflation_key\w*|PrfKey\w*|\w*prf_keys?\b|\bschedules?\b"
     r")($|[^\w])"
 )
 SECRET_FALSE_POSITIVE_RE = re.compile(
@@ -90,7 +93,7 @@ SINK_START_RE = re.compile(
 DERIVATION_RE = re.compile(
     r"\b(HmacSha1|HmacSha256|EpochPrfSha1|EpochPrfSha256|DeriveMacKey|"
     r"DeriveTemporalSeed|HmacSha256Batch|HmacSha256x8|"
-    r"EpochPrfSha256Batch)\s*\(|\b\w+\.Generate\s*\("
+    r"EpochPrfSha256Batch|PrfSha256Batch)\s*\(|\b\w+\.Generate\s*\("
 )
 
 # Output-buffer derivations (heap-free PRFs and batch kernels): the final
@@ -98,7 +101,8 @@ DERIVATION_RE = re.compile(
 # local staging buffer passed there must be wiped in the same file.
 BATCH_DERIVATION_RE = re.compile(
     r"\b(HmacSha256Batch|HmacSha256x8|EpochPrfSha256Batch|"
-    r"HmacSha256BatchWithKernel|HmacSha1Into|HmacSha256Into|"
+    r"HmacSha256BatchWithKernel|PrfSha256Batch|PrfSha256BatchWithKernel|"
+    r"HmacSha1Into|HmacSha256Into|HmacSha1With|HmacSha256With|"
     r"EpochPrfSha1Into|EpochPrfSha256Into)\s*\("
 )
 # HMAC pad construction: key bytes XOR the ipad/opad constants, written
@@ -114,7 +118,7 @@ PAD_TARGET_RES = (
 # `ByteView(buf, n)` is a temporary, not a parameter) — used to skip
 # prototypes.
 TYPE_TOKEN_RE = re.compile(
-    r"\b(?:const|ByteView|uint8_t|uint64_t|size_t)\b[\s*&]+\w+")
+    r"\b(?:const|ByteView|PrfKey|uint8_t|uint64_t|size_t)\b[\s*&]+\w+")
 # A local declaration, not a parameter: arrays must end in `;`, `=` or an
 # aggregate initializer (a `uint8_t out[32]` parameter ends in `,`/`)`).
 LOCAL_BUF_FMT = (

@@ -1,7 +1,7 @@
 #include "cmt/cmt.h"
 
 #include "common/rng.h"
-#include "crypto/hmac.h"
+#include "common/secure.h"
 #include "crypto/hmac_drbg.h"
 
 namespace sies::cmt {
@@ -37,11 +37,27 @@ QuerierKeys GenerateKeys(const Params& params, const Bytes& master_seed) {
   return keys;
 }
 
-crypto::BigUint DeriveEpochKey(const Params& params, const Bytes& source_key,
+crypto::BigUint DeriveEpochKey(const Params& params,
+                               const crypto::PrfKey& source_key,
                                uint64_t epoch) {
-  crypto::BigUint k =
-      crypto::BigUint::FromBytes(crypto::EpochPrfSha1(source_key, epoch));
-  return crypto::BigUint::Mod(k, params.modulus).value();
+  uint8_t prf[20];
+  crypto::EpochPrfSha1Into(source_key, epoch, prf);
+  crypto::BigUint raw = crypto::BigUint::FromBytes(prf, sizeof(prf));
+  common::SecureZero(prf, sizeof(prf));
+  crypto::BigUint k = crypto::BigUint::Mod(raw, params.modulus).value();
+  raw.Wipe();
+  return k;
+}
+
+Source::Source(Params params, Bytes source_key)
+    : params_(std::move(params)), key_(source_key) {
+  SecureWipe(source_key);
+}
+
+Querier::Querier(Params params, QuerierKeys keys)
+    : params_(std::move(params)),
+      source_keys_(crypto::ScheduleKeys(keys.source_keys)) {
+  for (Bytes& key : keys.source_keys) SecureWipe(key);
 }
 
 StatusOr<Bytes> Source::CreateCiphertext(uint64_t value,
@@ -80,12 +96,12 @@ StatusOr<uint64_t> Querier::Decrypt(
   crypto::BigUint sum = crypto::BigUint::FromBytes(final_ciphertext);
   crypto::BigUint key_sum;
   for (uint32_t index : participating) {
-    if (index >= keys_.source_keys.size()) {
+    if (index >= source_keys_.size()) {
       return Status::NotFound("participating index out of range");
     }
     key_sum = crypto::BigUint::ModAdd(
                   key_sum,
-                  DeriveEpochKey(params_, keys_.source_keys[index], epoch),
+                  DeriveEpochKey(params_, source_keys_[index], epoch),
                   params_.modulus)
                   .value();
   }

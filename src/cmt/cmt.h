@@ -18,6 +18,7 @@
 #include "common/bytes.h"
 #include "common/status.h"
 #include "crypto/biguint.h"
+#include "crypto/hmac.h"
 
 namespace sies::cmt {
 
@@ -43,22 +44,26 @@ struct QuerierKeys {
 /// Derives all long-term 20-byte keys from a master seed.
 QuerierKeys GenerateKeys(const Params& params, const Bytes& master_seed);
 
-/// k_{i,t} = HM1(k_i, t) reduced mod n.
-crypto::BigUint DeriveEpochKey(const Params& params, const Bytes& source_key,
+/// k_{i,t} = HM1(k_i, t) reduced mod n, from the schedule of k_i (the
+/// same two-compression PRF the SIES parties run, so the Fig. 4-6
+/// comparison stays like for like).
+crypto::BigUint DeriveEpochKey(const Params& params,
+                               const crypto::PrfKey& source_key,
                                uint64_t epoch);
 
-/// A CMT source: encrypts v as v + k_{i,t} mod n.
+/// A CMT source: encrypts v as v + k_{i,t} mod n. Holds k_i only as its
+/// schedule.
 class Source {
  public:
-  Source(Params params, Bytes source_key)
-      : params_(std::move(params)), key_(std::move(source_key)) {}
+  /// Schedules `source_key` and wipes the raw bytes.
+  Source(Params params, Bytes source_key);
 
   /// Produces the epoch-`epoch` ciphertext for `value`.
   StatusOr<Bytes> CreateCiphertext(uint64_t value, uint64_t epoch) const;
 
  private:
   Params params_;
-  Bytes key_;
+  crypto::PrfKey key_;
 };
 
 /// A CMT aggregator: modular addition of children ciphertexts.
@@ -74,10 +79,11 @@ class Aggregator {
 };
 
 /// The CMT querier: decrypts the aggregate by subtracting all epoch keys.
+/// Holds every k_i only as its schedule.
 class Querier {
  public:
-  Querier(Params params, QuerierKeys keys)
-      : params_(std::move(params)), keys_(std::move(keys)) {}
+  /// Schedules every key and wipes the raw bytes in `keys`.
+  Querier(Params params, QuerierKeys keys);
 
   /// Recovers Σ v_i from the final ciphertext. There is no verification:
   /// whatever decrypts is accepted (the scheme's documented weakness).
@@ -87,7 +93,7 @@ class Querier {
 
  private:
   Params params_;
-  QuerierKeys keys_;
+  std::vector<crypto::PrfKey> source_keys_;
 };
 
 }  // namespace sies::cmt

@@ -15,14 +15,21 @@
 #define SIES_COMMON_SECURE_H_
 
 #include <cstddef>
+#include <cstring>
 
 namespace sies::common {
 
 /// Overwrites `len` bytes at `data` with zeros at memset speed. A
 /// compiler barrier after the memset (the OPENSSL_cleanse pattern) makes
 /// the store observable, so it survives even when the buffer is freed
-/// or goes out of scope immediately afterwards.
-void SecureZero(void* data, size_t len);
+/// or goes out of scope immediately afterwards: the asm claims to read
+/// the buffer through `data`. Inline, so a fixed-size wipe of a stack
+/// block compiles to a few stores.
+inline void SecureZero(void* data, size_t len) {
+  if (len == 0) return;
+  std::memset(data, 0, len);
+  __asm__ __volatile__("" : : "r"(data) : "memory");
+}
 
 }  // namespace sies::common
 

@@ -23,6 +23,20 @@ using CompressFn = void (*)(uint32_t* state, const uint8_t* blocks,
 
 constexpr size_t kBlockSize = 64;
 
+/// The longest tail that fits one final block with its padding (the
+/// 0x80 byte and the 8-byte length).
+constexpr size_t kMaxOneBlockTail = kBlockSize - 9;
+
+/// Pads the `len` (<= kMaxOneBlockTail) tail bytes already at the front
+/// of `block` into the final block of a `total_len`-byte message, in
+/// place.
+inline void PadOneBlock(uint8_t block[kBlockSize], size_t len,
+                        uint64_t total_len) {
+  block[len] = 0x80;
+  std::memset(block + len + 1, 0, kBlockSize - 8 - len - 1);
+  StoreBigEndian64(total_len * 8, block + kBlockSize - 8);
+}
+
 /// Absorbs the last `len` (< 64) message bytes at `tail` plus the
 /// padding of a `total_len`-byte message, in one pass over a stack
 /// block that is wiped before return (it may hold key-derived bytes).

@@ -19,62 +19,60 @@ namespace sies::crypto {
 
 namespace {
 
-// One lane of the 8-wide AVX2 run. A lane's padded message is
-// enumerated as a virtual block sequence without ever concatenating it:
+// One lane of the 8-wide AVX2 run. A lane starts from a given chaining
+// state (the SHA-256 initial value, or an HMAC chaining value of a
+// crypto::PrfKey) and enumerates its blocks without ever concatenating
+// them:
 //
-//   [prefix?] [msg full blocks...] [tail: remainder + 0x80 pad + length]
+//   [msg full blocks...] [tail: remainder + 0x80 pad + length]
 //
-// `prefix` is the HMAC ipad/opad block (exactly 64 bytes when set); the
-// tail holds the final 1-2 blocks of FIPS 180-4 padding, with the bit
-// length covering prefix + message. Lanes in one run may have different
-// block counts; a lane past its end is inactive and its state is left
-// untouched (blend mask), so every digest is independent of its
+// The tail holds the final 1-2 blocks of FIPS 180-4 padding, with the
+// bit length covering the `prefix_len` bytes the start state already
+// absorbed plus the message. A raw lane (a key schedule step) has no
+// tail: it compresses its one block as is. Lanes in one run may have
+// different block counts; a lane past its end is inactive and its state
+// is left untouched (blend mask), so every digest is independent of its
 // co-scheduled lanes.
 struct Lane {
   const uint8_t* msg = nullptr;
-  size_t msg_len = 0;
-  const uint8_t* prefix = nullptr;
   size_t full_blocks = 0;
   size_t total_blocks = 0;
   uint32_t state[8];
   uint8_t tail[128];
 };
 
-void InitLane(Lane* ln, const uint8_t* prefix, const uint8_t* msg,
-              size_t len) {
-  ln->prefix = prefix;
+void InitLane(Lane* ln, const uint32_t start[8], uint64_t prefix_len,
+              const uint8_t* msg, size_t len) {
   ln->msg = msg;
-  ln->msg_len = len;
-  for (int j = 0; j < 8; ++j) ln->state[j] = sha256_internal::kInitState[j];
-  const size_t prefix_blocks = prefix != nullptr ? 1 : 0;
+  std::memcpy(ln->state, start, sizeof(ln->state));
   ln->full_blocks = len / 64;
   const size_t rem = len % 64;
   std::memset(ln->tail, 0, sizeof(ln->tail));
   if (rem > 0) std::memcpy(ln->tail, msg + 64 * ln->full_blocks, rem);
   ln->tail[rem] = 0x80;
   const size_t tail_blocks = rem <= 55 ? 1 : 2;
-  StoreBigEndian64((64 * prefix_blocks + len) * 8,
-                   ln->tail + 64 * tail_blocks - 8);
-  ln->total_blocks = prefix_blocks + ln->full_blocks + tail_blocks;
+  StoreBigEndian64((prefix_len + len) * 8, ln->tail + 64 * tail_blocks - 8);
+  ln->total_blocks = ln->full_blocks + tail_blocks;
+}
+
+// One unpadded block from `start`: an HMAC key schedule step.
+void InitRawLane(Lane* ln, const uint32_t start[8], const uint8_t* block) {
+  ln->msg = block;
+  std::memcpy(ln->state, start, sizeof(ln->state));
+  ln->full_blocks = 1;
+  ln->total_blocks = 1;
 }
 
 // An idle lane is never compressed but its state is still loaded by the
 // SoA transpose, so it must be defined.
 void InitIdleLane(Lane* ln) {
   ln->msg = nullptr;
-  ln->msg_len = 0;
-  ln->prefix = nullptr;
   ln->full_blocks = 0;
   ln->total_blocks = 0;
   for (int j = 0; j < 8; ++j) ln->state[j] = sha256_internal::kInitState[j];
-  std::memset(ln->tail, 0, sizeof(ln->tail));
 }
 
 const uint8_t* BlockPtr(const Lane& ln, size_t b) {
-  if (ln.prefix != nullptr) {
-    if (b == 0) return ln.prefix;
-    --b;
-  }
   if (b < ln.full_blocks) return ln.msg + 64 * b;
   return ln.tail + 64 * (b - ln.full_blocks);
 }
@@ -288,56 +286,69 @@ void Sha256x8Impl(Sha256Kernel kernel, const ByteView msgs[8],
   }
   Lane lanes[8];
   for (int i = 0; i < 8; ++i) {
-    InitLane(&lanes[i], nullptr, msgs[i].data, msgs[i].len);
+    InitLane(&lanes[i], sha256_internal::kInitState.data(), 0, msgs[i].data,
+             msgs[i].len);
   }
   RunLanes(lanes);
   for (int i = 0; i < 8; ++i) ExtractDigest(lanes[i], out[i]);
   common::SecureZero(lanes, sizeof(lanes));
 }
 
-// One 8-wide AVX2 HMAC group with `nlanes` live pairs (trailing lanes
-// idle). Two lockstep passes: inner = H(ipad || msg), outer = H(opad ||
-// inner).
-void Hmac8(size_t nlanes, const ByteView* keys, const ByteView* msgs,
-           uint8_t* out) {
-  uint8_t pads[8][128];  // [i]: ipad block at +0, opad block at +64
+// One 8-wide AVX2 MAC group from HMAC-SHA256 chaining values, with
+// `nlanes` live lanes (trailing lanes idle). Two lockstep passes, one
+// block each for a message of at most 55 bytes: inner = H(ipad || msg)
+// from chains[i]->inner, tag = H(opad || inner) from chains[i]->outer.
+void Mac8(size_t nlanes, const HmacChain<8>* const chains[8],
+          const ByteView* msgs, uint8_t* out) {
   uint8_t inner[8][32];
+  Lane lanes[8];
+  for (size_t i = 0; i < 8; ++i) {
+    if (i < nlanes) {
+      InitLane(&lanes[i], chains[i]->inner, 64, msgs[i].data, msgs[i].len);
+    } else {
+      InitIdleLane(&lanes[i]);
+    }
+  }
+  RunLanes(lanes);
+  for (size_t i = 0; i < nlanes; ++i) ExtractDigest(lanes[i], inner[i]);
+
+  for (size_t i = 0; i < nlanes; ++i) {
+    InitLane(&lanes[i], chains[i]->outer, 64, inner[i], 32);
+  }
+  RunLanes(lanes);
+  for (size_t i = 0; i < nlanes; ++i) ExtractDigest(lanes[i], out + 32 * i);
+
+  common::SecureZero(inner, sizeof(inner));
+  common::SecureZero(lanes, sizeof(lanes));
+}
+
+// Schedules `nlanes` raw keys in 8-wide lanes (RFC 2104 §4): one
+// lockstep pass over the K0 ^ ipad blocks and one over K0 ^ opad, each
+// from the SHA-256 initial value.
+void Schedule8(size_t nlanes, const ByteView* keys, HmacChain<8> chains[8]) {
+  const uint32_t* init = sha256_internal::kInitState.data();
+  uint8_t pads[8][64];
   Lane lanes[8];
   for (size_t i = 0; i < 8; ++i) {
     if (i >= nlanes) {
       InitIdleLane(&lanes[i]);
       continue;
     }
-    uint8_t kblock[64] = {0};
-    if (keys[i].len > 64) {
-      Sha256 hasher;
-      hasher.Update(keys[i].data, keys[i].len);
-      hasher.Final(kblock);  // 32-byte digest, rest stays zero
-    } else if (keys[i].len > 0) {
-      std::memcpy(kblock, keys[i].data, keys[i].len);
-    }
-    for (size_t j = 0; j < 64; ++j) {
-      pads[i][j] = static_cast<uint8_t>(kblock[j] ^ 0x36);
-      pads[i][64 + j] = static_cast<uint8_t>(kblock[j] ^ 0x5c);
-    }
-    common::SecureZero(kblock, sizeof(kblock));
-    InitLane(&lanes[i], pads[i], msgs[i].data, msgs[i].len);
+    hmac_internal::Sha256KeyBlock(keys[i], pads[i]);
+    for (size_t j = 0; j < 64; ++j) pads[i][j] ^= 0x36;
+    InitRawLane(&lanes[i], init, pads[i]);
   }
   RunLanes(lanes);
-  for (size_t i = 0; i < nlanes; ++i) ExtractDigest(lanes[i], inner[i]);
-
-  for (size_t i = 0; i < 8; ++i) {
-    if (i < nlanes) {
-      InitLane(&lanes[i], pads[i] + 64, inner[i], 32);
-    } else {
-      InitIdleLane(&lanes[i]);
-    }
+  for (size_t i = 0; i < nlanes; ++i) {
+    std::memcpy(chains[i].inner, lanes[i].state, sizeof(chains[i].inner));
+    for (size_t j = 0; j < 64; ++j) pads[i][j] ^= 0x36 ^ 0x5c;
+    InitRawLane(&lanes[i], init, pads[i]);
   }
   RunLanes(lanes);
-  for (size_t i = 0; i < nlanes; ++i) ExtractDigest(lanes[i], out + 32 * i);
-
+  for (size_t i = 0; i < nlanes; ++i) {
+    std::memcpy(chains[i].outer, lanes[i].state, sizeof(chains[i].outer));
+  }
   common::SecureZero(pads, sizeof(pads));
-  common::SecureZero(inner, sizeof(inner));
   common::SecureZero(lanes, sizeof(lanes));
 }
 
@@ -351,9 +362,34 @@ void HmacBatchImpl(Sha256Kernel kernel, size_t n, const ByteView* keys,
     }
     return;
   }
+  HmacChain<8> chains[8];
+  const HmacChain<8>* lane_chains[8];
+  for (size_t i = 0; i < 8; ++i) lane_chains[i] = &chains[i];
   for (size_t off = 0; off < n; off += 8) {
     const size_t take = std::min<size_t>(8, n - off);
-    Hmac8(take, keys + off, msgs + off, out + 32 * off);
+    Schedule8(take, keys + off, chains);
+    Mac8(take, lane_chains, msgs + off, out + 32 * off);
+  }
+  common::SecureZero(chains, sizeof(chains));
+}
+
+void PrfBatchImpl(Sha256Kernel kernel, size_t n, const PrfKey* keys,
+                  ByteView msg, uint8_t* out) {
+  kernel = Resolve(kernel);
+  if (kernel != Sha256Kernel::kAvx2) {
+    const md_internal::CompressFn body = LaneBody(kernel);
+    for (size_t i = 0; i < n; ++i) {
+      hmac_internal::HmacSha256With(body, keys[i], msg, out + 32 * i);
+    }
+    return;
+  }
+  ByteView msgs[8];
+  for (ByteView& m : msgs) m = msg;
+  const HmacChain<8>* lane_chains[8];
+  for (size_t off = 0; off < n; off += 8) {
+    const size_t take = std::min<size_t>(8, n - off);
+    for (size_t i = 0; i < take; ++i) lane_chains[i] = &keys[off + i].sha256();
+    Mac8(take, lane_chains, msgs, out + 32 * off);
   }
 }
 
@@ -373,17 +409,16 @@ void HmacSha256Batch(size_t n, const ByteView* keys, const ByteView* msgs,
   HmacBatchImpl(Sha256Kernel::kAuto, n, keys, msgs, out);
 }
 
-void EpochPrfSha256Batch(size_t n, const ByteView* keys, uint64_t epoch,
+void PrfSha256Batch(size_t n, const PrfKey* keys, ByteView msg,
+                    uint8_t* out) {
+  PrfBatchImpl(Sha256Kernel::kAuto, n, keys, msg, out);
+}
+
+void EpochPrfSha256Batch(size_t n, const PrfKey* keys, uint64_t epoch,
                          uint8_t* out) {
   uint8_t enc[8];
   StoreBigEndian64(epoch, enc);
-  const ByteView epoch_view(enc, sizeof(enc));
-  ByteView msgs[8];
-  for (ByteView& m : msgs) m = epoch_view;
-  for (size_t off = 0; off < n; off += 8) {
-    const size_t take = std::min<size_t>(8, n - off);
-    HmacBatchImpl(Sha256Kernel::kAuto, take, keys + off, msgs, out + 32 * off);
-  }
+  PrfBatchImpl(Sha256Kernel::kAuto, n, keys, ByteView(enc, sizeof(enc)), out);
 }
 
 namespace sha256x8_internal {
@@ -414,6 +449,12 @@ void HmacSha256BatchWithKernel(Sha256Kernel kernel, size_t n,
                                const ByteView* keys, const ByteView* msgs,
                                uint8_t* out) {
   HmacBatchImpl(kernel, n, keys, msgs, out);
+}
+
+void PrfSha256BatchWithKernel(Sha256Kernel kernel, size_t n,
+                              const PrfKey* keys, ByteView msg,
+                              uint8_t* out) {
+  PrfBatchImpl(kernel, n, keys, msg, out);
 }
 
 }  // namespace sha256x8_internal

@@ -11,10 +11,15 @@
 //            sequential pass (for AVX2 hosts without SHA-NI)
 //   kScalar  one lane at a time through the portable compression body
 //
-// kShaNi and kScalar are the one-shot HMAC (crypto/hmac.h) per lane;
+// kShaNi and kScalar are the scalar HMAC (crypto/hmac.h) per lane;
 // the AVX2 transform performs the same FIPS 180-4 round schedule with
 // the lanes transposed. They are pinned against each other by
 // differential tests (tests/crypto/sha256x8_test.cc).
+//
+// The PRF batches take scheduled keys (crypto::PrfKey): every transform
+// starts each lane from the key's HMAC-SHA256 chaining values, so an
+// epoch PRF is two compressions per lane on all three. The raw-key
+// HMAC batch schedules its keys on the same transform first.
 //
 // AVX2 lanes may have different ("ragged") message lengths: each lane
 // keeps its own block count and an inactive lane's state is preserved
@@ -26,10 +31,10 @@
 // SIES_NATIVE environment variable can force the portable body. See
 // docs/PERFORMANCE.md for the policy.
 //
-// Secret hygiene: all lane state, padded key blocks, and inner digests
-// are zeroized (common::SecureZero) before the batch entry points
-// return; callers own `out` and must wipe it when the digests are key
-// material. Enforced by scripts/lint_secrets.py.
+// Secret hygiene: all lane state, padded key blocks, chaining values
+// and inner digests are zeroized (common::SecureZero) before the batch
+// entry points return; callers own `out` and must wipe it when the
+// digests are key material. Enforced by scripts/lint_secrets.py.
 #ifndef SIES_CRYPTO_SHA256X8_H_
 #define SIES_CRYPTO_SHA256X8_H_
 
@@ -37,7 +42,7 @@
 #include <cstdint>
 
 #include "common/bytes.h"
-#include "crypto/hmac.h"  // ByteView
+#include "crypto/hmac.h"  // ByteView, PrfKey
 
 namespace sies::crypto {
 
@@ -60,9 +65,16 @@ void HmacSha256x8(const ByteView keys[8], const ByteView msgs[8],
 void HmacSha256Batch(size_t n, const ByteView* keys, const ByteView* msgs,
                      uint8_t* out);
 
-/// HM256(keys[i], t) for `n` keys sharing one epoch `t` — the batched
-/// form of EpochPrfSha256 (crypto/hmac.h). Digest i at `out + 32 * i`.
-void EpochPrfSha256Batch(size_t n, const ByteView* keys, uint64_t epoch,
+/// HM256(keys[i], msg) for `n` scheduled keys sharing one message — the
+/// batched form of HmacSha256Into(const PrfKey&, ...). Digest i at
+/// `out + 32 * i`.
+void PrfSha256Batch(size_t n, const PrfKey* keys, ByteView msg,
+                    uint8_t* out);
+
+/// HM256(keys[i], t) for `n` scheduled keys sharing one epoch `t` — the
+/// batched form of EpochPrfSha256Into (crypto/hmac.h). Digest i at
+/// `out + 32 * i`.
+void EpochPrfSha256Batch(size_t n, const PrfKey* keys, uint64_t epoch,
                          uint8_t* out);
 
 namespace sha256x8_internal {
@@ -78,6 +90,9 @@ void Sha256x8WithKernel(Sha256Kernel kernel, const ByteView msgs[8],
 void HmacSha256BatchWithKernel(Sha256Kernel kernel, size_t n,
                                const ByteView* keys, const ByteView* msgs,
                                uint8_t* out);
+void PrfSha256BatchWithKernel(Sha256Kernel kernel, size_t n,
+                              const PrfKey* keys, ByteView msg,
+                              uint8_t* out);
 
 }  // namespace sha256x8_internal
 

@@ -1,5 +1,7 @@
 #include "engine/engine.h"
 
+#include <optional>
+
 #if defined(__GLIBC__)
 #include <malloc.h>
 #endif
@@ -13,6 +15,37 @@ namespace sies::engine {
 using core::Channel;
 
 namespace {
+
+// The engine's parameters with the fixed-width context already built,
+// so the aggregator, the querier and all N sources copy one shared
+// context (Params::Fp) instead of each building its own.
+core::Params WithFpContext(core::Params params) {
+  params.Fp();
+  return params;
+}
+
+// The N sources, sharing one K_t cache; each holds copies of the
+// schedules of K and of its own k_i.
+std::vector<core::Source> MakeSources(
+    const core::Params& params, const crypto::PrfKey& global_key,
+    const std::vector<crypto::PrfKey>& source_keys,
+    const std::shared_ptr<core::EpochKeyCache>& cache) {
+  std::vector<core::Source> sources;
+  sources.reserve(params.num_sources);
+  for (uint32_t i = 0; i < params.num_sources; ++i) {
+    sources.emplace_back(params, i, global_key, source_keys[i]);
+    sources.back().SetEpochKeyCache(cache);
+  }
+  return sources;
+}
+
+// A stopwatch started only while the EpochTimeline records, so with the
+// timeline off the engine's data path reads no clock.
+std::optional<Stopwatch> StartIf(bool attribute) {
+  std::optional<Stopwatch> watch;
+  if (attribute) watch.emplace();
+  return watch;
+}
 
 const char* ChannelKindName(Channel kind) {
   switch (kind) {
@@ -30,23 +63,36 @@ const char* ChannelKindName(Channel kind) {
 
 MultiQueryEngine::MultiQueryEngine(core::Params params,
                                    core::QuerierKeys keys)
-    : params_(std::move(params)),
-      source_cache_(std::make_shared<core::EpochKeyCache>()),
-      aggregator_(params_),
-      querier_(params_, keys) {
-  sources_.reserve(params_.num_sources);
-  for (uint32_t i = 0; i < params_.num_sources; ++i) {
-    sources_.emplace_back(params_, i, core::KeysForSource(keys, i).value());
-    sources_.back().SetEpochKeyCache(source_cache_);
-  }
+    : MultiQueryEngine(WithFpContext(std::move(params)),
+                       crypto::PrfKey(keys.global_key),
+                       crypto::ScheduleKeys(keys.source_keys)) {
+  SecureWipe(keys.global_key);
+  for (Bytes& key : keys.source_keys) SecureWipe(key);
 }
 
+MultiQueryEngine::MultiQueryEngine(core::Params params,
+                                   const crypto::PrfKey& global_key,
+                                   std::vector<crypto::PrfKey> source_keys)
+    : params_(std::move(params)),
+      source_cache_(std::make_shared<core::EpochKeyCache>()),
+      sources_(MakeSources(params_, global_key, source_keys, source_cache_)),
+      aggregator_(params_),
+      querier_(params_, global_key, std::move(source_keys)) {}
+
 MultiQueryEngine::~MultiQueryEngine() {
-  if (!warmed_in_background_.load(std::memory_order_relaxed)) return;
+  // A teardown frees the engine's two big allocations at once: the
+  // querier's key tables and the N sources. glibc keeps freed memory
+  // resident in two places: below an arena's highest live chunk (key
+  // tables a prefetch thread derived sit in that thread's arena, and
+  // where its highest chunk lands differs from run to run: up to 1.2 MB
+  // at N=512), and at the top of the main heap up to twice the largest
+  // block it recently unmapped, which is typically the sources' own
+  // block. So the engine frees both here and returns the free pages;
+  // unlike free(), malloc_trim also releases whole pages below an
+  // arena's highest live chunk.
   querier_.ClearEpochKeyCache();
+  std::vector<core::Source>().swap(sources_);
 #if defined(__GLIBC__)
-  // Unlike free(), malloc_trim also returns the whole free pages below
-  // an arena's highest live chunk.
   malloc_trim(0);
 #endif
 }
@@ -114,7 +160,6 @@ std::vector<uint64_t> MultiQueryEngine::SaltedEpochsFor(
 
 void MultiQueryEngine::WarmSaltedEpochs(
     const std::vector<uint64_t>& salted) const {
-  warmed_in_background_.store(true, std::memory_order_relaxed);
   for (uint64_t s : salted) querier_.WarmEpoch(s, /*use_pool=*/false);
 }
 
@@ -136,7 +181,7 @@ StatusOr<Bytes> MultiQueryEngine::CreateSourcePayload(
   // (covered by the bench/telemetry_overhead guard).
   auto& timeline = telemetry::EpochTimeline::Global();
   const bool attribute = timeline.enabled();
-  Stopwatch phase_watch;
+  const std::optional<Stopwatch> phase_watch = StartIf(attribute);
   const size_t width = params_.PsrBytes();
   Bytes body(channels.size() * width);
   for (size_t i = 0; i < channels.size(); ++i) {
@@ -150,7 +195,7 @@ StatusOr<Bytes> MultiQueryEngine::CreateSourcePayload(
   }
   if (attribute) {
     timeline.RecordPhase(telemetry::EpochPhase::kPsrCreate,
-                         phase_watch.ElapsedSeconds());
+                         phase_watch->ElapsedSeconds());
   }
   return body;
 }
@@ -160,12 +205,12 @@ StatusOr<Bytes> MultiQueryEngine::Merge(
     const std::vector<Bytes>& children) const {
   auto& timeline = telemetry::EpochTimeline::Global();
   const bool attribute = timeline.enabled();
-  Stopwatch phase_watch;
+  const std::optional<Stopwatch> phase_watch = StartIf(attribute);
   auto merged = aggregator_.MergeWire(child_ranges, children,
                                       registry_.plan().Count());
   if (attribute) {
     timeline.RecordPhase(telemetry::EpochPhase::kTreeAggregate,
-                         phase_watch.ElapsedSeconds());
+                         phase_watch->ElapsedSeconds());
   }
   return merged;
 }
@@ -174,13 +219,13 @@ StatusOr<std::vector<QueryEpochOutcome>> MultiQueryEngine::Evaluate(
     const Bytes& final_payload, uint64_t epoch) const {
   auto& timeline = telemetry::EpochTimeline::Global();
   const bool attribute = timeline.enabled();
-  Stopwatch phase_watch;
+  std::optional<Stopwatch> phase_watch = StartIf(attribute);
   const auto& channels = registry_.plan().channels();
   auto parsed = core::ParseWireEnvelope(
       params_, {0, params_.num_sources}, final_payload, channels.size());
   if (attribute) {
     timeline.RecordPhase(telemetry::EpochPhase::kWireParse,
-                         phase_watch.ElapsedSeconds());
+                         phase_watch->ElapsedSeconds());
   }
   if (!parsed.ok()) return parsed.status();
   const Bytes& body = parsed.value().body;
@@ -199,7 +244,7 @@ StatusOr<std::vector<QueryEpochOutcome>> MultiQueryEngine::Evaluate(
   };
   std::vector<ChannelEval> evals(channels.size());
   auto eval_one = [&](size_t i) {
-    Stopwatch verify_watch;
+    const std::optional<Stopwatch> verify_watch = StartIf(attribute);
     auto eval =
         querier_.EvaluateSlice(body.data() + i * width, width,
                                channels[i].SaltedEpochFor(epoch),
@@ -222,7 +267,7 @@ StatusOr<std::vector<QueryEpochOutcome>> MultiQueryEngine::Evaluate(
             channels[i].spec.bucket->interval.level);
         sample.bucket_index = channels[i].spec.bucket->interval.index;
       }
-      sample.seconds = verify_watch.ElapsedSeconds();
+      sample.seconds = verify_watch->ElapsedSeconds();
       sample.verified = evals[i].verified;
       sample.tid = telemetry::Tracer::CurrentThreadId();
       timeline.RecordChannelVerify(sample);
@@ -236,13 +281,13 @@ StatusOr<std::vector<QueryEpochOutcome>> MultiQueryEngine::Evaluate(
     // attribution on, the warm-up also runs in serial mode so that key
     // derivation lands in its own phase instead of inflating the first
     // channel's verify sample.
-    phase_watch.Restart();
+    phase_watch = StartIf(attribute);
     for (size_t i = 0; i < channels.size(); ++i) {
       querier_.WarmEpoch(channels[i].SaltedEpochFor(epoch));
     }
     if (attribute) {
       timeline.RecordPhase(telemetry::EpochPhase::kKeyDerive,
-                           phase_watch.ElapsedSeconds());
+                           phase_watch->ElapsedSeconds());
     }
   }
   if (pool_ != nullptr) {
@@ -256,7 +301,7 @@ StatusOr<std::vector<QueryEpochOutcome>> MultiQueryEngine::Evaluate(
 
   // Assemble per-query outcomes from the shared channel sums. A
   // corrupted channel poisons only the queries whose plan includes it.
-  phase_watch.Restart();
+  phase_watch = StartIf(attribute);
   std::vector<QueryEpochOutcome> outcomes;
   outcomes.reserve(registry_.active().size());
   for (const ActiveQuery& aq : registry_.active()) {
@@ -293,7 +338,7 @@ StatusOr<std::vector<QueryEpochOutcome>> MultiQueryEngine::Evaluate(
   }
   if (attribute) {
     timeline.RecordPhase(telemetry::EpochPhase::kAssemble,
-                         phase_watch.ElapsedSeconds());
+                         phase_watch->ElapsedSeconds());
   }
   return outcomes;
 }

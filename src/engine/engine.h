@@ -25,7 +25,6 @@
 #ifndef SIES_ENGINE_ENGINE_H_
 #define SIES_ENGINE_ENGINE_H_
 
-#include <atomic>
 #include <memory>
 #include <vector>
 
@@ -46,11 +45,13 @@ struct QueryEpochOutcome {
 class MultiQueryEngine {
  public:
   /// Holds all parties of a simulated deployment: N sources (sharing
-  /// one epoch-key cache), one aggregator, one querier.
+  /// one epoch-key cache), one aggregator, one querier. Each long-term
+  /// key is scheduled once (crypto::PrfKey) and the raw bytes in `keys`
+  /// are wiped; every source holds its own copy of the schedules of K
+  /// and of its k_i, and the parties share one fixed-width context.
   MultiQueryEngine(core::Params params, core::QuerierKeys keys);
-  /// Once WarmSaltedEpochs has run, frees the querier's key tables and
-  /// returns the heap pages they held to the OS (see
-  /// warmed_in_background_).
+  /// Frees the querier's key tables and the N sources, then returns the
+  /// free heap pages to the OS (see the definition).
   ~MultiQueryEngine();
 
   /// Registers `query` starting at `epoch` (see QueryRegistry::Admit).
@@ -134,6 +135,10 @@ class MultiQueryEngine {
   /// two real epochs' working sets plus mid-epoch admission headroom.
   void ReserveCaches();
 
+  /// The public constructor over the schedules it built.
+  MultiQueryEngine(core::Params params, const crypto::PrfKey& global_key,
+                   std::vector<crypto::PrfKey> source_keys);
+
   core::Params params_;
   QueryRegistry registry_;
   std::shared_ptr<core::EpochKeyCache> source_cache_;
@@ -141,14 +146,6 @@ class MultiQueryEngine {
   core::Aggregator aggregator_;
   core::Querier querier_;
   common::ThreadPool* pool_ = nullptr;
-  /// Set by WarmSaltedEpochs. A prefetch thread then derived most of
-  /// the querier's key tables, so they sit in that thread's malloc
-  /// arena, which the run thread never allocates from. free() returns
-  /// such an arena's pages only above its highest live chunk, and where
-  /// that chunk lands differs from run to run, so without the release
-  /// the memory a teardown leaves resident differs by up to 1.2 MB
-  /// between runs at N=512.
-  mutable std::atomic<bool> warmed_in_background_{false};
 };
 
 }  // namespace sies::engine

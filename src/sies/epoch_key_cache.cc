@@ -73,7 +73,7 @@ size_t EpochKeyCache::capacity() const {
 }
 
 std::shared_ptr<const EpochKeyCache::GlobalEntry> EpochKeyCache::Global(
-    const Params& params, const Bytes& global_key, uint64_t epoch) {
+    const Params& params, const crypto::PrfKey& global_key, uint64_t epoch) {
   static telemetry::Counter* hits = CacheCounter("global", "hit");
   static telemetry::Counter* misses = CacheCounter("global", "miss");
   {
@@ -108,8 +108,8 @@ std::shared_ptr<const EpochKeyCache::GlobalEntry> EpochKeyCache::Global(
 }
 
 std::shared_ptr<const EpochKeyCache::SourceEntry> EpochKeyCache::Sources(
-    const Params& params, const std::vector<Bytes>& keys, uint64_t epoch,
-    common::ThreadPool* pool) {
+    const Params& params, const std::vector<crypto::PrfKey>& keys,
+    uint64_t epoch, common::ThreadPool* pool) {
   static telemetry::Counter* hits = CacheCounter("sources", "hit");
   static telemetry::Counter* misses = CacheCounter("sources", "miss");
   {
@@ -153,17 +153,17 @@ std::shared_ptr<const EpochKeyCache::SourceEntry> EpochKeyCache::Sources(
     const size_t begin = g * kGroup;
     const size_t count = std::min(kGroup, n - begin);
     if (fp != nullptr) {
-      DeriveEpochSourceKeysFpBatch(*fp, keys, begin, count, epoch,
+      DeriveEpochSourceKeysFpBatch(*fp, keys.data() + begin, count, epoch,
                                    entry->keys_fp.data() + begin);
       // HM1 shares are SHA-1: one heap-free HMAC each, no batch form.
       for (size_t i = begin; i < begin + count; ++i) {
         entry->shares_fp[i] = DeriveEpochShareFp(keys[i], epoch);
       }
     } else {
-      DeriveEpochSourceKeysBatch(params, keys, begin, count, epoch,
+      DeriveEpochSourceKeysBatch(params, keys.data() + begin, count, epoch,
                                  entry->keys.data() + begin);
       if (params.share_prf == SharePrf::kHmacSha256) {
-        DeriveEpochSharesHm256Batch(keys, begin, count, epoch,
+        DeriveEpochSharesHm256Batch(keys.data() + begin, count, epoch,
                                     entry->shares.data() + begin);
       } else {
         for (size_t i = begin; i < begin + count; ++i) {

@@ -74,18 +74,19 @@ class EpochKeyCache {
     }
   };
 
-  /// K_t and K_t^{-1} for `epoch`, derived (and memoized) on first use.
+  /// K_t and K_t^{-1} for `epoch`, derived (and memoized) on first use
+  /// from the schedule of K.
   std::shared_ptr<const GlobalEntry> Global(const Params& params,
-                                            const Bytes& global_key,
+                                            const crypto::PrfKey& global_key,
                                             uint64_t epoch);
 
-  /// All sources' k_{i,t} / ss_{i,t} for `epoch`, derived once. `pool`
-  /// (optional) fans the N derivations out across lanes; the result is
-  /// identical for any thread count since every index writes its own slot.
-  std::shared_ptr<const SourceEntry> Sources(const Params& params,
-                                             const std::vector<Bytes>& keys,
-                                             uint64_t epoch,
-                                             common::ThreadPool* pool);
+  /// All sources' k_{i,t} / ss_{i,t} for `epoch`, derived once from the
+  /// schedules of k_i. `pool` (optional) fans the N derivations out
+  /// across lanes; the result is identical for any thread count since
+  /// every index writes its own slot.
+  std::shared_ptr<const SourceEntry> Sources(
+      const Params& params, const std::vector<crypto::PrfKey>& keys,
+      uint64_t epoch, common::ThreadPool* pool);
 
   /// Drops every entry (benchmarks use this to measure cold evaluations).
   /// Hit/miss statistics survive — they describe lookups, not contents.

@@ -122,7 +122,7 @@ void ShareInput(uint64_t epoch, uint8_t out[kShareInputBytes]) {
 }  // namespace
 
 crypto::BigUint DeriveEpochGlobalKey(const Params& params,
-                                     const Bytes& global_key,
+                                     const crypto::PrfKey& global_key,
                                      uint64_t epoch) {
   // HM256(K, t) mod p is the k_{i,t} derivation applied to K.
   crypto::BigUint k = DeriveEpochSourceKey(params, global_key, epoch);
@@ -131,7 +131,7 @@ crypto::BigUint DeriveEpochGlobalKey(const Params& params,
 }
 
 crypto::BigUint DeriveEpochSourceKey(const Params& params,
-                                     const Bytes& source_key,
+                                     const crypto::PrfKey& source_key,
                                      uint64_t epoch) {
   uint8_t prf[32];
   crypto::EpochPrfSha256Into(source_key, epoch, prf);
@@ -143,7 +143,8 @@ crypto::BigUint DeriveEpochSourceKey(const Params& params,
 }
 
 crypto::BigUint DeriveEpochShare(const Params& params,
-                                 const Bytes& source_key, uint64_t epoch) {
+                                 const crypto::PrfKey& source_key,
+                                 uint64_t epoch) {
   if (params.share_prf == SharePrf::kHmacSha1) {
     return DeriveEpochShare(source_key, epoch);
   }
@@ -157,7 +158,8 @@ crypto::BigUint DeriveEpochShare(const Params& params,
   return share;
 }
 
-crypto::BigUint DeriveEpochShare(const Bytes& source_key, uint64_t epoch) {
+crypto::BigUint DeriveEpochShare(const crypto::PrfKey& source_key,
+                                 uint64_t epoch) {
   uint8_t prf[20];
   crypto::EpochPrfSha1Into(source_key, epoch, prf);
   crypto::BigUint share = crypto::BigUint::FromBytes(prf, sizeof(prf));
@@ -166,7 +168,8 @@ crypto::BigUint DeriveEpochShare(const Bytes& source_key, uint64_t epoch) {
 }
 
 crypto::U256 DeriveEpochGlobalKeyFp(const crypto::Fp256& fp,
-                                    const Bytes& global_key, uint64_t epoch) {
+                                    const crypto::PrfKey& global_key,
+                                    uint64_t epoch) {
   // HM256(K, t) mod p is the k_{i,t} derivation applied to K.
   crypto::U256 k = DeriveEpochSourceKeyFp(fp, global_key, epoch);
   if (k.IsZero()) k = crypto::U256::FromUint64(1);  // K_t must be invertible
@@ -174,7 +177,8 @@ crypto::U256 DeriveEpochGlobalKeyFp(const crypto::Fp256& fp,
 }
 
 crypto::U256 DeriveEpochSourceKeyFp(const crypto::Fp256& fp,
-                                    const Bytes& source_key, uint64_t epoch) {
+                                    const crypto::PrfKey& source_key,
+                                    uint64_t epoch) {
   uint8_t prf[32];
   crypto::EpochPrfSha256Into(source_key, epoch, prf);
   crypto::U256 k = fp.Reduce(crypto::U256::FromBytesBE(prf, sizeof(prf)));
@@ -182,7 +186,8 @@ crypto::U256 DeriveEpochSourceKeyFp(const crypto::Fp256& fp,
   return k;
 }
 
-crypto::U256 DeriveEpochShareFp(const Bytes& source_key, uint64_t epoch) {
+crypto::U256 DeriveEpochShareFp(const crypto::PrfKey& source_key,
+                                uint64_t epoch) {
   uint8_t prf[20];
   crypto::EpochPrfSha1Into(source_key, epoch, prf);
   crypto::U256 share = crypto::U256::FromBytesBE(prf, sizeof(prf));
@@ -201,17 +206,12 @@ constexpr size_t kDeriveChunk = 64;
 }  // namespace
 
 void DeriveEpochSourceKeysFpBatch(const crypto::Fp256& fp,
-                                  const std::vector<Bytes>& source_keys,
-                                  size_t begin, size_t count, uint64_t epoch,
-                                  crypto::U256* out) {
-  crypto::ByteView views[kDeriveChunk];
+                                  const crypto::PrfKey* keys, size_t count,
+                                  uint64_t epoch, crypto::U256* out) {
   uint8_t digests[kDeriveChunk * 32];
   for (size_t off = 0; off < count; off += kDeriveChunk) {
     const size_t take = std::min(kDeriveChunk, count - off);
-    for (size_t j = 0; j < take; ++j) {
-      views[j] = crypto::ByteView(source_keys[begin + off + j]);
-    }
-    crypto::EpochPrfSha256Batch(take, views, epoch, digests);
+    crypto::EpochPrfSha256Batch(take, keys + off, epoch, digests);
     for (size_t j = 0; j < take; ++j) {
       out[off + j] =
           fp.Reduce(crypto::U256::FromBytesBE(digests + 32 * j, 32));
@@ -221,17 +221,12 @@ void DeriveEpochSourceKeysFpBatch(const crypto::Fp256& fp,
 }
 
 void DeriveEpochSourceKeysBatch(const Params& params,
-                                const std::vector<Bytes>& source_keys,
-                                size_t begin, size_t count, uint64_t epoch,
-                                crypto::BigUint* out) {
-  crypto::ByteView views[kDeriveChunk];
+                                const crypto::PrfKey* keys, size_t count,
+                                uint64_t epoch, crypto::BigUint* out) {
   uint8_t digests[kDeriveChunk * 32];
   for (size_t off = 0; off < count; off += kDeriveChunk) {
     const size_t take = std::min(kDeriveChunk, count - off);
-    for (size_t j = 0; j < take; ++j) {
-      views[j] = crypto::ByteView(source_keys[begin + off + j]);
-    }
-    crypto::EpochPrfSha256Batch(take, views, epoch, digests);
+    crypto::EpochPrfSha256Batch(take, keys + off, epoch, digests);
     for (size_t j = 0; j < take; ++j) {
       crypto::BigUint raw = crypto::BigUint::FromBytes(digests + 32 * j, 32);
       out[off + j] = crypto::BigUint::Mod(raw, params.prime).value();
@@ -241,25 +236,18 @@ void DeriveEpochSourceKeysBatch(const Params& params,
   common::SecureZero(digests, sizeof(digests));
 }
 
-void DeriveEpochSharesHm256Batch(const std::vector<Bytes>& source_keys,
-                                 size_t begin, size_t count, uint64_t epoch,
-                                 crypto::BigUint* out) {
+void DeriveEpochSharesHm256Batch(const crypto::PrfKey* keys, size_t count,
+                                 uint64_t epoch, crypto::BigUint* out) {
   // Same domain-separated input as DeriveEpochShare's HM256 branch,
   // identical for every source in the batch.
   uint8_t input[kShareInputBytes];
   ShareInput(epoch, input);
   const crypto::ByteView msg(input, sizeof(input));
 
-  crypto::ByteView keys[kDeriveChunk];
-  crypto::ByteView msgs[kDeriveChunk];
-  for (size_t j = 0; j < kDeriveChunk; ++j) msgs[j] = msg;
   uint8_t digests[kDeriveChunk * 32];
   for (size_t off = 0; off < count; off += kDeriveChunk) {
     const size_t take = std::min(kDeriveChunk, count - off);
-    for (size_t j = 0; j < take; ++j) {
-      keys[j] = crypto::ByteView(source_keys[begin + off + j]);
-    }
-    crypto::HmacSha256Batch(take, keys, msgs, digests);
+    crypto::PrfSha256Batch(take, keys + off, msg, digests);
     for (size_t j = 0; j < take; ++j) {
       out[off + j] = crypto::BigUint::FromBytes(digests + 32 * j, 32);
     }

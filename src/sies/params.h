@@ -16,6 +16,7 @@
 #include "common/status.h"
 #include "crypto/biguint.h"
 #include "crypto/fp256.h"
+#include "crypto/hmac.h"
 
 namespace sies::core {
 
@@ -81,7 +82,10 @@ StatusOr<Params> MakeParams(uint32_t num_sources, uint64_t seed,
                             size_t value_bytes = 4, size_t prime_bits = 256,
                             SharePrf share_prf = SharePrf::kHmacSha1);
 
-/// Secret key material held by the querier: K plus all k_i.
+/// Secret key material held by the querier: K plus all k_i. This and
+/// SourceKeys are the provisioning format (raw key bytes, what
+/// sies/provisioning serializes); a Querier or Source schedules them
+/// into crypto::PrfKey at construction and keeps only the schedules.
 struct QuerierKeys {
   Bytes global_key;              ///< K, shared with every source
   std::vector<Bytes> source_keys;  ///< k_i, one per source
@@ -102,27 +106,34 @@ QuerierKeys GenerateKeys(const Params& params, const Bytes& master_seed);
 StatusOr<SourceKeys> KeysForSource(const QuerierKeys& keys, uint32_t index);
 
 // --- Temporal key derivation (initialization phase, shared by source and
-// --- querier so it lives here) ---
+// --- querier so it lives here). Every derivation runs from the long-term
+// --- key's schedule (crypto::PrfKey, built once per key by the party
+// --- that holds it): two SHA compressions per PRF instead of four, same
+// --- bytes as the one-shot HMAC of the raw key. ---
 
 /// K_t = HM256(K, t), reduced into [1, p): the multiplicative key must be
 /// nonzero for decryption to exist. The reduction is deterministic, so
 /// source and querier always agree.
 crypto::BigUint DeriveEpochGlobalKey(const Params& params,
-                                     const Bytes& global_key, uint64_t epoch);
+                                     const crypto::PrfKey& global_key,
+                                     uint64_t epoch);
 
 /// k_{i,t} = HM256(k_i, t), reduced into [0, p).
 crypto::BigUint DeriveEpochSourceKey(const Params& params,
-                                     const Bytes& source_key, uint64_t epoch);
+                                     const crypto::PrfKey& source_key,
+                                     uint64_t epoch);
 
 /// ss_{i,t}: HM1(k_i, t) (20 bytes) or HM256(k_i, "share" || t)
 /// (32 bytes) depending on params.share_prf, as an integer. The SHA-256
 /// variant is domain-separated from the k_{i,t} derivation, which also
 /// uses HM256 on the same key.
 crypto::BigUint DeriveEpochShare(const Params& params,
-                                 const Bytes& source_key, uint64_t epoch);
+                                 const crypto::PrfKey& source_key,
+                                 uint64_t epoch);
 
 /// Paper-configuration convenience (HM1 shares).
-crypto::BigUint DeriveEpochShare(const Bytes& source_key, uint64_t epoch);
+crypto::BigUint DeriveEpochShare(const crypto::PrfKey& source_key,
+                                 uint64_t epoch);
 
 // --- Fixed-width derivation (the Fp256 fast path). Bit-identical to the
 // --- BigUint derivations above: same PRF bytes, same reduction (a single
@@ -132,46 +143,46 @@ crypto::BigUint DeriveEpochShare(const Bytes& source_key, uint64_t epoch);
 
 /// K_t as a U256, reduced into [1, p).
 crypto::U256 DeriveEpochGlobalKeyFp(const crypto::Fp256& fp,
-                                    const Bytes& global_key, uint64_t epoch);
+                                    const crypto::PrfKey& global_key,
+                                    uint64_t epoch);
 
 /// k_{i,t} as a U256, reduced into [0, p).
 crypto::U256 DeriveEpochSourceKeyFp(const crypto::Fp256& fp,
-                                    const Bytes& source_key, uint64_t epoch);
+                                    const crypto::PrfKey& source_key,
+                                    uint64_t epoch);
 
 /// ss_{i,t} as a U256. Only valid for the HM1 profile (20-byte shares) —
 /// the only share PRF whose layout fits under a 256-bit prime, hence the
 /// only one the fast path ever sees.
-crypto::U256 DeriveEpochShareFp(const Bytes& source_key, uint64_t epoch);
+crypto::U256 DeriveEpochShareFp(const crypto::PrfKey& source_key,
+                                uint64_t epoch);
 
 // --- Batched derivation (the multi-buffer fast path). Each function is
 // --- bit-identical to calling its scalar counterpart above once per
-// --- index — same PRF bytes (crypto::EpochPrfSha256Batch runs the
-// --- HMACs per lane on SHA-NI, or in 8-wide AVX2 lanes), same
-// --- reduction — so cache contents never depend on whether the batch
-// --- path ran. Pinned by tests/sies/epoch_key_cache_test.cc and
+// --- key — same PRF bytes (crypto::EpochPrfSha256Batch runs the HMACs
+// --- per lane on SHA-NI, or in 8-wide AVX2 lanes), same reduction — so
+// --- cache contents never depend on whether the batch path ran. Pinned
+// --- by tests/sies/epoch_key_cache_test.cc and
 // --- tests/crypto/sha256x8_test. The HM1 share derivation (SHA-1) has
 // --- no batch form: each share is one heap-free DeriveEpochShareFp.
 
-/// k_{i,t} for sources [begin, begin + count) into out[0..count), as
-/// U256 reduced into [0, p). Equals DeriveEpochSourceKeyFp per index.
+/// k_{i,t} of the `count` keys at `keys` into out[0..count), as U256
+/// reduced into [0, p). Equals DeriveEpochSourceKeyFp per key.
 void DeriveEpochSourceKeysFpBatch(const crypto::Fp256& fp,
-                                  const std::vector<Bytes>& source_keys,
-                                  size_t begin, size_t count, uint64_t epoch,
-                                  crypto::U256* out);
+                                  const crypto::PrfKey* keys, size_t count,
+                                  uint64_t epoch, crypto::U256* out);
 
-/// k_{i,t} for sources [begin, begin + count) into out[0..count), as
-/// BigUint reduced mod p. Equals DeriveEpochSourceKey per index.
+/// k_{i,t} of the `count` keys at `keys` into out[0..count), as BigUint
+/// reduced mod p. Equals DeriveEpochSourceKey per key.
 void DeriveEpochSourceKeysBatch(const Params& params,
-                                const std::vector<Bytes>& source_keys,
-                                size_t begin, size_t count, uint64_t epoch,
-                                crypto::BigUint* out);
+                                const crypto::PrfKey* keys, size_t count,
+                                uint64_t epoch, crypto::BigUint* out);
 
-/// ss_{i,t} for the hardened HM256 profile, sources [begin, begin +
-/// count) into out[0..count). Equals DeriveEpochShare per index (only
-/// call when params.share_prf == SharePrf::kHmacSha256).
-void DeriveEpochSharesHm256Batch(const std::vector<Bytes>& source_keys,
-                                 size_t begin, size_t count, uint64_t epoch,
-                                 crypto::BigUint* out);
+/// ss_{i,t} for the hardened HM256 profile, the `count` keys at `keys`
+/// into out[0..count). Equals DeriveEpochShare per key (only call when
+/// params.share_prf == SharePrf::kHmacSha256).
+void DeriveEpochSharesHm256Batch(const crypto::PrfKey* keys, size_t count,
+                                 uint64_t epoch, crypto::BigUint* out);
 
 }  // namespace sies::core
 

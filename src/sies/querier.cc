@@ -26,8 +26,17 @@ struct QuerierMetrics {
 }  // namespace
 
 Querier::Querier(Params params, QuerierKeys keys)
+    : Querier(std::move(params), crypto::PrfKey(keys.global_key),
+              crypto::ScheduleKeys(keys.source_keys)) {
+  SecureWipe(keys.global_key);
+  for (Bytes& key : keys.source_keys) SecureWipe(key);
+}
+
+Querier::Querier(Params params, crypto::PrfKey global_key,
+                 std::vector<crypto::PrfKey> source_keys)
     : params_(std::move(params)),
-      keys_(std::move(keys)),
+      global_key_(std::move(global_key)),
+      source_keys_(std::move(source_keys)),
       cache_(std::make_shared<EpochKeyCache>()) {
   params_.Fp();  // warm the fixed-width context before any sharing
   psr_bytes_ = params_.PsrBytes();
@@ -55,14 +64,14 @@ StatusOr<Evaluation> Querier::EvaluateCore(
     auto ciphertext = ParsePsrFp(params_, *fp, body, body_len);
     if (!ciphertext.ok()) return ciphertext.status();
     for (uint32_t index : participating) {
-      if (index >= keys_.source_keys.size()) {
+      if (index >= source_keys_.size()) {
         return Status::NotFound("participating index out of range");
       }
     }
 
-    auto global = cache_->Global(params_, keys_.global_key, epoch);
+    auto global = cache_->Global(params_, global_key_, epoch);
     auto per_source =
-        cache_->Sources(params_, keys_.source_keys, epoch, pool_);
+        cache_->Sources(params_, source_keys_, epoch, pool_);
 
     // Σ k_{i,t} mod p and the plain integer Σ ss_{i,t} over the
     // participants. Shares are < 2^160 and N < 2^32, so the share sum
@@ -94,14 +103,14 @@ StatusOr<Evaluation> Querier::EvaluateCore(
   auto ciphertext = ParsePsr(params_, body, body_len);
   if (!ciphertext.ok()) return ciphertext.status();
   for (uint32_t index : participating) {
-    if (index >= keys_.source_keys.size()) {
+    if (index >= source_keys_.size()) {
       return Status::NotFound("participating index out of range");
     }
   }
 
-  auto global = cache_->Global(params_, keys_.global_key, epoch);
+  auto global = cache_->Global(params_, global_key_, epoch);
   auto per_source =
-      cache_->Sources(params_, keys_.source_keys, epoch, pool_);
+      cache_->Sources(params_, source_keys_, epoch, pool_);
 
   // Σ k_{i,t} and Σ ss_{i,t} over the participating sources.
   crypto::BigUint key_sum;
@@ -149,8 +158,8 @@ void Querier::WarmEpoch(uint64_t epoch) const {
 }
 
 void Querier::WarmEpoch(uint64_t epoch, bool use_pool) const {
-  cache_->Global(params_, keys_.global_key, epoch);
-  cache_->Sources(params_, keys_.source_keys, epoch,
+  cache_->Global(params_, global_key_, epoch);
+  cache_->Sources(params_, source_keys_, epoch,
                   use_pool ? pool_ : nullptr);
 }
 

@@ -37,10 +37,17 @@ struct WireEvaluation {
   std::vector<uint32_t> contributors;  ///< source indices, increasing
 };
 
-/// The querier Q. Holds all key material.
+/// The querier Q. Holds all key material, as schedules
+/// (crypto::PrfKey): 104 bytes per long-term key, no raw key bytes.
 class Querier {
  public:
+  /// Schedules K and every k_i (four SHA compressions per key) and wipes
+  /// the raw bytes in `keys`.
   Querier(Params params, QuerierKeys keys);
+
+  /// A querier over keys already scheduled (`source_keys[i]` is k_i's).
+  Querier(Params params, crypto::PrfKey global_key,
+          std::vector<crypto::PrfKey> source_keys);
 
   /// Evaluation phase over the final PSR for `epoch`. `participating`
   /// lists the indices of the sources that contributed this epoch (all
@@ -127,7 +134,8 @@ class Querier {
       const std::vector<uint32_t>& participating) const;
 
   Params params_;
-  QuerierKeys keys_;
+  crypto::PrfKey global_key_;               ///< K, scheduled
+  std::vector<crypto::PrfKey> source_keys_;  ///< k_i, scheduled
   std::shared_ptr<EpochKeyCache> cache_;
   common::ThreadPool* pool_ = nullptr;
   // Precomputed once so full-coverage wire evaluations allocate nothing

@@ -7,6 +7,22 @@
 
 namespace sies::core {
 
+Source::Source(Params params, uint32_t index, SourceKeys keys)
+    : Source(std::move(params), index, crypto::PrfKey(keys.global_key),
+             crypto::PrfKey(keys.source_key)) {
+  SecureWipe(keys.global_key);
+  SecureWipe(keys.source_key);
+}
+
+Source::Source(Params params, uint32_t index, crypto::PrfKey global_key,
+               crypto::PrfKey source_key)
+    : params_(std::move(params)),
+      index_(index),
+      global_key_(std::move(global_key)),
+      source_key_(std::move(source_key)) {
+  params_.Fp();  // warm the fixed-width context before any sharing
+}
+
 Status Source::CreatePsrInto(uint64_t value, uint64_t epoch,
                              uint8_t* out) const {
   static telemetry::Counter* psrs =
@@ -19,11 +35,10 @@ Status Source::CreatePsrInto(uint64_t value, uint64_t epoch,
   if (fp != nullptr) {
     crypto::U256 epoch_global =
         cache_ != nullptr
-            ? cache_->Global(params_, keys_.global_key, epoch)->key_fp
-            : DeriveEpochGlobalKeyFp(*fp, keys_.global_key, epoch);
-    crypto::U256 epoch_key =
-        DeriveEpochSourceKeyFp(*fp, keys_.source_key, epoch);
-    crypto::U256 share = DeriveEpochShareFp(keys_.source_key, epoch);
+            ? cache_->Global(params_, global_key_, epoch)->key_fp
+            : DeriveEpochGlobalKeyFp(*fp, global_key_, epoch);
+    crypto::U256 epoch_key = DeriveEpochSourceKeyFp(*fp, source_key_, epoch);
+    crypto::U256 share = DeriveEpochShareFp(source_key_, epoch);
 
     auto message = PackMessageFp(params_, value, share);
     if (!message.ok()) return message.status();
@@ -35,11 +50,10 @@ Status Source::CreatePsrInto(uint64_t value, uint64_t epoch,
 
   crypto::BigUint epoch_global =
       cache_ != nullptr
-          ? cache_->Global(params_, keys_.global_key, epoch)->key
-          : DeriveEpochGlobalKey(params_, keys_.global_key, epoch);
-  crypto::BigUint epoch_key =
-      DeriveEpochSourceKey(params_, keys_.source_key, epoch);
-  crypto::BigUint share = DeriveEpochShare(params_, keys_.source_key, epoch);
+          ? cache_->Global(params_, global_key_, epoch)->key
+          : DeriveEpochGlobalKey(params_, global_key_, epoch);
+  crypto::BigUint epoch_key = DeriveEpochSourceKey(params_, source_key_, epoch);
+  crypto::BigUint share = DeriveEpochShare(params_, source_key_, epoch);
 
   auto message = PackMessage(params_, value, share);
   if (!message.ok()) return message.status();

@@ -13,18 +13,23 @@
 
 namespace sies::core {
 
-/// A data source S_i. Holds (K, k_i, p); cheap to copy.
+/// A data source S_i. Holds p and the schedules of K and k_i
+/// (crypto::PrfKey), never the raw key bytes; cheap to copy.
 class Source {
  public:
-  /// `index` is the source's logical id i in [0, N).
-  Source(Params params, uint32_t index, SourceKeys keys)
-      : params_(std::move(params)), index_(index), keys_(std::move(keys)) {
-    params_.Fp();  // warm the fixed-width context before any sharing
-  }
+  /// `index` is the source's logical id i in [0, N). Schedules both keys
+  /// (four SHA compressions each) and wipes the raw bytes in `keys`.
+  Source(Params params, uint32_t index, SourceKeys keys);
+
+  /// A source over keys already scheduled: a host that simulates many
+  /// sources schedules K once and hands each source a copy.
+  Source(Params params, uint32_t index, crypto::PrfKey global_key,
+         crypto::PrfKey source_key);
 
   /// Initialization phase: produces PSR_{i,t} for reading `value` at
   /// epoch `epoch`. Cost profile (paper Eq. 3): two HM256, one HM1, one
-  /// 32-byte modular multiplication and one addition. A source covers
+  /// 32-byte modular multiplication and one addition; each PRF runs from
+  /// its key's schedule (two compressions, not four). A source covers
   /// only itself, so this bare PSR is also its wire envelope
   /// (message_format.h): the contributor field is empty.
   StatusOr<Bytes> CreatePsr(uint64_t value, uint64_t epoch) const;
@@ -51,7 +56,8 @@ class Source {
  private:
   Params params_;
   uint32_t index_;
-  SourceKeys keys_;
+  crypto::PrfKey global_key_;  ///< K, scheduled
+  crypto::PrfKey source_key_;  ///< k_i, scheduled
   std::shared_ptr<EpochKeyCache> cache_;
 };
 

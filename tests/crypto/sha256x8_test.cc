@@ -6,12 +6,14 @@
 //     batched epoch-key derivation inherits its correctness from here.
 //   - Forced-kernel equality: scalar vs AVX2 vs SHA-NI over identical
 //     inputs.
-//   - EpochPrfSha256Batch vs EpochPrfSha256 (the derivation entry point
-//     EpochKeyCache actually uses).
+//   - EpochPrfSha256Batch over scheduled keys (crypto::PrfKey, the
+//     derivation entry point EpochKeyCache actually uses) vs the
+//     one-shot EpochPrfSha256 of the raw keys, under every kernel.
 //   - Partial final groups (n not a multiple of 8) and n == 0.
 //
 // These run under check.sh --sanitize and --tsan; the KAT anchors (FIPS
 // vectors + Python-generated ragged-lane digests) live in kat_test.cc.
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -148,22 +150,61 @@ TEST(HmacSha256x8, MatchesBatchEntryPoint) {
   EXPECT_EQ(0, std::memcmp(a, b, sizeof(b)));
 }
 
-TEST(EpochPrfSha256Batch, MatchesScalarDerivationIncludingPartialGroup) {
+// The schedule-keyed epoch PRF (what EpochKeyCache derives through)
+// equals the one-shot scalar PRF of the raw key, for partial and full
+// groups, through the dispatched entry point and under every forced
+// kernel (the AVX2 lanes start from the schedules' chaining values).
+TEST(EpochPrfSha256Batch, ScheduledKeysMatchScalarPrfUnderEveryKernel) {
   Xoshiro256 rng(0x5135'0005);
-  for (size_t n : {size_t{1}, size_t{7}, size_t{8}, size_t{9}, size_t{100}}) {
+  for (size_t n : {1, 7, 8, 9, 64, 257}) {
     std::vector<Bytes> keys(n);
-    std::vector<ByteView> views(n);
+    std::vector<PrfKey> scheduled;
+    scheduled.reserve(n);
     for (size_t i = 0; i < n; ++i) {
-      keys[i] = rng.NextBytes(20);  // the protocol's long-term key width
-      views[i] = ByteView(keys[i]);
+      // Mostly the protocol's 20-byte width, sometimes past a block.
+      keys[i] = rng.NextBytes(i % 5 == 4 ? 65 + rng.NextBelow(40) : 20);
+      scheduled.emplace_back(keys[i]);
     }
     const uint64_t epoch = 0x0102'0304'0506'0708ull + n;
-    std::vector<uint8_t> out(32 * n);
-    EpochPrfSha256Batch(n, views.data(), epoch, out.data());
+    Bytes ref;
     for (size_t i = 0; i < n; ++i) {
-      Bytes ref = EpochPrfSha256(keys[i], epoch);
-      ASSERT_EQ(0, std::memcmp(out.data() + 32 * i, ref.data(), 32))
-          << "n=" << n << " i=" << i;
+      const Bytes tag = EpochPrfSha256(keys[i], epoch);
+      ref.insert(ref.end(), tag.begin(), tag.end());
+    }
+    Bytes out(32 * n);
+    EpochPrfSha256Batch(n, scheduled.data(), epoch, out.data());
+    EXPECT_EQ(out, ref) << "n=" << n << " dispatched";
+    const Bytes t = EncodeUint64(epoch);
+    for (Sha256Kernel kernel : AvailableKernels()) {
+      std::fill(out.begin(), out.end(), 0);
+      sha256x8_internal::PrfSha256BatchWithKernel(kernel, n, scheduled.data(),
+                                                  t, out.data());
+      EXPECT_EQ(out, ref) << "n=" << n
+                          << " kernel=" << static_cast<int>(kernel);
+    }
+  }
+}
+
+// The shared-message form over a message longer than one block (the
+// lanes' multi-block path) equals the one-shot HMAC too.
+TEST(PrfSha256Batch, LongSharedMessageMatchesScalarHmac) {
+  Xoshiro256 rng(0x5135'0006);
+  constexpr size_t kN = 19;
+  const Bytes msg = rng.NextBytes(150);
+  std::vector<Bytes> keys(kN);
+  std::vector<PrfKey> scheduled;
+  for (Bytes& key : keys) {
+    key = rng.NextBytes(20);
+    scheduled.emplace_back(key);
+  }
+  for (Sha256Kernel kernel : AvailableKernels()) {
+    Bytes out(32 * kN);
+    sha256x8_internal::PrfSha256BatchWithKernel(kernel, kN, scheduled.data(),
+                                                msg, out.data());
+    for (size_t i = 0; i < kN; ++i) {
+      EXPECT_EQ(Bytes(out.begin() + 32 * i, out.begin() + 32 * (i + 1)),
+                HmacSha256(keys[i], msg))
+          << "kernel=" << static_cast<int>(kernel) << " i=" << i;
     }
   }
 }

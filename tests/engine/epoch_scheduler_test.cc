@@ -185,5 +185,21 @@ TEST(EpochSchedulerTest, EngineCachesScaleWithTheChannelPlan) {
   EXPECT_EQ(stats.global_hits, 5u * 20u * 7u);
 }
 
+TEST(EpochSchedulerTest, EnginePartiesShareOneFixedWidthContext) {
+  // The engine warms Params::Fp once before copying the parameters into
+  // its aggregator, querier and N sources, so every copy shares that one
+  // context (its Barrett constant and heap blocks) instead of each party
+  // building a private one. Use count: the engine's own copy, the
+  // aggregator, the querier and one per source.
+  constexpr uint32_t kN = 64;
+  auto params = core::MakeParams(kN, 7, /*value_bytes=*/8).value();
+  auto keys = core::GenerateKeys(params, EncodeUint64(7));
+  ASSERT_EQ(params.fp_slot_, nullptr) << "the caller never warmed it";
+  MultiQueryEngine eng(params, keys);
+  ASSERT_NE(eng.params().fp_slot_, nullptr);
+  EXPECT_EQ(eng.params().fp_slot_.use_count(), long{kN} + 3);
+  EXPECT_NE(eng.params().Fp(), nullptr);
+}
+
 }  // namespace
 }  // namespace sies::engine

@@ -430,8 +430,8 @@ TEST(SiesCompromisedSourceTest, CannotDecryptOtherSources) {
   uint64_t secret_value = 3141;
   Bytes psr = honest.CreatePsr(secret_value, 1).value();
   auto c = core::ParsePsr(fx.params, psr).value();
-  crypto::BigUint kt =
-      core::DeriveEpochGlobalKey(fx.params, fx.keys.global_key, 1);
+  crypto::BigUint kt = core::DeriveEpochGlobalKey(
+      fx.params, crypto::PrfKey(fx.keys.global_key), 1);
   // Without k_{5,1}, the best the adversary can do is guess it; every
   // guess yields a different "plaintext", so the PSR carries no
   // information. Spot-check: 100 random guesses never produce a

@@ -7,7 +7,7 @@
 
 namespace sies {
 
-void DeriveBatchLeaky(const crypto::ByteView* keys, size_t n,
+void DeriveBatchLeaky(const crypto::PrfKey* keys, size_t n,
                       uint64_t epoch) {
   uint8_t digests[32 * 64];
   crypto::EpochPrfSha256Batch(n, keys, epoch, digests);

@@ -10,12 +10,12 @@
 
 namespace sies {
 
-double TimeBatchNoWipe(const crypto::ByteView* key_views, size_t pairs,
+double TimeBatchNoWipe(const crypto::PrfKey* prf_keys, size_t pairs,
                        uint64_t epoch) {
   std::vector<uint8_t> out(32 * pairs);
   // BAD: `out` receives key-derived digests and goes out of scope
   // unwiped.
-  crypto::EpochPrfSha256Batch(pairs, key_views, epoch, out.data());
+  crypto::EpochPrfSha256Batch(pairs, prf_keys, epoch, out.data());
   return static_cast<double>(out[0]);
 }
 

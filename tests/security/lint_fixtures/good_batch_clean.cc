@@ -11,12 +11,12 @@
 
 namespace sies {
 
-uint64_t DeriveBatchClean(const crypto::ByteView* key_views, size_t n,
+uint64_t DeriveBatchClean(const crypto::PrfKey* prf_keys, size_t n,
                           uint64_t epoch) {
   // GOOD: span label is a phase name, never key bytes.
   telemetry::ScopedSpan span("share-recompute", "fixture", epoch);
   uint8_t digests[32 * 64];
-  crypto::EpochPrfSha256Batch(n, key_views, epoch, digests);
+  crypto::EpochPrfSha256Batch(n, prf_keys, epoch, digests);
   uint64_t acc = 0;
   for (size_t i = 0; i < 32 * n; ++i) acc += digests[i];
   // GOOD: the staging buffer is wiped once the derived keys are

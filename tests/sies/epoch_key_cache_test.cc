@@ -7,10 +7,85 @@
 namespace sies::core {
 namespace {
 
+// A querier's key material: the raw provisioning bytes and their
+// schedules, which is what the cache derives from.
+struct ScheduledKeys {
+  explicit ScheduledKeys(const Params& params)
+      : raw(GenerateKeys(params, EncodeUint64(42))),
+        global_key(raw.global_key),
+        source_keys(crypto::ScheduleKeys(raw.source_keys)) {}
+  QuerierKeys raw;
+  crypto::PrfKey global_key;
+  std::vector<crypto::PrfKey> source_keys;
+};
+
 struct Fixture {
   Params params = MakeParams(8, 42).value();
-  QuerierKeys keys = GenerateKeys(params, EncodeUint64(42));
+  ScheduledKeys keys{params};
 };
+
+// The raw-key references: the one-shot HMACs of the raw key bytes,
+// reduced as the derivations reduce them.
+crypto::BigUint RawSourceKey(const Params& params, const Bytes& key,
+                             uint64_t epoch) {
+  return crypto::BigUint::Mod(
+             crypto::BigUint::FromBytes(crypto::EpochPrfSha256(key, epoch)),
+             params.prime)
+      .value();
+}
+
+crypto::BigUint RawShare(const Params& params, const Bytes& key,
+                         uint64_t epoch) {
+  if (params.share_prf == SharePrf::kHmacSha1) {
+    return crypto::BigUint::FromBytes(crypto::EpochPrfSha1(key, epoch));
+  }
+  Bytes input = {'s', 'h', 'a', 'r', 'e'};
+  const Bytes t = EncodeUint64(epoch);
+  input.insert(input.end(), t.begin(), t.end());
+  return crypto::BigUint::FromBytes(crypto::HmacSha256(key, input));
+}
+
+TEST(EpochKeyCacheTest, ScheduledTablesEqualRawKeyDerivations) {
+  // Every profile's tables, derived from schedules (through the batch
+  // kernel, fanned out over a pool), equal the one-shot HMACs of the raw
+  // keys: the fast Fp256 profile, a 320-bit generic one and the hardened
+  // HM256-share one. 70 sources leave a ragged final 8-lane batch.
+  struct Profile {
+    const char* name;
+    Params params;
+  };
+  const Profile profiles[] = {
+      {"fast", MakeParams(70, 42).value()},
+      {"generic_320", MakeParams(70, 42, 4, 320).value()},
+      {"hardened_hm256",
+       MakeParams(70, 42, 4, 384, SharePrf::kHmacSha256).value()},
+  };
+  common::ThreadPool pool(2);
+  for (const Profile& profile : profiles) {
+    SCOPED_TRACE(profile.name);
+    const Params& params = profile.params;
+    ScheduledKeys keys(params);
+    EpochKeyCache cache;
+    auto global = cache.Global(params, keys.global_key, 6);
+    crypto::BigUint kt = RawSourceKey(params, keys.raw.global_key, 6);
+    if (kt.IsZero()) kt = crypto::BigUint(1);
+    EXPECT_EQ(global->key, kt);
+
+    auto sources = cache.Sources(params, keys.source_keys, 6, &pool);
+    const bool fast = params.share_prf == SharePrf::kHmacSha1 &&
+                      params.Fp() != nullptr;
+    ASSERT_EQ(sources->fast, fast);
+    for (size_t i = 0; i < keys.raw.source_keys.size(); ++i) {
+      const Bytes& raw = keys.raw.source_keys[i];
+      EXPECT_EQ(fast ? sources->keys_fp[i].ToBigUint() : sources->keys[i],
+                RawSourceKey(params, raw, 6))
+          << "i=" << i;
+      EXPECT_EQ(fast ? sources->shares_fp[i].ToBigUint() : sources->shares[i],
+                RawShare(params, raw, 6))
+          << "i=" << i;
+    }
+  }
+}
 
 TEST(EpochKeyCacheTest, GlobalMatchesDirectDerivationAndInverse) {
   Fixture f;
@@ -68,7 +143,7 @@ TEST(EpochKeyCacheTest, BatchedDerivationMatchesScalarAcrossGroups) {
   // scalar derivation bit for bit, with and without a pool fanning the
   // groups out.
   Params params = MakeParams(300, 42).value();
-  QuerierKeys keys = GenerateKeys(params, EncodeUint64(42));
+  ScheduledKeys keys(params);
   common::ThreadPool pool(3);
   EpochKeyCache pooled, serial;
   auto a = pooled.Sources(params, keys.source_keys, 11, &pool);
@@ -92,7 +167,7 @@ TEST(EpochKeyCacheTest, BatchedDerivationMatchesScalarHardenedProfile) {
   // Batch) rather than the Fp256 one.
   Params params =
       MakeParams(70, 42, 4, 384, SharePrf::kHmacSha256).value();
-  QuerierKeys keys = GenerateKeys(params, EncodeUint64(42));
+  ScheduledKeys keys(params);
   EpochKeyCache cache;
   auto entry = cache.Sources(params, keys.source_keys, 6, nullptr);
   ASSERT_FALSE(entry->fast);
@@ -108,7 +183,7 @@ TEST(EpochKeyCacheTest, BatchedDerivationMatchesScalarHardenedProfile) {
 TEST(EpochKeyCacheTest, GenericPathForNon256BitPrime) {
   // A 384-bit prime keeps every party on the BigUint path.
   Params params = MakeParams(8, 42, 4, 384).value();
-  QuerierKeys keys = GenerateKeys(params, EncodeUint64(42));
+  ScheduledKeys keys(params);
   EpochKeyCache cache;
   auto global = cache.Global(params, keys.global_key, 2);
   EXPECT_FALSE(global->fast);

@@ -72,10 +72,12 @@ TEST_F(MessageFormatTest, ValueFieldOverflowDetected) {
 }
 
 TEST_F(MessageFormatTest, EncryptDecryptRoundTrip) {
-  crypto::BigUint kt = DeriveEpochGlobalKey(params_, Bytes(20, 1), 7);
-  crypto::BigUint ki = DeriveEpochSourceKey(params_, Bytes(20, 2), 7);
-  auto m = PackMessage(params_, 1234, DeriveEpochShare(Bytes(20, 2), 7))
-               .value();
+  const crypto::PrfKey global_key(Bytes(20, 1));
+  const crypto::PrfKey source_key(Bytes(20, 2));
+  crypto::BigUint kt = DeriveEpochGlobalKey(params_, global_key, 7);
+  crypto::BigUint ki = DeriveEpochSourceKey(params_, source_key, 7);
+  auto m =
+      PackMessage(params_, 1234, DeriveEpochShare(source_key, 7)).value();
   auto c = Encrypt(params_, m, kt, ki).value();
   EXPECT_NE(c, m);
   EXPECT_EQ(Decrypt(params_, c, kt, ki).value(), m);
@@ -88,9 +90,12 @@ TEST_F(MessageFormatTest, EncryptRejectsOversizedMessage) {
 }
 
 TEST_F(MessageFormatTest, HomomorphicSumOfTwo) {
-  crypto::BigUint kt = DeriveEpochGlobalKey(params_, Bytes(20, 1), 3);
-  crypto::BigUint k1 = DeriveEpochSourceKey(params_, Bytes(20, 2), 3);
-  crypto::BigUint k2 = DeriveEpochSourceKey(params_, Bytes(20, 3), 3);
+  crypto::BigUint kt =
+      DeriveEpochGlobalKey(params_, crypto::PrfKey(Bytes(20, 1)), 3);
+  crypto::BigUint k1 =
+      DeriveEpochSourceKey(params_, crypto::PrfKey(Bytes(20, 2)), 3);
+  crypto::BigUint k2 =
+      DeriveEpochSourceKey(params_, crypto::PrfKey(Bytes(20, 3)), 3);
   auto m1 = PackMessage(params_, 100, crypto::BigUint(11)).value();
   auto m2 = PackMessage(params_, 250, crypto::BigUint(22)).value();
   auto c1 = Encrypt(params_, m1, kt, k1).value();
@@ -125,10 +130,11 @@ TEST_F(MessageFormatTest, ParsePsrRejectsNonResidue) {
 TEST_F(MessageFormatTest, CiphertextLooksUniform) {
   // Encrypting the same value under different epochs should give
   // ciphertexts with no obvious structure (confidentiality smoke test).
-  Bytes key(20, 0x55);
+  const crypto::PrfKey global_key(Bytes(20, 1));
+  const crypto::PrfKey key(Bytes(20, 0x55));
   std::set<std::string> seen;
   for (uint64_t epoch = 0; epoch < 50; ++epoch) {
-    crypto::BigUint kt = DeriveEpochGlobalKey(params_, Bytes(20, 1), epoch);
+    crypto::BigUint kt = DeriveEpochGlobalKey(params_, global_key, epoch);
     crypto::BigUint ki = DeriveEpochSourceKey(params_, key, epoch);
     auto m = PackMessage(params_, 42, DeriveEpochShare(key, epoch)).value();
     auto c = Encrypt(params_, m, kt, ki).value();

@@ -120,7 +120,7 @@ TEST(KeysForSourceTest, ExtractsAndBoundsChecks) {
 
 TEST(TemporalKeysTest, ReducedIntoPrimeField) {
   auto params = MakeParams(16, 1).value();
-  Bytes key(20, 0x77);
+  const crypto::PrfKey key(Bytes(20, 0x77));
   for (uint64_t epoch = 0; epoch < 20; ++epoch) {
     crypto::BigUint kt = DeriveEpochGlobalKey(params, key, epoch);
     EXPECT_FALSE(kt.IsZero()) << "K_t must be invertible";
@@ -131,7 +131,7 @@ TEST(TemporalKeysTest, ReducedIntoPrimeField) {
 
 TEST(TemporalKeysTest, EpochSeparation) {
   auto params = MakeParams(16, 1).value();
-  Bytes key(20, 0x77);
+  const crypto::PrfKey key(Bytes(20, 0x77));
   EXPECT_NE(DeriveEpochGlobalKey(params, key, 1),
             DeriveEpochGlobalKey(params, key, 2));
   EXPECT_NE(DeriveEpochSourceKey(params, key, 1),
@@ -141,14 +141,14 @@ TEST(TemporalKeysTest, EpochSeparation) {
 
 TEST(TemporalKeysTest, KeySeparation) {
   auto params = MakeParams(16, 1).value();
-  Bytes k1(20, 0x01), k2(20, 0x02);
+  const crypto::PrfKey k1(Bytes(20, 0x01)), k2(Bytes(20, 0x02));
   EXPECT_NE(DeriveEpochSourceKey(params, k1, 5),
             DeriveEpochSourceKey(params, k2, 5));
   EXPECT_NE(DeriveEpochShare(k1, 5), DeriveEpochShare(k2, 5));
 }
 
 TEST(TemporalKeysTest, ShareIsTwentyBytes) {
-  Bytes key(20, 0x33);
+  const crypto::PrfKey key(Bytes(20, 0x33));
   crypto::BigUint share = DeriveEpochShare(key, 3);
   EXPECT_LE(share.BitLength(), 160u);
   EXPECT_FALSE(share.IsZero());  // 2^-160 chance; deterministic here
@@ -162,7 +162,7 @@ TEST(HardenedProfileTest, Sha256SharesWork) {
   EXPECT_EQ(params.share_bytes, 32u);
   EXPECT_EQ(params.PsrBytes(), 44u);
   EXPECT_TRUE(params.Validate().ok());
-  Bytes key(20, 0x33);
+  const crypto::PrfKey key(Bytes(20, 0x33));
   crypto::BigUint share = DeriveEpochShare(params, key, 3);
   EXPECT_GT(share.BitLength(), 160u);
   EXPECT_LE(share.BitLength(), 256u);
@@ -185,15 +185,16 @@ TEST(HardenedProfileTest, EndToEndExactAndSecure) {
   auto params = MakeParams(8, 5, 4, 352, SharePrf::kHmacSha256).value();
   QuerierKeys keys = GenerateKeys(params, {7});
   // Full pipeline through Source/Querier (they use params.share_prf).
+  const crypto::PrfKey global_key(keys.global_key);
   crypto::BigUint sum_cipher;
   uint64_t expected = 0;
   for (uint32_t i = 0; i < 8; ++i) {
-    Bytes k_i = keys.source_keys[i];
+    const crypto::PrfKey k_i(keys.source_keys[i]);
     uint64_t v = 100 + i;
     expected += v;
     auto m = PackMessage(params, v, DeriveEpochShare(params, k_i, 1))
                  .value();
-    auto c = Encrypt(params, m, DeriveEpochGlobalKey(params, keys.global_key, 1),
+    auto c = Encrypt(params, m, DeriveEpochGlobalKey(params, global_key, 1),
                      DeriveEpochSourceKey(params, k_i, 1))
                  .value();
     sum_cipher =
@@ -202,16 +203,16 @@ TEST(HardenedProfileTest, EndToEndExactAndSecure) {
   // Decrypt + verify by hand (mirrors Querier::Evaluate).
   crypto::BigUint key_sum, share_sum;
   for (uint32_t i = 0; i < 8; ++i) {
-    key_sum = crypto::BigUint::ModAdd(
-                  key_sum,
-                  DeriveEpochSourceKey(params, keys.source_keys[i], 1),
-                  params.prime)
+    const crypto::PrfKey k_i(keys.source_keys[i]);
+    key_sum = crypto::BigUint::ModAdd(key_sum,
+                                      DeriveEpochSourceKey(params, k_i, 1),
+                                      params.prime)
                   .value();
-    share_sum = crypto::BigUint::Add(
-        share_sum, DeriveEpochShare(params, keys.source_keys[i], 1));
+    share_sum =
+        crypto::BigUint::Add(share_sum, DeriveEpochShare(params, k_i, 1));
   }
   auto m = Decrypt(params, sum_cipher,
-                   DeriveEpochGlobalKey(params, keys.global_key, 1), key_sum)
+                   DeriveEpochGlobalKey(params, global_key, 1), key_sum)
                .value();
   auto unpacked = UnpackMessage(params, m).value();
   EXPECT_EQ(unpacked.sum, expected);
