@@ -6,7 +6,7 @@
 // with their own channels. This bench measures both sides for
 // K = 1, 2, 4, 8 over the same trace and network:
 //
-//   * engine:   one RunEngineExperiment carrying the whole K-query mix;
+//   * engine:   one RunExperiment carrying the whole K-query mix;
 //   * sessions: K single-query runs, costs summed — what the pre-engine
 //               deployment model would pay.
 //
@@ -17,7 +17,7 @@
 
 #include "bench_json.h"
 #include "engine/query_spec.h"
-#include "runner/engine_runner.h"
+#include "runner/runner.h"
 
 int main() {
   using namespace sies;
@@ -41,19 +41,19 @@ int main() {
   for (uint32_t k : {1u, 2u, 4u, 8u}) {
     std::vector<core::Query> mix = engine::DefaultQueryMix(k);
 
-    runner::EngineExperimentConfig config;
+    runner::ExperimentConfig config;
     config.num_sources = kSources;
     config.epochs = kEpochs;
     config.seed = kSeed;
     config.threads = 1;
     for (const core::Query& q : mix) config.queries.push_back({q});
-    auto engine_run = runner::RunEngineExperiment(config);
+    auto engine_run = runner::RunExperiment(config);
     if (!engine_run.ok()) {
       std::fprintf(stderr, "engine run failed: %s\n",
                    engine_run.status().ToString().c_str());
       return 1;
     }
-    const runner::EngineExperimentResult& er = engine_run.value();
+    const runner::ExperimentResult& er = engine_run.value();
 
     // The pre-engine model: each query runs alone (its own round, its
     // own channels) over the same trace; total cost is the sum.
@@ -62,10 +62,10 @@ int main() {
     double sessions_source_seconds = 0;
     bool sessions_verified = true;
     for (const core::Query& q : mix) {
-      runner::EngineExperimentConfig solo = config;
+      runner::ExperimentConfig solo = config;
       solo.queries.clear();
       solo.queries.push_back({q});
-      auto solo_run = runner::RunEngineExperiment(solo);
+      auto solo_run = runner::RunExperiment(solo);
       if (!solo_run.ok()) {
         std::fprintf(stderr, "session run failed: %s\n",
                      solo_run.status().ToString().c_str());

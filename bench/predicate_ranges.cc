@@ -25,7 +25,7 @@
 #include "predicate/answer.h"
 #include "predicate/compiler.h"
 #include "predicate/dyadic.h"
-#include "runner/engine_runner.h"
+#include "runner/runner.h"
 #include "workload/workload.h"
 
 int main(int argc, char** argv) {
@@ -86,19 +86,19 @@ int main(int argc, char** argv) {
     const uint64_t domain = scaled.value().hi - scaled.value().lo + 1;
     const uint32_t bound = predicate::MaxIntervalsForDomain(domain);
 
-    runner::EngineExperimentConfig config;
+    runner::ExperimentConfig config;
     config.num_sources = sources;
     config.epochs = epochs;
     config.seed = kSeed;
     config.threads = 1;
     config.queries.push_back({q});
-    auto run = runner::RunEngineExperiment(config);
+    auto run = runner::RunExperiment(config);
     if (!run.ok()) {
       std::fprintf(stderr, "engine run failed: %s\n",
                    run.status().ToString().c_str());
       return 1;
     }
-    const runner::EngineExperimentResult& er = run.value();
+    const runner::ExperimentResult& er = run.value();
     const uint32_t compiled = er.queries.empty()
                                   ? 0
                                   : er.queries.front().wire_channels;

@@ -26,7 +26,7 @@
 
 #include "bench_json.h"
 #include "engine/query_spec.h"
-#include "runner/engine_runner.h"
+#include "runner/runner.h"
 #include "telemetry/epoch_timeline.h"
 
 namespace {
@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
   timeline.Enable();
 
   auto base_config = [&](uint32_t n, uint32_t epochs) {
-    runner::EngineExperimentConfig config;
+    runner::ExperimentConfig config;
     config.num_sources = n;
     config.epochs = epochs;
     config.seed = kSeed;
@@ -108,11 +108,11 @@ int main(int argc, char** argv) {
     return config;
   };
 
-  auto timed_run = [&](runner::EngineExperimentConfig config,
-                       runner::EngineExperimentResult& out,
+  auto timed_run = [&](runner::ExperimentConfig config,
+                       runner::ExperimentResult& out,
                        std::vector<EpochRecord>& records) {
     timeline.Reset();
-    auto result = runner::RunEngineExperiment(config);
+    auto result = runner::RunExperiment(config);
     if (!result.ok()) {
       std::fprintf(stderr, "run failed: %s\n",
                    result.status().ToString().c_str());
@@ -127,7 +127,7 @@ int main(int argc, char** argv) {
   // Probe the serial key-derive cost first to size the pacing gap: the
   // prefetch thread runs SCHED_IDLE, so it only makes progress while
   // the run thread sleeps — the gap must cover the derivation.
-  runner::EngineExperimentResult probe_result;
+  runner::ExperimentResult probe_result;
   std::vector<EpochRecord> probe_records;
   if (!timed_run(base_config(pipe_n, 2), probe_result, probe_records)) {
     return 1;
@@ -137,9 +137,9 @@ int main(int argc, char** argv) {
   const uint32_t pacing_ms = static_cast<uint32_t>(
       std::max(5.0, std::ceil(probe_derive_ms * 1.5 + 2.0)));
 
-  runner::EngineExperimentResult serial_result, pipelined_result;
+  runner::ExperimentResult serial_result, pipelined_result;
   std::vector<EpochRecord> serial_records, pipelined_records;
-  runner::EngineExperimentConfig pipe_config =
+  runner::ExperimentConfig pipe_config =
       base_config(pipe_n, pipe_epochs);
   pipe_config.epoch_pacing_ms = pacing_ms;
   if (!timed_run(pipe_config, serial_result, serial_records)) return 1;
@@ -196,10 +196,10 @@ int main(int argc, char** argv) {
 
   // ---- 2. Transport attribution + sim/udp equivalence ----
   std::string sim_print, udp_print;
-  runner::EngineExperimentResult sim_result, udp_result;
+  runner::ExperimentResult sim_result, udp_result;
   std::vector<EpochRecord> sim_records, udp_records;
   for (int pass = 0; pass < 2; ++pass) {
-    runner::EngineExperimentConfig config =
+    runner::ExperimentConfig config =
         base_config(engine_n, engine_epochs);
     std::ostringstream os;
     config.on_epoch_outcomes =
@@ -212,7 +212,7 @@ int main(int argc, char** argv) {
                << ";";
           }
         };
-    if (pass == 1) config.transport = runner::EngineTransport::kUdp;
+    if (pass == 1) config.transport = runner::TransportKind::kUdp;
     auto& result = pass == 0 ? sim_result : udp_result;
     auto& records = pass == 0 ? sim_records : udp_records;
     if (!timed_run(config, result, records)) return 1;

@@ -17,7 +17,6 @@
 #include "engine/query_registry.h"
 #include "engine/query_spec.h"
 #include "predicate/answer.h"
-#include "runner/engine_runner.h"
 #include "runner/runner.h"
 #include "telemetry/telemetry.h"
 
@@ -46,8 +45,8 @@ void PrintUsage() {
       "  --adversary=none|tamper|replay|drop\n"
       "                            in-flight attack to run under "
       "(default none)\n"
-      "  --queries=K               run K concurrent queries through the\n"
-      "                            multi-query engine (one wire round per\n"
+      "  --queries=K               SIES: run K concurrent queries instead\n"
+      "                            of SUM(temperature) (one wire round per\n"
       "                            epoch; default mix cycles avg/variance/\n"
       "                            stddev/sum/count)\n"
       "  --queries-file=PATH       like --queries, but load the query mix\n"
@@ -55,14 +54,14 @@ void PrintUsage() {
       "                            [where ...] [between ...] [id N]` per\n"
       "                            line; bands compile to dyadic buckets)\n"
       "  --histogram=FIELD:LO:HI:BUCKETS\n"
-      "                            engine mode: COUNT per equal-width cell\n"
+      "                            SIES: COUNT per equal-width cell\n"
       "                            of FIELD's [LO,HI] — each cell is a band\n"
       "                            query compiled to dyadic channels; prints\n"
       "                            the per-bucket counts and p50/p90/p99\n"
       "  --group-by=AGG:ATTR:FIELD:LO:HI:GROUPS\n"
-      "                            engine mode: AGG(ATTR) rolled up per\n"
+      "                            SIES: AGG(ATTR) rolled up per\n"
       "                            equal-width cell of FIELD's [LO,HI]\n"
-      "  --transport=sim|udp       engine mode only: deliver epochs through\n"
+      "  --transport=sim|udp       SIES only: deliver epochs through\n"
       "                            the in-process simulator (default) or\n"
       "                            real UDP datagrams + acks on loopback.\n"
       "                            Loss injection stays deterministic, so\n"
@@ -70,11 +69,11 @@ void PrintUsage() {
       "                            for the same seed\n"
       "  --ack-timeout-ms=T        UDP backend: per-attempt ack deadline\n"
       "                            (default 200)\n"
-      "  --pipeline                engine mode only: derive epoch t+1 keys\n"
+      "  --pipeline                SIES only: derive epoch t+1 keys\n"
       "                            on an idle-priority thread while epoch\n"
       "                            t's verification is consumed (identical\n"
       "                            outcomes, lower epoch latency)\n"
-      "  --ops-port=P              engine mode only: serve the live ops\n"
+      "  --ops-port=P              SIES only: serve the live ops\n"
       "                            plane (GET /metrics /healthz /readyz\n"
       "                            /queries /epochs) on 127.0.0.1:P while\n"
       "                            the run is in flight; 0 = pick a free\n"
@@ -274,11 +273,10 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Multi-query engine mode: --queries / --queries-file switch the run
-  // from a single-query scheme to the concurrent engine (one wire round
-  // per epoch for the whole mix).
-  std::vector<core::Query> engine_queries;
-  bool engine_mode = flags.Has("queries") || flags.Has("queries-file");
+  // SIES query mix: --queries / --queries-file replace the default
+  // SUM(temperature) with K concurrent queries (one wire round per epoch
+  // for the whole mix).
+  const bool mix_given = flags.Has("queries") || flags.Has("queries-file");
   if (flags.Has("queries") && flags.Has("queries-file")) {
     std::fprintf(stderr, "give either --queries or --queries-file, not both\n");
     return 2;
@@ -289,7 +287,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
       return 2;
     }
-    engine_queries = std::move(loaded).value();
+    for (const core::Query& q : loaded.value()) config.queries.push_back({q});
   } else {
     auto k = flags.GetIntInRange("queries", 0, 1,
                                  engine::kMaxQueryId + 1);
@@ -298,15 +296,17 @@ int main(int argc, char** argv) {
       return 2;
     }
     if (flags.Has("queries")) {
-      engine_queries =
-          engine::DefaultQueryMix(static_cast<uint32_t>(k.value()));
+      for (const core::Query& q :
+           engine::DefaultQueryMix(static_cast<uint32_t>(k.value()))) {
+        config.queries.push_back({q});
+      }
     }
   }
   // Shape demos: --histogram / --group-by compile a partition of band
   // queries (predicate/answer) and run them as an ordinary engine mix.
   ShapeDemo demo;
   if (flags.Has("histogram") || flags.Has("group-by")) {
-    if (engine_mode || (flags.Has("histogram") && flags.Has("group-by"))) {
+    if (mix_given || (flags.Has("histogram") && flags.Has("group-by"))) {
       std::fprintf(stderr,
                    "give exactly one of --queries, --queries-file, "
                    "--histogram, --group-by\n");
@@ -359,67 +359,55 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", cells.status().ToString().c_str());
       return 2;
     }
-    engine_queries = std::move(cells).value();
-    engine_mode = true;
+    for (const core::Query& q : cells.value()) config.queries.push_back({q});
     demo.active = true;
   }
-  if (engine_mode && config.scheme != runner::Scheme::kSies) {
-    std::fprintf(stderr,
-                 "--queries/--queries-file drive the SIES engine; drop "
-                 "--scheme=%s\n",
-                 scheme.c_str());
-    return 2;
-  }
 
-  // Transport + pipelining are engine-mode features (the single-query
-  // schemes keep the simulator's fixed methodology).
   std::string transport = flags.GetString("transport", "sim");
-  bool pipeline = flags.GetBool("pipeline", false).value_or(false);
   if (transport != "sim" && transport != "udp") {
     std::fprintf(stderr, "unknown --transport '%s' (sim|udp)\n",
                  transport.c_str());
     return 2;
   }
-  if ((transport == "udp" || pipeline) && !engine_mode) {
-    std::fprintf(stderr,
-                 "--transport/--pipeline drive the engine; add --queries "
-                 "or --queries-file\n");
-    return 2;
-  }
+  config.transport = transport == "udp" ? runner::TransportKind::kUdp
+                                        : runner::TransportKind::kSim;
+  config.pipeline = flags.GetBool("pipeline", false).value_or(false);
   auto ack_timeout_ms = flags.GetIntInRange("ack-timeout-ms", 200, 1, 60'000);
   if (!ack_timeout_ms.ok()) {
     std::fprintf(stderr, "%s\n", ack_timeout_ms.status().ToString().c_str());
     return 2;
   }
+  config.udp_ack_timeout_ms = static_cast<uint32_t>(ack_timeout_ms.value());
 
   // Ops plane: --ops-port starts the embedded admin server inside the
-  // engine run and turns the per-epoch latency timeline on.
-  const bool ops_enabled = flags.Has("ops-port");
-  int64_t ops_port = 0;
-  if (ops_enabled) {
+  // run and turns the per-epoch latency timeline on.
+  if (flags.Has("ops-port")) {
     auto p = flags.GetIntInRange("ops-port", 0, 0, 65535);
     if (!p.ok()) {
       std::fprintf(stderr, "%s\n", p.status().ToString().c_str());
       return 2;
     }
-    ops_port = p.value();
-    if (!engine_mode) {
-      std::fprintf(stderr,
-                   "--ops-port serves the engine's live state; add "
-                   "--queries or --queries-file\n");
-      return 2;
-    }
+    config.ops_port = static_cast<int>(p.value());
+    config.on_ops_ready = [](uint16_t port) {
+      // stderr, flushed immediately: scripts (check.sh --ops-smoke)
+      // block on this line to learn the resolved ephemeral port.
+      std::fprintf(stderr, "ops: serving http://127.0.0.1:%u\n", port);
+      std::fflush(stderr);
+    };
+    telemetry::EpochTimeline::Global().Enable();
   }
   auto ops_staleness = flags.GetDouble("ops-staleness", 30.0);
   if (!ops_staleness.ok() || ops_staleness.value() <= 0.0) {
     std::fprintf(stderr, "--ops-staleness must be a positive number\n");
     return 2;
   }
+  config.ops_staleness_seconds = ops_staleness.value();
   auto epoch_ms = flags.GetIntInRange("epoch-ms", 0, 0, 60'000);
   if (!epoch_ms.ok()) {
     std::fprintf(stderr, "%s\n", epoch_ms.status().ToString().c_str());
     return 2;
   }
+  config.epoch_pacing_ms = static_cast<uint32_t>(epoch_ms.value());
 
   std::string metrics_out = flags.GetString("metrics-out", "");
   std::string trace_out = flags.GetString("trace-out", "");
@@ -453,182 +441,22 @@ int main(int argc, char** argv) {
                  config.num_sources, config.secoa_j);
   }
 
-  if (engine_mode) {
-    runner::EngineExperimentConfig engine_config;
-    engine_config.queries.reserve(engine_queries.size());
-    for (const core::Query& q : engine_queries) {
-      engine_config.queries.push_back({q});
-    }
-    engine_config.adversary = config.adversary;
-    engine_config.num_sources = config.num_sources;
-    engine_config.fanout = config.fanout;
-    engine_config.scale_pow10 = config.scale_pow10;
-    engine_config.epochs = config.epochs;
-    engine_config.seed = config.seed;
-    engine_config.threads = config.threads;
-    engine_config.loss_rate = config.loss_rate;
-    engine_config.max_retries = config.max_retries;
-    engine_config.epoch_pacing_ms = static_cast<uint32_t>(epoch_ms.value());
-    engine_config.transport = transport == "udp"
-                                  ? runner::EngineTransport::kUdp
-                                  : runner::EngineTransport::kSim;
-    engine_config.udp_ack_timeout_ms =
-        static_cast<uint32_t>(ack_timeout_ms.value());
-    engine_config.pipeline = pipeline;
-    if (ops_enabled) {
-      engine_config.ops_port = static_cast<int>(ops_port);
-      engine_config.ops_staleness_seconds = ops_staleness.value();
-      engine_config.on_ops_ready = [](uint16_t port) {
-        // stderr, flushed immediately: scripts (check.sh --ops-smoke)
-        // block on this line to learn the resolved ephemeral port.
-        std::fprintf(stderr, "ops: serving http://127.0.0.1:%u\n", port);
-        std::fflush(stderr);
-      };
-      telemetry::EpochTimeline::Global().Enable();
-    }
-    std::vector<engine::QueryEpochOutcome> last_outcomes;
-    if (demo.active) {
-      // The shape assembles from the LAST answered epoch's verified
-      // per-cell outcomes.
-      engine_config.on_epoch_outcomes =
-          [&last_outcomes](uint64_t /*epoch*/, bool answered,
-                           const std::vector<engine::QueryEpochOutcome>&
-                               outcomes) {
-            if (answered) last_outcomes = outcomes;
-          };
-    }
-    auto engine_result = runner::RunEngineExperiment(engine_config);
-    if (!engine_result.ok()) {
-      std::fprintf(stderr, "engine experiment failed: %s\n",
-                   engine_result.status().ToString().c_str());
-      return 1;
-    }
-    const runner::EngineExperimentResult& er = engine_result.value();
-    if (!ExportTelemetry(metrics_out, trace_out, audit_out)) return 1;
-
-    if (csv) {
-      // One row per query; run-wide columns repeat on every row.
-      std::printf(
-          "query_id,sql,sources,epochs,answered,verified,unverified,"
-          "partial,coverage,last_value,channels,channel_epochs,"
-          "naive_channel_epochs,"
-          "src_us,agg_us,qry_ms,retransmits,lost\n");
-      for (const runner::EngineQueryStats& qs : er.queries) {
-        std::printf(
-            "%u,\"%s\",%u,%u,%u,%u,%u,%u,%.6f,%.6f,%u,%llu,%llu,"
-            "%.3f,%.3f,%.3f,%llu,%llu\n",
-            qs.query_id, qs.sql.c_str(), config.num_sources, er.epochs,
-            qs.answered_epochs, qs.verified_epochs, qs.unverified_epochs,
-            qs.partial_epochs, qs.mean_coverage, qs.last_value,
-            qs.wire_channels,
-            static_cast<unsigned long long>(er.channel_epochs),
-            static_cast<unsigned long long>(er.naive_channel_epochs),
-            er.source_cpu_seconds * 1e6, er.aggregator_cpu_seconds * 1e6,
-            er.querier_cpu_seconds * 1e3,
-            static_cast<unsigned long long>(er.retransmits),
-            static_cast<unsigned long long>(er.lost_messages));
-      }
-      return 0;
-    }
-
-    std::printf("scheme            : SIES (%zu queries)\n",
-                er.queries.size());
-    std::printf(
-        "network           : N=%u, F=%u, D=[18,50]x10^%u, %u epochs\n",
-        config.num_sources, config.fanout, config.scale_pow10, er.epochs);
-    std::printf("transport         : %s%s\n", transport.c_str(),
-                pipeline ? " (pipelined)" : "");
-    if (transport == "udp") {
-      std::printf("udp               : %llu datagrams sent, %llu malformed "
-                  "dropped\n",
-                  static_cast<unsigned long long>(er.udp_datagrams_sent),
-                  static_cast<unsigned long long>(er.udp_malformed_datagrams));
-    }
-    std::printf("channel epochs    : %llu on the wire vs %llu naive "
-                "(dedup saved %llu)\n",
-                static_cast<unsigned long long>(er.channel_epochs),
-                static_cast<unsigned long long>(er.naive_channel_epochs),
-                static_cast<unsigned long long>(er.naive_channel_epochs -
-                                                er.channel_epochs));
-    std::printf("source CPU        : %.3f us/epoch\n",
-                er.source_cpu_seconds * 1e6);
-    std::printf("aggregator CPU    : %.3f us/epoch\n",
-                er.aggregator_cpu_seconds * 1e6);
-    std::printf("querier CPU       : %.3f ms/epoch (all queries, one "
-                "round)\n",
-                er.querier_cpu_seconds * 1e3);
-    std::printf("epochs            : %u answered, %u unanswered, %u idle\n",
-                er.answered_epochs, er.unanswered_epochs, er.idle_epochs);
-    if (config.loss_rate > 0.0) {
-      std::printf("link layer        : %llu retransmits, %llu messages "
-                  "lost for good\n",
-                  static_cast<unsigned long long>(er.retransmits),
-                  static_cast<unsigned long long>(er.lost_messages));
-    }
-    for (const runner::EngineQueryStats& qs : er.queries) {
-      std::printf("  q%-4u %-44s : %u/%u verified (%u partial), "
-                  "last=%.4f, %u wire channels\n",
-                  qs.query_id, qs.sql.c_str(), qs.verified_epochs,
-                  qs.answered_epochs, qs.partial_epochs, qs.last_value,
-                  qs.wire_channels);
-    }
-
-    if (demo.active) {
-      std::vector<core::EpochOutcome> cell_outcomes(demo.cells);
-      for (const engine::QueryEpochOutcome& qo : last_outcomes) {
-        if (qo.query_id < demo.cells) cell_outcomes[qo.query_id] = qo.outcome;
-      }
-      auto shape = predicate::AssembleCells(demo.lo, demo.hi, demo.cells,
-                                            config.scale_pow10,
-                                            cell_outcomes);
-      if (!shape.ok()) {
-        std::fprintf(stderr, "shape assembly failed: %s\n",
-                     shape.status().ToString().c_str());
-        return 1;
-      }
-      const predicate::ShapeAnswer& answer = shape.value();
-      std::printf("%-18s: %s (last answered epoch, %s)\n",
-                  demo.is_histogram ? "histogram" : "group-by",
-                  demo.title.c_str(),
-                  answer.all_verified ? "all cells verified"
-                                      : "UNVERIFIED cells");
-      uint64_t max_count = 1;
-      for (const predicate::AnswerCell& cell : answer.cells) {
-        max_count = std::max(max_count, cell.count);
-      }
-      for (const predicate::AnswerCell& cell : answer.cells) {
-        const int bar =
-            static_cast<int>(40 * cell.count / max_count);
-        std::printf("  [%8.2f, %8.2f]  value=%-12.4f count=%-6llu %s %.*s\n",
-                    cell.lo, cell.hi, cell.value,
-                    static_cast<unsigned long long>(cell.count),
-                    cell.verified ? "ok " : "BAD", bar,
-                    "########################################");
-      }
-      if (demo.is_histogram && answer.all_verified &&
-          answer.total_count > 0) {
-        auto p50 = answer.Quantile(0.5);
-        auto p90 = answer.Quantile(0.9);
-        auto p99 = answer.Quantile(0.99);
-        if (p50.ok() && p90.ok() && p99.ok()) {
-          std::printf("  quantiles         : p50=%.3f p90=%.3f p99=%.3f "
-                      "(n=%llu, exact to one cell width)\n",
-                      p50.value(), p90.value(), p99.value(),
-                      static_cast<unsigned long long>(answer.total_count));
-        }
-      }
-    }
-    // Mirrors the single-query exit policy: under a deliberate attack,
-    // unverified epochs are the expected outcome.
-    if (config.adversary != runner::AdversaryKind::kNone) return 0;
-    return er.all_verified ? 0 : 1;
+  // The shape assembles from the LAST answered epoch's verified per-cell
+  // outcomes.
+  std::vector<engine::QueryEpochOutcome> last_outcomes;
+  if (demo.active) {
+    config.on_epoch_outcomes =
+        [&last_outcomes](uint64_t /*epoch*/, bool answered,
+                         const std::vector<engine::QueryEpochOutcome>&
+                             outcomes) {
+          if (answered) last_outcomes = outcomes;
+        };
   }
-
   auto result = runner::RunExperiment(config);
   if (!result.ok()) {
     std::fprintf(stderr, "experiment failed: %s\n",
                  result.status().ToString().c_str());
-    return 1;
+    return result.status().code() == StatusCode::kInvalidArgument ? 2 : 1;
   }
   const runner::ExperimentResult& r = result.value();
 
@@ -637,13 +465,21 @@ int main(int argc, char** argv) {
   if (!ExportTelemetry(metrics_out, trace_out, audit_out)) return 1;
 
   if (csv) {
+    // One row per SIES query (CMT and SECOA_S: one row, query columns
+    // empty); the run-wide columns repeat on every row. sql stays last
+    // so `cut -d,` on the other columns is safe.
     std::printf(
         "scheme,sources,fanout,scale,epochs,src_us,agg_us,qry_ms,"
         "sa_bytes,aa_bytes,aq_bytes,verified,rel_err,"
-        "answered,unanswered,partial,coverage,retransmits,lost\n");
-    std::printf(
+        "answered,unanswered,partial,coverage,retransmits,lost,idle,"
+        "channel_epochs,naive_channel_epochs,query_id,query_answered,"
+        "query_verified,query_unverified,query_partial,query_coverage,"
+        "last_value,channels,sql\n");
+    char run[512];
+    std::snprintf(
+        run, sizeof run,
         "%s,%u,%u,%u,%u,%.3f,%.3f,%.3f,%.0f,%.0f,%.0f,%d,%.6f,"
-        "%u,%u,%u,%.6f,%llu,%llu\n",
+        "%u,%u,%u,%.6f,%llu,%llu,%u,%llu,%llu",
         r.scheme_name.c_str(), config.num_sources, config.fanout,
         config.scale_pow10, r.epochs, r.source_cpu_seconds * 1e6,
         r.aggregator_cpu_seconds * 1e6, r.querier_cpu_seconds * 1e3,
@@ -652,14 +488,35 @@ int main(int argc, char** argv) {
         r.mean_relative_error, r.answered_epochs, r.unanswered_epochs,
         r.partial_epochs, r.mean_coverage,
         static_cast<unsigned long long>(r.retransmits),
-        static_cast<unsigned long long>(r.lost_messages));
+        static_cast<unsigned long long>(r.lost_messages), r.idle_epochs,
+        static_cast<unsigned long long>(r.channel_epochs),
+        static_cast<unsigned long long>(r.naive_channel_epochs));
+    if (r.queries.empty()) std::printf("%s,,,,,,,,,\n", run);
+    for (const runner::QueryStats& qs : r.queries) {
+      std::printf("%s,%u,%u,%u,%u,%u,%.6f,%.6f,%u,\"%s\"\n", run,
+                  qs.query_id, qs.answered_epochs, qs.verified_epochs,
+                  qs.unverified_epochs, qs.partial_epochs, qs.mean_coverage,
+                  qs.last_value, qs.wire_channels, qs.sql.c_str());
+    }
     return 0;
   }
 
-  std::printf("scheme            : %s\n", r.scheme_name.c_str());
-  std::printf("network           : N=%u, F=%u, D=[18,50]x10^%u, %u epochs\n",
+  std::printf("scheme            : %s", r.scheme_name.c_str());
+  if (!r.queries.empty()) {
+    std::printf(" (%zu %s)", r.queries.size(),
+                r.queries.size() == 1 ? "query" : "queries");
+  }
+  std::printf("\nnetwork           : N=%u, F=%u, D=[18,50]x10^%u, %u epochs\n",
               config.num_sources, config.fanout, config.scale_pow10,
               r.epochs);
+  std::printf("transport         : %s%s\n", transport.c_str(),
+              config.pipeline ? " (pipelined)" : "");
+  if (config.transport == runner::TransportKind::kUdp) {
+    std::printf("udp               : %llu datagrams sent, %llu malformed "
+                "dropped\n",
+                static_cast<unsigned long long>(r.udp_datagrams_sent),
+                static_cast<unsigned long long>(r.udp_malformed_datagrams));
+  }
   std::printf("source CPU        : %.3f us/epoch (min %.3f, max %.3f, "
               "sd %.3f)\n",
               r.source_cpu_seconds * 1e6, r.source_cpu_spread.min_seconds * 1e6,
@@ -682,11 +539,12 @@ int main(int argc, char** argv) {
               r.aggregator_to_querier_bytes);
   std::printf("all verified      : %s (%u/%u epochs unverified)\n",
               r.all_verified ? "yes" : "NO", r.unverified_epochs, r.epochs);
+  std::printf("epochs            : %u answered, %u unanswered, %u idle\n",
+              r.answered_epochs, r.unanswered_epochs, r.idle_epochs);
   if (config.loss_rate > 0.0) {
-    std::printf("radio loss        : rate %.3f, retries %u: %u answered, "
-                "%u unanswered, %u partial epochs\n",
-                config.loss_rate, config.max_retries, r.answered_epochs,
-                r.unanswered_epochs, r.partial_epochs);
+    std::printf("radio loss        : rate %.3f, retries %u: %u partial "
+                "epochs\n",
+                config.loss_rate, config.max_retries, r.partial_epochs);
     std::printf("coverage          : %.4f mean over answered epochs\n",
                 r.mean_coverage);
     std::printf("link layer        : %llu retransmits, %llu messages lost "
@@ -699,6 +557,65 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(r.adversary_events));
   }
   std::printf("mean relative err : %.4f%%\n", r.mean_relative_error * 100);
+  if (!r.queries.empty()) {
+    std::printf("channel epochs    : %llu on the wire vs %llu naive "
+                "(dedup saved %llu)\n",
+                static_cast<unsigned long long>(r.channel_epochs),
+                static_cast<unsigned long long>(r.naive_channel_epochs),
+                static_cast<unsigned long long>(r.naive_channel_epochs -
+                                                r.channel_epochs));
+  }
+  for (const runner::QueryStats& qs : r.queries) {
+    std::printf("  q%-4u %-44s : %u/%u verified (%u partial), "
+                "last=%.4f, %u wire channels\n",
+                qs.query_id, qs.sql.c_str(), qs.verified_epochs,
+                qs.answered_epochs, qs.partial_epochs, qs.last_value,
+                qs.wire_channels);
+  }
+
+  if (demo.active) {
+    std::vector<core::EpochOutcome> cell_outcomes(demo.cells);
+    for (const engine::QueryEpochOutcome& qo : last_outcomes) {
+      if (qo.query_id < demo.cells) cell_outcomes[qo.query_id] = qo.outcome;
+    }
+    auto shape = predicate::AssembleCells(demo.lo, demo.hi, demo.cells,
+                                          config.scale_pow10, cell_outcomes);
+    if (!shape.ok()) {
+      std::fprintf(stderr, "shape assembly failed: %s\n",
+                   shape.status().ToString().c_str());
+      return 1;
+    }
+    const predicate::ShapeAnswer& answer = shape.value();
+    std::printf("%-18s: %s (last answered epoch, %s)\n",
+                demo.is_histogram ? "histogram" : "group-by",
+                demo.title.c_str(),
+                answer.all_verified ? "all cells verified"
+                                    : "UNVERIFIED cells");
+    uint64_t max_count = 1;
+    for (const predicate::AnswerCell& cell : answer.cells) {
+      max_count = std::max(max_count, cell.count);
+    }
+    for (const predicate::AnswerCell& cell : answer.cells) {
+      const int bar = static_cast<int>(40 * cell.count / max_count);
+      std::printf("  [%8.2f, %8.2f]  value=%-12.4f count=%-6llu %s %.*s\n",
+                  cell.lo, cell.hi, cell.value,
+                  static_cast<unsigned long long>(cell.count),
+                  cell.verified ? "ok " : "BAD", bar,
+                  "########################################");
+    }
+    if (demo.is_histogram && answer.all_verified &&
+        answer.total_count > 0) {
+      auto p50 = answer.Quantile(0.5);
+      auto p90 = answer.Quantile(0.9);
+      auto p99 = answer.Quantile(0.99);
+      if (p50.ok() && p90.ok() && p99.ok()) {
+        std::printf("  quantiles         : p50=%.3f p90=%.3f p99=%.3f "
+                    "(n=%llu, exact to one cell width)\n",
+                    p50.value(), p90.value(), p99.value(),
+                    static_cast<unsigned long long>(answer.total_count));
+      }
+    }
+  }
   // Under a deliberate attack, unverified epochs are the expected
   // outcome, not a failure of the tool. Same for radio loss: unanswered
   // and partial epochs are graceful degradation, and `all_verified`

@@ -3,10 +3,9 @@
 # SIES_NATIVE=scalar `_portable` twins), example, and bench, plus the
 # repo benchmark's equivalence check (bench_e2e/run.py --check).
 # Usage: scripts/check.sh [--skip-bench] [--sanitize] [--tsan] [--tidy]
-#                         [--lint] [--telemetry-smoke] [--fault-smoke]
-#                         [--engine-smoke] [--bench-smoke] [--ops-smoke]
-#                         [--transport-smoke] [--predicate-smoke]
-#                         [--fuzz] [--coverage]
+#                         [--lint] [--telemetry-smoke] [--bench-smoke]
+#                         [--ops-smoke] [--predicate-smoke] [--fuzz]
+#                         [--coverage]
 #   --skip-bench       skip the full (slow) bench binaries; the JSON smoke
 #                      pass below always runs
 #   --bench-smoke      ONLY run the bench JSON smoke (tiny-N --smoke runs
@@ -35,16 +34,6 @@
 #                      --metrics-out/--trace-out/--audit-out on a tiny
 #                      topology, outputs validated with python3); the
 #                      smoke also runs as part of the full check
-#   --fault-smoke      ONLY run the fault-injection smoke (sies_sim across
-#                      a loss-rate x adversary matrix; exit codes, CSV
-#                      coverage fields, and audit exports validated); the
-#                      smoke also runs as part of the full check
-#   --engine-smoke     ONLY run the multi-query engine smoke (sies_sim
-#                      --queries across a K x loss-rate x adversary
-#                      matrix; per-query CSV rows, dedup accounting, and
-#                      tamper fault isolation validated) plus the
-#                      `engine`-labeled ctest subset; the smoke also runs
-#                      as part of the full check
 #   --ops-smoke        ONLY run the live ops-plane smoke (sies_sim
 #                      --queries with --ops-port=0 on a paced
 #                      single-threaded run; every admin endpoint scraped
@@ -52,13 +41,6 @@
 #                      critical path <= wall, and the phase probes
 #                      explaining >= 90% of the best epoch's wall); the
 #                      smoke also runs as part of the full check
-#   --transport-smoke  ONLY run the real-transport smoke (sies_sim
-#                      --transport=udp across a loss-rate x retry
-#                      matrix; every UDP CSV must equal the simulator's
-#                      CSV for the same seed once the timing columns
-#                      are dropped, and --pipeline must not change
-#                      outcomes either); the smoke also runs as part of
-#                      the full check
 #   --predicate-smoke  ONLY run the predicate-compiler smoke (sies_sim
 #                      with a band-query mix across a loss-rate x
 #                      adversary matrix — per-query channel counts
@@ -88,11 +70,8 @@ TSAN_ONLY=0
 TIDY_ONLY=0
 LINT_ONLY=0
 TELEMETRY_ONLY=0
-FAULT_ONLY=0
-ENGINE_ONLY=0
 BENCH_SMOKE_ONLY=0
 OPS_ONLY=0
-TRANSPORT_ONLY=0
 PREDICATE_ONLY=0
 FUZZ_ONLY=0
 COVERAGE_ONLY=0
@@ -104,11 +83,8 @@ for arg in "$@"; do
     --tidy) TIDY_ONLY=1 ;;
     --lint) LINT_ONLY=1 ;;
     --telemetry-smoke) TELEMETRY_ONLY=1 ;;
-    --fault-smoke) FAULT_ONLY=1 ;;
-    --engine-smoke) ENGINE_ONLY=1 ;;
     --bench-smoke) BENCH_SMOKE_ONLY=1 ;;
     --ops-smoke) OPS_ONLY=1 ;;
-    --transport-smoke) TRANSPORT_ONLY=1 ;;
     --predicate-smoke) PREDICATE_ONLY=1 ;;
     --fuzz) FUZZ_ONLY=1 ;;
     --coverage) COVERAGE_ONLY=1 ;;
@@ -197,201 +173,6 @@ PYEOF
   rm -rf "$dir"
 }
 
-# Runs sies_sim across the loss-rate x adversary matrix with the audit
-# trail exported, then validates exit codes and the loss-resilience
-# fields: answered/unanswered/partial bookkeeping, coverage bounds,
-# exact partial sums (rel_err 0), and that pure radio loss is never
-# audited as tampering.
-fault_smoke() {
-  local build="$1" dir rc loss adversary
-  dir="$(mktemp -d)"
-  echo "== fault smoke (loss-rate x adversary matrix) =="
-  for loss in 0 0.3 1.0; do
-    for adversary in none tamper drop; do
-      rc=0
-      "./$build/examples/sies_sim" --scheme=sies --sources=16 --fanout=4 \
-          --epochs=20 --seed=5 --loss-rate="$loss" --max-retries=2 \
-          --adversary="$adversary" --csv \
-          --audit-out="$dir/$loss-$adversary.audit.json" \
-          > "$dir/$loss-$adversary.csv" || rc=$?
-      if [[ $rc -ne 0 ]]; then
-        echo "sies_sim --loss-rate=$loss --adversary=$adversary exited $rc" >&2
-        exit 1
-      fi
-    done
-  done
-  python3 - "$dir" <<'PYEOF'
-import csv, json, sys
-d = sys.argv[1]
-
-def load(loss, adversary):
-    with open(f"{d}/{loss}-{adversary}.csv") as f:
-        row = next(csv.DictReader(f))
-    with open(f"{d}/{loss}-{adversary}.audit.json") as f:
-        kinds = [e["kind"] for e in json.load(f)["events"]]
-    return row, kinds
-
-for loss in ("0", "0.3", "1.0"):
-    for adversary in ("none", "tamper", "drop"):
-        row, kinds = load(loss, adversary)
-        answered, unanswered = int(row["answered"]), int(row["unanswered"])
-        partial, coverage = int(row["partial"]), float(row["coverage"])
-        epochs = int(row["epochs"])
-        label = f"loss={loss} adversary={adversary}"
-        assert answered + unanswered == epochs, label
-        assert 0.0 <= coverage <= 1.0, label
-        if adversary == "none":
-            # Graceful degradation: partial sums verify and stay exact
-            # over their contributor sets at every loss rate.
-            assert int(row["verified"]) == 1, label
-            assert float(row["rel_err"]) == 0.0, label
-            assert "tamper" not in kinds, label
-            assert "verification_failure" not in kinds, label
-        if loss == "0":
-            assert unanswered == 0 and int(row["lost"]) == 0, label
-            assert "radio_loss" not in kinds, label
-        if loss == "0" and adversary == "none":
-            assert coverage == 1.0 and partial == 0, label
-        if loss == "0.3" and adversary == "none":
-            assert partial > 0 and "reported_loss" in kinds, label
-            assert int(row["retransmits"]) > 0, label
-        if loss == "1.0":
-            assert answered == 0 and coverage == 0.0, label
-        if adversary == "tamper" and loss == "0":
-            assert "tamper" in kinds and "verification_failure" in kinds, label
-        if adversary == "drop" and loss == "0":
-            # An in-flight drop is attributed to the adversary and
-            # surfaces as reported loss, never as radio loss.
-            assert "adversary_drop" in kinds, label
-            assert "reported_loss" in kinds, label
-print("fault smoke OK: 9 matrix cells validated")
-PYEOF
-  rm -rf "$dir"
-}
-
-# Runs sies_sim in multi-query engine mode across a K x loss-rate x
-# adversary matrix, then validates the per-query CSV rows: one row per
-# query, dedup strictly beating the naive channel accounting for K > 1,
-# loss degrading coverage (never verification), and the trailing-bit
-# tamper failing exactly the queries that read the corrupted channel.
-engine_smoke() {
-  local build="$1" dir rc k loss adversary
-  dir="$(mktemp -d)"
-  echo "== engine smoke (K x loss-rate x adversary matrix) =="
-  for k in 1 4; do
-    for loss in 0 0.3; do
-      for adversary in none tamper; do
-        rc=0
-        "./$build/examples/sies_sim" --queries="$k" --sources=16 --fanout=4 \
-            --epochs=10 --seed=5 --loss-rate="$loss" --max-retries=2 \
-            --adversary="$adversary" --csv \
-            > "$dir/$k-$loss-$adversary.csv" || rc=$?
-        if [[ $rc -ne 0 ]]; then
-          echo "sies_sim --queries=$k --loss-rate=$loss" \
-               "--adversary=$adversary exited $rc" >&2
-          exit 1
-        fi
-      done
-    done
-  done
-  "./$build/examples/sies_sim" --queries=0 --sources=16 --epochs=1 \
-      > /dev/null 2>&1 && { echo "--queries=0 must be rejected" >&2; exit 1; }
-  python3 - "$dir" <<'PYEOF'
-import csv, sys
-d = sys.argv[1]
-
-def load(k, loss, adversary):
-    with open(f"{d}/{k}-{loss}-{adversary}.csv") as f:
-        return list(csv.DictReader(f))
-
-for k in (1, 4):
-    for loss in ("0", "0.3"):
-        for adversary in ("none", "tamper"):
-            rows = load(k, loss, adversary)
-            label = f"K={k} loss={loss} adversary={adversary}"
-            assert len(rows) == k, label
-            ch = int(rows[0]["channel_epochs"])
-            naive = int(rows[0]["naive_channel_epochs"])
-            # Dedup accounting: a lone query has nothing to share; any
-            # K > 1 mix of the default cycle MUST save channel-epochs.
-            assert (ch < naive) if k > 1 else (ch == naive), label
-            for row in rows:
-                answered = int(row["answered"])
-                assert answered <= int(row["epochs"]), label
-                assert 0.0 <= float(row["coverage"]) <= 1.0, label
-                if adversary == "none":
-                    # Loss degrades coverage, never verification.
-                    assert int(row["unverified"]) == 0, label
-                if loss == "0":
-                    assert answered == int(row["epochs"]), label
-                    if adversary == "none":
-                        assert float(row["coverage"]) == 1.0, label
-            if k == 4 and loss == "0" and adversary == "tamper":
-                # Wire order: (q0,SUM),(q0,COUNT),(q1,SUMSQ); the
-                # trailing-bit tamper corrupts the SUMSQ slot, failing
-                # exactly the queries that read it (VARIANCE, STDDEV).
-                verdicts = {int(r["query_id"]): int(r["verified"])
-                            for r in rows}
-                assert verdicts[1] == 0 and verdicts[2] == 0, verdicts
-                assert verdicts[0] > 0 and verdicts[3] > 0, verdicts
-print("engine smoke OK: 8 matrix cells validated")
-PYEOF
-  rm -rf "$dir"
-}
-
-# The real-transport determinism contract: a UDP run (loss injected
-# sender-side, BEFORE the socket) must reproduce the simulator's CSV
-# bit-for-bit for the same seed — only the timing columns (src_us,
-# agg_us, qry_ms) may differ. Checked across a loss-rate x retry
-# matrix, and once more with --pipeline on top of UDP.
-transport_smoke() {
-  local build="$1" dir loss retries
-  dir="$(mktemp -d)"
-  echo "== transport smoke (sim vs udp CSV diff) =="
-  for loss in 0 0.3; do
-    for retries in 0 2; do
-      "./$build/examples/sies_sim" --queries=2 --sources=16 --fanout=4 \
-          --epochs=8 --seed=5 --loss-rate="$loss" --max-retries="$retries" \
-          --csv > "$dir/sim-$loss-$retries.csv"
-      "./$build/examples/sies_sim" --queries=2 --sources=16 --fanout=4 \
-          --epochs=8 --seed=5 --loss-rate="$loss" --max-retries="$retries" \
-          --transport=udp --csv > "$dir/udp-$loss-$retries.csv"
-    done
-  done
-  "./$build/examples/sies_sim" --queries=2 --sources=16 --fanout=4 \
-      --epochs=8 --seed=5 --loss-rate=0.3 --max-retries=2 \
-      --transport=udp --pipeline --csv > "$dir/pipelined.csv"
-  # --transport=udp and --pipeline are engine-mode features; the legacy
-  # single-query path must reject them instead of silently simulating.
-  "./$build/examples/sies_sim" --scheme=sies --sources=16 --epochs=1 \
-      --transport=udp > /dev/null 2>&1 \
-      && { echo "--transport=udp without --queries must be rejected" >&2
-           exit 1; }
-  python3 - "$dir" <<'PYEOF'
-import csv, sys
-d = sys.argv[1]
-TIMING = {"src_us", "agg_us", "qry_ms"}
-
-def semantic(path):
-    with open(f"{d}/{path}") as f:
-        return [{k: v for k, v in row.items() if k not in TIMING}
-                for row in csv.DictReader(f)]
-
-for loss in ("0", "0.3"):
-    for retries in ("0", "2"):
-        sim = semantic(f"sim-{loss}-{retries}.csv")
-        udp = semantic(f"udp-{loss}-{retries}.csv")
-        assert sim and sim == udp, \
-            f"udp diverged from sim at loss={loss} retries={retries}"
-# Pipelining is a latency optimization; outcomes stay bit-identical.
-assert semantic("pipelined.csv") == semantic("sim-0.3-2.csv"), \
-    "pipelined udp run diverged from the serial simulator"
-print("transport smoke OK: 4 loss x retry cells + pipelined run "
-      "bit-identical to sim")
-PYEOF
-  rm -rf "$dir"
-}
-
 # Compiled range queries end-to-end: a band-query mix across a
 # loss-rate x adversary matrix (per-query CSV channel counts bounded by
 # 2*ceil(log2 D), dyadic-node dedup strictly beating the naive layout),
@@ -462,9 +243,9 @@ for loss in ("0", "0.3"):
             else:
                 assert channels == 1, (label, qid)  # plain SUM
             if adversary == "none":
-                assert int(row["unverified"]) == 0, label
+                assert int(row["query_unverified"]) == 0, label
             if loss == "0" and adversary == "none":
-                assert float(row["coverage"]) == 1.0, label
+                assert float(row["query_coverage"]) == 1.0, label
 hist = open(f"{d}/histogram.txt").read()
 assert "all cells verified" in hist and "quantiles" in hist, "histogram"
 assert "BAD" not in hist, "histogram has unverified cells"
@@ -696,14 +477,6 @@ if [[ $TELEMETRY_ONLY -eq 1 ]]; then
   exit 0
 fi
 
-if [[ $FAULT_ONLY -eq 1 ]]; then
-  configure "$BUILD" "${EXTRA[@]}"
-  cmake --build "$BUILD" --target sies_sim
-  fault_smoke "$BUILD"
-  echo "FAULT SMOKE PASSED"
-  exit 0
-fi
-
 if [[ $BENCH_SMOKE_ONLY -eq 1 ]]; then
   configure "$BUILD" "${EXTRA[@]}"
   cmake --build "$BUILD" --target micro_crypto fig6a_querier_vs_n \
@@ -719,23 +492,6 @@ if [[ $OPS_ONLY -eq 1 ]]; then
   cmake --build "$BUILD" --target sies_sim
   ops_smoke "$BUILD"
   echo "OPS SMOKE PASSED"
-  exit 0
-fi
-
-if [[ $TRANSPORT_ONLY -eq 1 ]]; then
-  configure "$BUILD" "${EXTRA[@]}"
-  cmake --build "$BUILD" --target sies_sim
-  transport_smoke "$BUILD"
-  echo "TRANSPORT SMOKE PASSED"
-  exit 0
-fi
-
-if [[ $ENGINE_ONLY -eq 1 ]]; then
-  configure "$BUILD" "${EXTRA[@]}"
-  cmake --build "$BUILD"
-  ctest --test-dir "$BUILD" -L engine --output-on-failure
-  engine_smoke "$BUILD"
-  echo "ENGINE SMOKE PASSED"
   exit 0
 fi
 
@@ -771,10 +527,7 @@ echo "== bench_e2e check =="
 python3 bench_e2e/run.py --check
 
 telemetry_smoke "$BUILD"
-fault_smoke "$BUILD"
-engine_smoke "$BUILD"
 ops_smoke "$BUILD"
-transport_smoke "$BUILD"
 predicate_smoke "$BUILD"
 
 bench_smoke "$BUILD"

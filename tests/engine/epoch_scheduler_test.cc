@@ -1,11 +1,12 @@
-// EpochScheduler + engine runner integration: one wire round per epoch
+// EpochScheduler + experiment runner integration: one wire round per epoch
 // over the simulated network, live admission mid-run, teardown freeing
 // slots, and composition with the loss/adversary machinery.
 #include "engine/epoch_scheduler.h"
 
 #include <gtest/gtest.h>
 
-#include "runner/engine_runner.h"
+#include "engine/query_spec.h"
+#include "runner/runner.h"
 
 namespace sies::engine {
 namespace {
@@ -20,8 +21,8 @@ core::Query MakeQuery(core::Aggregate aggregate, uint32_t id,
   return q;
 }
 
-runner::EngineExperimentConfig BaseConfig() {
-  runner::EngineExperimentConfig config;
+runner::ExperimentConfig BaseConfig() {
+  runner::ExperimentConfig config;
   config.num_sources = 32;
   config.fanout = 4;
   config.epochs = 10;
@@ -31,29 +32,29 @@ runner::EngineExperimentConfig BaseConfig() {
 }
 
 TEST(EpochSchedulerTest, BatchedQueriesAllVerify) {
-  runner::EngineExperimentConfig config = BaseConfig();
+  runner::ExperimentConfig config = BaseConfig();
   config.queries.push_back({MakeQuery(core::Aggregate::kAvg, 0)});
   config.queries.push_back({MakeQuery(core::Aggregate::kVariance, 1)});
   config.queries.push_back({MakeQuery(core::Aggregate::kSum, 2)});
-  auto result = runner::RunEngineExperiment(config);
+  auto result = runner::RunExperiment(config);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result.value().all_verified);
   EXPECT_EQ(result.value().answered_epochs, 10u);
   // 3 queries, 6 naive channels, 3 physical slots per epoch.
   EXPECT_EQ(result.value().channel_epochs, 30u);
   EXPECT_EQ(result.value().naive_channel_epochs, 60u);
-  for (const runner::EngineQueryStats& qs : result.value().queries) {
+  for (const runner::QueryStats& qs : result.value().queries) {
     EXPECT_EQ(qs.verified_epochs, 10u) << qs.sql;
     EXPECT_EQ(qs.mean_coverage, 1.0);
   }
 }
 
 TEST(EpochSchedulerTest, MidRunAdmissionVerifiesFromItsEpoch) {
-  runner::EngineExperimentConfig config = BaseConfig();
+  runner::ExperimentConfig config = BaseConfig();
   config.queries.push_back({MakeQuery(core::Aggregate::kSum, 0)});
   config.queries.push_back(
       {MakeQuery(core::Aggregate::kAvg, 1), /*admit_epoch=*/6});
-  auto result = runner::RunEngineExperiment(config);
+  auto result = runner::RunExperiment(config);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result.value().all_verified);
   ASSERT_EQ(result.value().queries.size(), 2u);
@@ -68,10 +69,10 @@ TEST(EpochSchedulerTest, MidRunAdmissionVerifiesFromItsEpoch) {
 }
 
 TEST(EpochSchedulerTest, TeardownFreesSlotsAndSkipsEmptyRounds) {
-  runner::EngineExperimentConfig config = BaseConfig();
+  runner::ExperimentConfig config = BaseConfig();
   config.queries.push_back({MakeQuery(core::Aggregate::kVariance, 0),
                             /*admit_epoch=*/1, /*teardown_epoch=*/4});
-  auto result = runner::RunEngineExperiment(config);
+  auto result = runner::RunExperiment(config);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   // Live for epochs 1..3 only; epochs 4..10 have an empty plan and are
   // skipped without a radio round.
@@ -82,19 +83,19 @@ TEST(EpochSchedulerTest, TeardownFreesSlotsAndSkipsEmptyRounds) {
 }
 
 TEST(EpochSchedulerTest, LossDegradesGracefullyPerQuery) {
-  runner::EngineExperimentConfig config = BaseConfig();
+  runner::ExperimentConfig config = BaseConfig();
   config.queries.push_back({MakeQuery(core::Aggregate::kSum, 0)});
   config.queries.push_back({MakeQuery(core::Aggregate::kCount, 1)});
   config.loss_rate = 0.15;
   config.max_retries = 1;
-  auto result = runner::RunEngineExperiment(config);
+  auto result = runner::RunExperiment(config);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  const runner::EngineExperimentResult& r = result.value();
+  const runner::ExperimentResult& r = result.value();
   // Loss must not break verification — answered epochs verify over
   // exactly the contributing set, for every co-batched query alike.
   EXPECT_TRUE(r.all_verified);
   EXPECT_GT(r.answered_epochs, 0u);
-  for (const runner::EngineQueryStats& qs : r.queries) {
+  for (const runner::QueryStats& qs : r.queries) {
     EXPECT_EQ(qs.unverified_epochs, 0u);
     EXPECT_EQ(qs.answered_epochs, r.answered_epochs)
         << "co-batched queries share the wire and thus the loss fate";
@@ -104,15 +105,15 @@ TEST(EpochSchedulerTest, LossDegradesGracefullyPerQuery) {
 }
 
 TEST(EpochSchedulerTest, TamperFailsOnlyTheQueriesReadingTheChannel) {
-  runner::EngineExperimentConfig config = BaseConfig();
+  runner::ExperimentConfig config = BaseConfig();
   // Wire order: (0,SUM) then (1,SUMSQ), (1,COUNT). The tamper adversary
   // flips a trailing payload bit — inside VARIANCE's COUNT channel.
   config.queries.push_back({MakeQuery(core::Aggregate::kSum, 0)});
   config.queries.push_back({MakeQuery(core::Aggregate::kVariance, 1)});
   config.adversary = runner::AdversaryKind::kTamper;
-  auto result = runner::RunEngineExperiment(config);
+  auto result = runner::RunExperiment(config);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  const runner::EngineExperimentResult& r = result.value();
+  const runner::ExperimentResult& r = result.value();
   EXPECT_FALSE(r.all_verified);
   ASSERT_EQ(r.queries.size(), 2u);
   EXPECT_EQ(r.queries[0].verified_epochs, r.queries[0].answered_epochs)
@@ -123,14 +124,73 @@ TEST(EpochSchedulerTest, TamperFailsOnlyTheQueriesReadingTheChannel) {
   EXPECT_GT(r.queries[1].unverified_epochs, 0u);
 }
 
+// The default query mix across loss and tamper: K > 1 queries share
+// channels, loss degrades coverage and never verification, and the
+// trailing-bit tamper fails exactly the queries reading its channel.
+TEST(EpochSchedulerTest, DefaultMixAcrossLossAndTamper) {
+  for (uint32_t k : {1u, 4u}) {
+    for (double loss : {0.0, 0.3}) {
+      for (runner::AdversaryKind adversary :
+           {runner::AdversaryKind::kNone, runner::AdversaryKind::kTamper}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "K=" << k << " loss=" << loss
+                     << " adversary=" << static_cast<int>(adversary));
+        runner::ExperimentConfig config = BaseConfig();
+        config.num_sources = 16;
+        config.seed = 5;
+        config.loss_rate = loss;
+        config.max_retries = 2;
+        config.adversary = adversary;
+        for (const core::Query& q : DefaultQueryMix(k)) {
+          config.queries.push_back({q});
+        }
+        auto result = runner::RunExperiment(config);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        const runner::ExperimentResult& r = result.value();
+        ASSERT_EQ(r.queries.size(), k);
+        // A lone query has nothing to share; the K = 4 mix must save
+        // channel-epochs.
+        if (k > 1) {
+          EXPECT_LT(r.channel_epochs, r.naive_channel_epochs);
+        } else {
+          EXPECT_EQ(r.channel_epochs, r.naive_channel_epochs);
+        }
+        const bool clean = adversary == runner::AdversaryKind::kNone;
+        for (const runner::QueryStats& qs : r.queries) {
+          EXPECT_LE(qs.answered_epochs, r.epochs);
+          EXPECT_GE(qs.mean_coverage, 0.0);
+          EXPECT_LE(qs.mean_coverage, 1.0);
+          if (clean) {
+            EXPECT_EQ(qs.unverified_epochs, 0u) << qs.sql;
+          }
+          if (loss == 0.0) {
+            EXPECT_EQ(qs.answered_epochs, r.epochs) << qs.sql;
+          }
+          if (loss == 0.0 && clean) {
+            EXPECT_EQ(qs.mean_coverage, 1.0) << qs.sql;
+          }
+        }
+        if (k == 4 && loss == 0.0 && !clean) {
+          // Wire order: (q0,SUM),(q0,COUNT),(q1,SUMSQ); the tamper
+          // corrupts the SUMSQ slot, failing VARIANCE and STDDEV only.
+          EXPECT_EQ(r.queries[1].verified_epochs, 0u);
+          EXPECT_EQ(r.queries[2].verified_epochs, 0u);
+          EXPECT_GT(r.queries[0].verified_epochs, 0u);
+          EXPECT_GT(r.queries[3].verified_epochs, 0u);
+        }
+      }
+    }
+  }
+}
+
 TEST(EpochSchedulerTest, ThreadedRunMatchesSerialRun) {
-  runner::EngineExperimentConfig config = BaseConfig();
+  runner::ExperimentConfig config = BaseConfig();
   config.queries.push_back({MakeQuery(core::Aggregate::kAvg, 0)});
   config.queries.push_back(
       {MakeQuery(core::Aggregate::kStddev, 1, core::Field::kHumidity)});
-  auto serial = runner::RunEngineExperiment(config);
+  auto serial = runner::RunExperiment(config);
   config.threads = 4;
-  auto threaded = runner::RunEngineExperiment(config);
+  auto threaded = runner::RunExperiment(config);
   ASSERT_TRUE(serial.ok());
   ASSERT_TRUE(threaded.ok());
   ASSERT_EQ(serial.value().queries.size(), threaded.value().queries.size());

@@ -9,7 +9,7 @@
 #include <map>
 #include <vector>
 
-#include "runner/engine_runner.h"
+#include "runner/runner.h"
 
 namespace sies::engine {
 namespace {
@@ -23,8 +23,8 @@ core::Query MakeQuery(core::Aggregate aggregate, uint32_t id) {
   return q;
 }
 
-runner::EngineExperimentConfig BaseConfig() {
-  runner::EngineExperimentConfig config;
+runner::ExperimentConfig BaseConfig() {
+  runner::ExperimentConfig config;
   config.num_sources = 32;
   config.fanout = 4;
   config.epochs = 10;
@@ -39,8 +39,8 @@ runner::EngineExperimentConfig BaseConfig() {
 using OutcomeLog =
     std::map<uint64_t, std::vector<std::pair<uint32_t, double>>>;
 
-runner::EngineExperimentResult RunLogged(
-    runner::EngineExperimentConfig config, OutcomeLog& log) {
+runner::ExperimentResult RunLogged(
+    runner::ExperimentConfig config, OutcomeLog& log) {
   config.on_epoch_outcomes = [&log](uint64_t epoch, bool answered,
                                     const std::vector<QueryEpochOutcome>&
                                         outcomes) {
@@ -49,14 +49,14 @@ runner::EngineExperimentResult RunLogged(
       log[epoch].emplace_back(qo.query_id, qo.outcome.result.value);
     }
   };
-  auto result = runner::RunEngineExperiment(config);
+  auto result = runner::RunExperiment(config);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   return result.value();
 }
 
 TEST(PipelineTest, PipelinedOutcomesAreBitIdenticalToSerial) {
   OutcomeLog serial_log, pipelined_log;
-  runner::EngineExperimentConfig config = BaseConfig();
+  runner::ExperimentConfig config = BaseConfig();
   auto serial = RunLogged(config, serial_log);
   config.pipeline = true;
   auto pipelined = RunLogged(config, pipelined_log);
@@ -78,7 +78,7 @@ TEST(PipelineTest, PipelinedUnderLossMatchesSerial) {
   // prefetch thread consumes no RNG. The delivered/lost pattern and the
   // partial sums must be identical.
   OutcomeLog serial_log, pipelined_log;
-  runner::EngineExperimentConfig config = BaseConfig();
+  runner::ExperimentConfig config = BaseConfig();
   config.loss_rate = 0.2;
   config.max_retries = 1;
   auto serial = RunLogged(config, serial_log);
@@ -95,12 +95,12 @@ TEST(PipelineTest, PipelinedAdmissionAndTeardownAtBoundaries) {
   // prefetch in flight (ApplyPending joins it first). The prefetched
   // t+1 list was captured from the t plan, so the admitted query's
   // first epoch simply derives cold — and still verifies.
-  runner::EngineExperimentConfig config = BaseConfig();
+  runner::ExperimentConfig config = BaseConfig();
   config.queries.push_back(
       {MakeQuery(core::Aggregate::kSum, 2), /*admit_epoch=*/4,
        /*teardown_epoch=*/8});
   config.pipeline = true;
-  auto result = runner::RunEngineExperiment(config);
+  auto result = runner::RunExperiment(config);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result.value().all_verified);
   ASSERT_EQ(result.value().queries.size(), 3u);

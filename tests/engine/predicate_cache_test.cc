@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "engine/engine.h"
-#include "runner/engine_runner.h"
+#include "runner/runner.h"
 #include "telemetry/metrics.h"
 #include "workload/workload.h"
 
@@ -104,15 +104,16 @@ TEST(PredicateCacheTest, RangeMixRunsWithZeroPrematureEvictions) {
 TEST(PredicateCacheTest, PipelinedRunnerKeepsEvictionsAtZero) {
   const uint64_t before = GlobalEvictions();
 
-  runner::EngineExperimentConfig config;
+  runner::ExperimentConfig config;
   for (const core::Query& q : RangeMix()) {
     config.queries.push_back({q});
   }
   config.num_sources = kN;
   config.epochs = 5;
   config.seed = kSeed;
+  config.threads = 1;
   config.pipeline = true;
-  auto result = runner::RunEngineExperiment(config);
+  auto result = runner::RunExperiment(config);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result.value().all_verified);
 

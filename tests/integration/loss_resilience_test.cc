@@ -83,6 +83,77 @@ TEST(LossResilienceTest, TotalBlackoutLeavesAllEpochsUnanswered) {
   EXPECT_TRUE(result.all_verified);
 }
 
+// Radio loss {0, 0.3, 1.0} x adversary {none, tamper, drop} through the
+// runner, with each cell's audit kinds: loss degrades coverage and never
+// verification, attacks are audited as attacks, and pure loss never is.
+TEST(LossResilienceTest, LossByAdversaryMatrix) {
+  using telemetry::AuditKind;
+  auto& audit = telemetry::AuditTrail::Global();
+  for (double loss : {0.0, 0.3, 1.0}) {
+    for (AdversaryKind adversary :
+         {AdversaryKind::kNone, AdversaryKind::kTamper, AdversaryKind::kDrop}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "loss=" << loss
+                   << " adversary=" << static_cast<int>(adversary));
+      ExperimentConfig c;
+      c.num_sources = 16;
+      c.fanout = 4;
+      c.epochs = 20;
+      c.seed = 5;
+      c.loss_rate = loss;
+      c.max_retries = 2;
+      c.adversary = adversary;
+      audit.Reset();
+      audit.Enable();
+      auto run = RunExperiment(c);
+      audit.Disable();
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      const ExperimentResult& r = run.value();
+      EXPECT_EQ(r.answered_epochs + r.unanswered_epochs, r.epochs);
+      EXPECT_GE(r.mean_coverage, 0.0);
+      EXPECT_LE(r.mean_coverage, 1.0);
+      const bool clean = adversary == AdversaryKind::kNone;
+      if (clean) {
+        // Graceful degradation: partial sums verify and stay exact over
+        // their contributor sets at every loss rate.
+        EXPECT_TRUE(r.all_verified);
+        EXPECT_EQ(r.mean_relative_error, 0.0);
+        EXPECT_EQ(audit.CountOf(AuditKind::kTamper), 0u);
+        EXPECT_EQ(audit.CountOf(AuditKind::kVerificationFailure), 0u);
+      }
+      if (loss == 0.0) {
+        EXPECT_EQ(r.unanswered_epochs, 0u);
+        EXPECT_EQ(r.lost_messages, 0u);
+        EXPECT_EQ(audit.CountOf(AuditKind::kRadioLoss), 0u);
+      }
+      if (loss == 0.0 && clean) {
+        EXPECT_EQ(r.mean_coverage, 1.0);
+        EXPECT_EQ(r.partial_epochs, 0u);
+      }
+      if (loss == 0.3 && clean) {
+        EXPECT_GT(r.partial_epochs, 0u);
+        EXPECT_GT(audit.CountOf(AuditKind::kReportedLoss), 0u);
+        EXPECT_GT(r.retransmits, 0u);
+      }
+      if (loss == 1.0) {
+        EXPECT_EQ(r.answered_epochs, 0u);
+        EXPECT_EQ(r.mean_coverage, 0.0);
+      }
+      if (loss == 0.0 && adversary == AdversaryKind::kTamper) {
+        EXPECT_GT(audit.CountOf(AuditKind::kTamper), 0u);
+        EXPECT_GT(audit.CountOf(AuditKind::kVerificationFailure), 0u);
+      }
+      if (loss == 0.0 && adversary == AdversaryKind::kDrop) {
+        // An in-flight drop is attributed to the adversary and surfaces
+        // as reported loss, never as radio loss.
+        EXPECT_GT(audit.CountOf(AuditKind::kAdversaryDrop), 0u);
+        EXPECT_GT(audit.CountOf(AuditKind::kReportedLoss), 0u);
+      }
+    }
+  }
+  audit.Reset();
+}
+
 // Seed of the audit-trail checks over the raw network (16 sources,
 // fanout 4).
 constexpr uint64_t kAuditSeed = 51;

@@ -9,7 +9,7 @@
 #include <sstream>
 #include <vector>
 
-#include "runner/engine_runner.h"
+#include "runner/runner.h"
 
 namespace sies::runner {
 namespace {
@@ -24,8 +24,8 @@ core::Query MakeQuery(core::Aggregate aggregate, uint32_t id,
   return q;
 }
 
-EngineExperimentConfig BaseConfig() {
-  EngineExperimentConfig config;
+ExperimentConfig BaseConfig() {
+  ExperimentConfig config;
   config.num_sources = 16;
   config.fanout = 4;
   config.epochs = 6;
@@ -39,7 +39,7 @@ EngineExperimentConfig BaseConfig() {
 /// Flattens everything semantically observable about a run into one
 /// string: per-epoch per-query (id, value, verified, coverage) plus the
 /// run-level delivery accounting. Two backends agree iff the strings do.
-std::string SemanticFingerprint(EngineExperimentConfig config,
+std::string SemanticFingerprint(ExperimentConfig config,
                                 const char* tag) {
   std::ostringstream out;
   config.on_epoch_outcomes =
@@ -55,24 +55,27 @@ std::string SemanticFingerprint(EngineExperimentConfig config,
               << " c=" << qo.outcome.coverage << "\n";
         }
       };
-  auto result = RunEngineExperiment(config);
+  auto result = RunExperiment(config);
   EXPECT_TRUE(result.ok()) << tag << ": " << result.status().ToString();
   if (!result.ok()) return "<failed:" + std::string(tag) + ">";
-  const EngineExperimentResult& r = result.value();
+  const ExperimentResult& r = result.value();
   out << "answered=" << r.answered_epochs
       << " verified=" << r.all_verified << " retx=" << r.retransmits
-      << " lost=" << r.lost_messages;
-  for (const EngineQueryStats& qs : r.queries) {
-    out << " | q" << qs.query_id << " ve=" << qs.verified_epochs
-        << " last=" << qs.last_value << " cov=" << qs.mean_coverage;
+      << " lost=" << r.lost_messages << " ch=" << r.channel_epochs << "/"
+      << r.naive_channel_epochs;
+  for (const QueryStats& qs : r.queries) {
+    out << " | q" << qs.query_id << " a=" << qs.answered_epochs
+        << " ve=" << qs.verified_epochs << " un=" << qs.unverified_epochs
+        << " pa=" << qs.partial_epochs << " last=" << qs.last_value
+        << " cov=" << qs.mean_coverage << " w=" << qs.wire_channels;
   }
   return out.str();
 }
 
 TEST(TransportDifferentialTest, LosslessUdpRunIsBitIdenticalToSim) {
-  EngineExperimentConfig config = BaseConfig();
+  ExperimentConfig config = BaseConfig();
   const std::string sim = SemanticFingerprint(config, "sim");
-  config.transport = EngineTransport::kUdp;
+  config.transport = TransportKind::kUdp;
   const std::string udp = SemanticFingerprint(config, "udp");
   EXPECT_EQ(sim, udp);
   EXPECT_NE(sim.find("answered=6 verified=1"), std::string::npos) << sim;
@@ -83,13 +86,13 @@ TEST(TransportDifferentialTest, InjectedLossMatrixMatchesSim) {
   // injection, identical RNG consumption), so delivered/lost patterns,
   // retransmit counts and the resulting partial aggregates must line up
   // across the whole matrix — not just in the lossless corner.
-  for (double loss : {0.1, 0.35}) {
+  for (double loss : {0.1, 0.3, 0.35}) {
     for (uint32_t retries : {0u, 2u}) {
-      EngineExperimentConfig config = BaseConfig();
+      ExperimentConfig config = BaseConfig();
       config.loss_rate = loss;
       config.max_retries = retries;
       const std::string sim = SemanticFingerprint(config, "sim");
-      config.transport = EngineTransport::kUdp;
+      config.transport = TransportKind::kUdp;
       const std::string udp = SemanticFingerprint(config, "udp");
       EXPECT_EQ(sim, udp) << "loss=" << loss << " retries=" << retries;
     }
@@ -97,12 +100,12 @@ TEST(TransportDifferentialTest, InjectedLossMatrixMatchesSim) {
 }
 
 TEST(TransportDifferentialTest, AdmissionAndTeardownMidRunMatchSim) {
-  EngineExperimentConfig config = BaseConfig();
+  ExperimentConfig config = BaseConfig();
   config.queries.push_back({MakeQuery(core::Aggregate::kAvg, 2,
                                       core::Field::kHumidity),
                             /*admit_epoch=*/3, /*teardown_epoch=*/5});
   const std::string sim = SemanticFingerprint(config, "sim");
-  config.transport = EngineTransport::kUdp;
+  config.transport = TransportKind::kUdp;
   const std::string udp = SemanticFingerprint(config, "udp");
   EXPECT_EQ(sim, udp)
       << "plan width changes mid-run must resize the datagrams in step";
@@ -111,23 +114,25 @@ TEST(TransportDifferentialTest, AdmissionAndTeardownMidRunMatchSim) {
 TEST(TransportDifferentialTest, PipelinedUdpStillMatchesSerialSim) {
   // The full tentpole stack — real sockets AND background key prefetch —
   // against the plain serial simulator.
-  EngineExperimentConfig config = BaseConfig();
-  config.loss_rate = 0.15;
-  config.max_retries = 2;
-  const std::string sim = SemanticFingerprint(config, "sim");
-  config.transport = EngineTransport::kUdp;
-  config.pipeline = true;
-  const std::string udp = SemanticFingerprint(config, "udp+pipeline");
-  EXPECT_EQ(sim, udp);
+  for (double loss : {0.15, 0.3}) {
+    ExperimentConfig config = BaseConfig();
+    config.loss_rate = loss;
+    config.max_retries = 2;
+    const std::string sim = SemanticFingerprint(config, "sim");
+    config.transport = TransportKind::kUdp;
+    config.pipeline = true;
+    const std::string udp = SemanticFingerprint(config, "udp+pipeline");
+    EXPECT_EQ(sim, udp) << "loss=" << loss;
+  }
 }
 
 TEST(TransportDifferentialTest, UdpCountsItsDatagrams) {
-  EngineExperimentConfig config = BaseConfig();
-  auto sim = RunEngineExperiment(config);
+  ExperimentConfig config = BaseConfig();
+  auto sim = RunExperiment(config);
   ASSERT_TRUE(sim.ok());
   EXPECT_EQ(sim.value().udp_datagrams_sent, 0u);
-  config.transport = EngineTransport::kUdp;
-  auto udp = RunEngineExperiment(config);
+  config.transport = TransportKind::kUdp;
+  auto udp = RunExperiment(config);
   ASSERT_TRUE(udp.ok());
   // Every edge of the 16-source fanout-4 tree fires once per answered
   // epoch (data + ack are both datagrams, but only data counts here);

@@ -1,5 +1,5 @@
-// Scrapes a LIVE engine run: the admin server answers from another
-// thread while RunEngineExperiment is mid-flight. Admission at epoch t
+// Scrapes a LIVE SIES run: the admin server answers from another
+// thread while RunExperiment is mid-flight. Admission at epoch t
 // must be visible at t, teardown must free the query's slots, and the
 // epoch timeline's phase arithmetic must be consistent with wall time.
 // This is also the scraper-vs-engine race shape the `ops` ctest label
@@ -13,7 +13,7 @@
 
 #include "engine/query_spec.h"
 #include "http_client.h"
-#include "runner/engine_runner.h"
+#include "runner/runner.h"
 #include "telemetry/telemetry.h"
 
 namespace sies::runner {
@@ -38,7 +38,7 @@ TEST(OpsIntegrationTest, LiveRunServesAdmissionTeardownAndTimeline) {
       "avg temperature id 1\n");
   ASSERT_TRUE(queries.ok()) << queries.status().ToString();
 
-  EngineExperimentConfig config;
+  ExperimentConfig config;
   config.queries.push_back({queries.value()[0], /*admit_epoch=*/1,
                             /*teardown_epoch=*/0});
   // The second query lives only in epochs [3, 6): its admission and its
@@ -63,7 +63,7 @@ TEST(OpsIntegrationTest, LiveRunServesAdmissionTeardownAndTimeline) {
     scrapes.push_back(std::move(s));
   };
 
-  auto result = RunEngineExperiment(config);
+  auto result = RunExperiment(config);
   timeline.Disable();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result.value().all_verified);
@@ -116,16 +116,47 @@ TEST(OpsIntegrationTest, LiveRunServesAdmissionTeardownAndTimeline) {
   timeline.Reset();
 }
 
+// Readiness waits for the first round that runs, not for epoch 1: a run
+// whose only query is admitted at epoch 3 idles through epochs 1-2 (no
+// keys derived yet) and turns ready once epoch 3's round has run.
+TEST(OpsIntegrationTest, ReadyOnlyAfterTheFirstRoundRuns) {
+  auto queries = engine::ParseQueriesText("sum temperature id 0\n");
+  ASSERT_TRUE(queries.ok()) << queries.status().ToString();
+  ExperimentConfig config;
+  config.queries.push_back({queries.value()[0], /*admit_epoch=*/3});
+  config.num_sources = 16;
+  config.epochs = 6;
+  config.threads = 1;
+  config.ops_port = 0;
+  uint16_t port = 0;
+  config.on_ops_ready = [&port](uint16_t p) { port = p; };
+  std::vector<HttpResult> readyz;
+  config.after_epoch = [&](uint64_t) {
+    readyz.push_back(Get(port, "/readyz"));
+  };
+  auto result = RunExperiment(config);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result.value().idle_epochs, 2u);
+  ASSERT_EQ(readyz.size(), 6u);
+  for (size_t i = 0; i < readyz.size(); ++i) {
+    const uint64_t epoch = i + 1;
+    ASSERT_TRUE(readyz[i].ok) << "scrape failed at epoch " << epoch;
+    EXPECT_EQ(readyz[i].status, epoch < 3 ? 503 : 200)
+        << "epoch " << epoch << ": " << readyz[i].body;
+  }
+}
+
 TEST(OpsIntegrationTest, RunWithoutOpsPortStartsNoServer) {
   auto queries = engine::ParseQueriesText("sum temperature id 0\n");
   ASSERT_TRUE(queries.ok());
-  EngineExperimentConfig config;
+  ExperimentConfig config;
   config.queries.push_back({queries.value()[0]});
   config.num_sources = 8;
   config.epochs = 2;
+  config.threads = 1;
   bool ready_called = false;
   config.on_ops_ready = [&ready_called](uint16_t) { ready_called = true; };
-  auto result = RunEngineExperiment(config);
+  auto result = RunExperiment(config);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_FALSE(ready_called) << "ops plane must be off by default";
 }

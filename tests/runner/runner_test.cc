@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "support/sies_fixture.h"
+#include "telemetry/metrics.h"
 
 namespace sies::runner {
 namespace {
@@ -19,11 +20,22 @@ ExperimentConfig SmallConfig(Scheme scheme) {
   return c;
 }
 
+core::Query MakeQuery(core::Aggregate aggregate, uint32_t id) {
+  core::Query q;
+  q.aggregate = aggregate;
+  q.query_id = id;
+  return q;
+}
+
 TEST(RunExperimentTest, SiesExactAndVerified) {
   auto result = RunExperiment(SmallConfig(Scheme::kSies)).value();
   EXPECT_EQ(result.scheme_name, "SIES");
   EXPECT_TRUE(result.all_verified);
   EXPECT_DOUBLE_EQ(result.mean_relative_error, 0.0) << "SIES must be exact";
+  // No schedule given: the one SUM(temperature) query, live throughout.
+  ASSERT_EQ(result.queries.size(), 1u);
+  EXPECT_EQ(result.queries[0].verified_epochs, 3u);
+  EXPECT_EQ(result.channel_epochs, 3u);
   // Wire width: the bare 32-byte PSR on every edge class (paper
   // Table V) — a lossless epoch's contributor fields are all empty.
   EXPECT_DOUBLE_EQ(result.source_to_aggregator_bytes, 32.0);
@@ -56,6 +68,70 @@ TEST(RunExperimentTest, SecoaCostsDwarfSiesCosts) {
   auto secoa = RunExperiment(SmallConfig(Scheme::kSecoa)).value();
   EXPECT_GT(secoa.source_cpu_seconds, sies.source_cpu_seconds * 2);
   EXPECT_GT(secoa.aggregator_cpu_seconds, sies.aggregator_cpu_seconds * 2);
+}
+
+TEST(RunExperimentTest, EveryRunCountsItsEpochs) {
+  auto& registry = telemetry::MetricsRegistry::Global();
+  telemetry::Counter* total = registry.GetCounter("sies_epochs_total");
+  telemetry::Counter* unverified =
+      registry.GetCounter("sies_epochs_unverified_total");
+
+  uint64_t total_before = total->Value();
+  uint64_t unverified_before = unverified->Value();
+  ASSERT_TRUE(RunExperiment(SmallConfig(Scheme::kCmt)).ok());
+  EXPECT_EQ(total->Value() - total_before, 3u);
+  EXPECT_EQ(unverified->Value() - unverified_before, 0u);
+
+  // Two SIES queries under tamper: the trailing-bit flip lands in
+  // VARIANCE's last channel, so some query fails in every epoch.
+  ExperimentConfig config = SmallConfig(Scheme::kSies);
+  config.queries.push_back({MakeQuery(core::Aggregate::kSum, 0)});
+  config.queries.push_back({MakeQuery(core::Aggregate::kVariance, 1)});
+  config.adversary = AdversaryKind::kTamper;
+  total_before = total->Value();
+  unverified_before = unverified->Value();
+  auto result = RunExperiment(config);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result.value().unverified_epochs, 3u);
+  EXPECT_EQ(total->Value() - total_before, 3u);
+  EXPECT_EQ(unverified->Value() - unverified_before, 3u);
+}
+
+// A torn-down query's id may be reused by a different query; each
+// epoch's error is measured against the query live in that epoch.
+TEST(RunExperimentTest, ReusedQueryIdMeasuredAgainstTheLiveQuery) {
+  ExperimentConfig config = SmallConfig(Scheme::kSies);
+  config.epochs = 5;
+  core::Query temperature = MakeQuery(core::Aggregate::kSum, 0);
+  core::Query humidity = temperature;
+  humidity.attribute = core::Field::kHumidity;
+  config.queries.push_back({temperature, 1, 3});
+  config.queries.push_back({humidity, 4, 0});
+  auto result = RunExperiment(config);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result.value().answered_epochs, 4u);
+  EXPECT_EQ(result.value().idle_epochs, 1u);
+  EXPECT_TRUE(result.value().all_verified);
+  EXPECT_DOUBLE_EQ(result.value().mean_relative_error, 0.0);
+}
+
+// Queries, pipelining, the ops plane and the UDP transport are SIES
+// engine settings; a baseline run must refuse them rather than
+// silently run without them.
+TEST(RunExperimentTest, EngineOnlySettingsRejectedOnBaselines) {
+  for (Scheme scheme : {Scheme::kCmt, Scheme::kSecoa}) {
+    std::vector<ExperimentConfig> configs(4, SmallConfig(scheme));
+    configs[0].queries.push_back({MakeQuery(core::Aggregate::kSum, 0)});
+    configs[1].pipeline = true;
+    configs[2].ops_port = 0;
+    configs[3].transport = TransportKind::kUdp;
+    for (size_t i = 0; i < configs.size(); ++i) {
+      auto result = RunExperiment(configs[i]);
+      ASSERT_FALSE(result.ok()) << "setting " << i;
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+          << "setting " << i;
+    }
+  }
 }
 
 TEST(RunExperimentTest, DeterministicAcrossRuns) {
