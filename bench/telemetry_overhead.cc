@@ -7,12 +7,14 @@
 //
 //   1. Per-evaluation probe cost: the exact disabled-telemetry probe
 //      sequence one warm evaluation executes (counter increments, cache
-//      stat atomics, one disabled ScopedSpan, one audit enabled-check),
+//      stat atomics, the tracer enabled-check that gates RunEpoch's
+//      `evaluate` span, the audit and epoch-timeline enabled-checks),
 //      timed tightly. The guard asserts that sequence costs < 2% of the
 //      warm evaluation itself.
 //   2. End-to-end A/B: warm evaluations with tracer+audit disabled vs
-//      enabled, reported for context (enabled runs pay real clock reads
-//      and a mutex per span — they are allowed to cost more).
+//      enabled, reported for context. The querier itself records no
+//      span (its caller's one stopwatch feeds the trace), so the two
+//      should read alike.
 //   3. Ops-plane guard: the same warm evaluations with an idle
 //      AdminServer bound on loopback. A server nobody scrapes sits in
 //      poll() on another thread; the guard asserts the hot path slows
@@ -113,10 +115,12 @@ int main(int argc, char** argv) {
 
   // Tight loop over the exact disabled-telemetry probe sequence one warm
   // evaluation executes: the evaluations counter, the two epoch-key-cache
-  // hit counters plus their local stat atomics, one disabled ScopedSpan,
-  // one audit enabled-check (the network layer's gate), and one epoch-
-  // timeline enabled-check (the engine's per-phase attribution gate —
-  // what an evaluation pays when no ops plane was ever started).
+  // hit counters plus their local stat atomics, one tracer enabled-check
+  // (the gate of RunEpoch's `evaluate` span, which reuses the querier
+  // call's stopwatch), one audit enabled-check (the network layer's
+  // gate), and one epoch-timeline enabled-check (the engine's per-phase
+  // attribution gate — what an evaluation pays when no ops plane was
+  // ever started).
   telemetry::Counter* evals =
       telemetry::MetricsRegistry::Global().GetCounter(
           "telemetry_overhead_bench_evals");
@@ -133,7 +137,7 @@ int main(int argc, char** argv) {
     watch.Restart();
     for (int i = 0; i < probe_iters; ++i) {
       evals->Increment();
-      telemetry::ScopedSpan span("probe", "bench", 0);
+      if (telemetry::Tracer::Global().enabled()) std::abort();
       hits_a->Increment();
       stat_a.fetch_add(1, std::memory_order_relaxed);
       hits_b->Increment();

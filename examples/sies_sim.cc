@@ -88,7 +88,9 @@ void PrintUsage() {
       "                            suffix: Prometheus text format)\n"
       "  --trace-out=PATH          write a Chrome trace_event JSON "
       "(load in\n"
-      "                            about://tracing or ui.perfetto.dev)\n"
+      "                            about://tracing or ui.perfetto.dev);\n"
+      "                            enables the per-epoch latency timeline,\n"
+      "                            whose records are the phase spans\n"
       "  --audit-out=PATH          write the security audit trail as "
       "JSON\n"
       "  --csv                     emit one CSV row instead of text\n"
@@ -414,8 +416,12 @@ int main(int argc, char** argv) {
   std::string audit_out = flags.GetString("audit-out", "");
   // Metrics are always collected (relaxed atomics, effectively free);
   // tracing and auditing are opt-in because they record real payload
-  // comparisons and timeline entries.
-  if (!trace_out.empty()) sies::telemetry::Tracer::Global().Enable();
+  // comparisons and timeline entries. The trace's phase and epoch spans
+  // are the epoch timeline's records, so tracing turns the timeline on.
+  if (!trace_out.empty()) {
+    sies::telemetry::Tracer::Global().Enable();
+    sies::telemetry::EpochTimeline::Global().Enable();
+  }
   if (!audit_out.empty()) sies::telemetry::AuditTrail::Global().Enable();
 
   for (const std::string& unused : flags.UnusedFlags()) {

@@ -3,9 +3,8 @@
 # SIES_NATIVE=scalar `_portable` twins), example, and bench, plus the
 # repo benchmark's equivalence check (bench_e2e/run.py --check).
 # Usage: scripts/check.sh [--skip-bench] [--sanitize] [--tsan] [--tidy]
-#                         [--lint] [--telemetry-smoke] [--bench-smoke]
-#                         [--ops-smoke] [--predicate-smoke] [--fuzz]
-#                         [--coverage]
+#                         [--lint] [--bench-smoke] [--ops-smoke]
+#                         [--predicate-smoke] [--fuzz] [--coverage]
 #   --skip-bench       skip the full (slow) bench binaries; the JSON smoke
 #                      pass below always runs
 #   --bench-smoke      ONLY run the bench JSON smoke (tiny-N --smoke runs
@@ -30,10 +29,6 @@
 #                      (scripts/lint_secrets.py: self-test + full src/
 #                      scan) followed by the --tidy gate; nonzero on any
 #                      finding
-#   --telemetry-smoke  ONLY run the telemetry smoke (sies_sim with
-#                      --metrics-out/--trace-out/--audit-out on a tiny
-#                      topology, outputs validated with python3); the
-#                      smoke also runs as part of the full check
 #   --ops-smoke        ONLY run the live ops-plane smoke (sies_sim
 #                      --queries with --ops-port=0 on a paced
 #                      single-threaded run; every admin endpoint scraped
@@ -69,7 +64,6 @@ SANITIZE=0
 TSAN_ONLY=0
 TIDY_ONLY=0
 LINT_ONLY=0
-TELEMETRY_ONLY=0
 BENCH_SMOKE_ONLY=0
 OPS_ONLY=0
 PREDICATE_ONLY=0
@@ -82,7 +76,6 @@ for arg in "$@"; do
     --tsan) TSAN_ONLY=1 ;;
     --tidy) TIDY_ONLY=1 ;;
     --lint) LINT_ONLY=1 ;;
-    --telemetry-smoke) TELEMETRY_ONLY=1 ;;
     --bench-smoke) BENCH_SMOKE_ONLY=1 ;;
     --ops-smoke) OPS_ONLY=1 ;;
     --predicate-smoke) PREDICATE_ONLY=1 ;;
@@ -139,38 +132,6 @@ tidy_gate() {
     fi
   fi
   echo "tidy gate OK"
-}
-
-# Runs sies_sim on a tiny 2-level/8-source topology under a tampering
-# adversary with all three telemetry exports, then validates that the
-# metrics/trace/audit files parse and contain what the run implies.
-telemetry_smoke() {
-  local build="$1" dir
-  dir="$(mktemp -d)"
-  echo "== telemetry smoke =="
-  "./$build/examples/sies_sim" --scheme=sies --sources=8 --fanout=2 \
-      --epochs=3 --threads=2 --adversary=tamper \
-      --metrics-out="$dir/metrics.json" --trace-out="$dir/trace.json" \
-      --audit-out="$dir/audit.json" > /dev/null
-  python3 - "$dir" <<'PYEOF'
-import json, sys
-d = sys.argv[1]
-m = json.load(open(d + "/metrics.json"))
-hists = {(h["name"], h["labels"].get("phase")): h for h in m["histograms"]}
-for phase in ("source_init", "merge", "evaluate"):
-    assert hists[("sies_phase_seconds", phase)]["count"] > 0, phase
-t = json.load(open(d + "/trace.json"))
-names = {e["name"] for e in t["traceEvents"]}
-assert {"source-init", "merge", "evaluate", "epoch"} <= names, names
-assert len({e["tid"] for e in t["traceEvents"]}) > 1, "expected >1 thread"
-a = json.load(open(d + "/audit.json"))
-kinds = [e["kind"] for e in a["events"]]
-assert kinds.count("tamper") > 0, "no tamper events recorded"
-assert kinds.count("verification_failure") == 3, kinds
-print(f"telemetry smoke OK: {len(m['counters'])} counters, "
-      f"{len(t['traceEvents'])} spans, {len(a['events'])} audit events")
-PYEOF
-  rm -rf "$dir"
 }
 
 # Compiled range queries end-to-end: a band-query mix across a
@@ -469,14 +430,6 @@ for test in json.load(sys.stdin)["tests"]:
   exit 0
 fi
 
-if [[ $TELEMETRY_ONLY -eq 1 ]]; then
-  configure "$BUILD" "${EXTRA[@]}"
-  cmake --build "$BUILD" --target sies_sim
-  telemetry_smoke "$BUILD"
-  echo "TELEMETRY SMOKE PASSED"
-  exit 0
-fi
-
 if [[ $BENCH_SMOKE_ONLY -eq 1 ]]; then
   configure "$BUILD" "${EXTRA[@]}"
   cmake --build "$BUILD" --target micro_crypto fig6a_querier_vs_n \
@@ -526,7 +479,6 @@ done
 echo "== bench_e2e check =="
 python3 bench_e2e/run.py --check
 
-telemetry_smoke "$BUILD"
 ops_smoke "$BUILD"
 predicate_smoke "$BUILD"
 

@@ -81,12 +81,12 @@ SECRET_FALSE_POSITIVE_RE = re.compile(
 )
 
 # Sinks: expressions whose arguments end up on stderr / in exported JSON.
-# ScopedSpan is a sink because span names/labels land verbatim in the
-# exported Chrome trace — spans may carry phase names and epochs, never
-# key bytes.
+# ScopedSpan and Tracer::RecordElapsed are sinks because span names/labels
+# land verbatim in the exported Chrome trace — spans may carry phase names
+# and epochs, never key bytes.
 SINK_START_RE = re.compile(
-    r"SIES_LOG\s*\(|\.Record\s*\(|\bLogLine\s*\(|std::cerr|std::cout|"
-    r"\bScopedSpan\s+\w+\s*\("
+    r"SIES_LOG\s*\(|\.Record(?:Elapsed)?\s*\(|\bLogLine\s*\(|std::cerr|"
+    r"std::cout|\bScopedSpan\s+\w+\s*\("
 )
 
 # Key-derivation calls whose result IS key material.

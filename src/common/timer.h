@@ -4,6 +4,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <optional>
 
 namespace sies {
 
@@ -30,6 +31,14 @@ class Stopwatch {
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
 };
+
+/// A stopwatch started only when `start` holds, so a probe whose sinks
+/// are all off reads no clock.
+inline std::optional<Stopwatch> StartIf(bool start) {
+  std::optional<Stopwatch> watch;
+  if (start) watch.emplace();
+  return watch;
+}
 
 /// Accumulates CPU time attributed to one party (source/aggregator/querier)
 /// across the epochs of an experiment. Tracks mean, extremes, and running

@@ -1,7 +1,5 @@
 #include "engine/engine.h"
 
-#include <optional>
-
 #if defined(__GLIBC__)
 #include <malloc.h>
 #endif
@@ -37,14 +35,6 @@ std::vector<core::Source> MakeSources(
     sources.back().SetEpochKeyCache(cache);
   }
   return sources;
-}
-
-// A stopwatch started only while the EpochTimeline records, so with the
-// timeline off the engine's data path reads no clock.
-std::optional<Stopwatch> StartIf(bool attribute) {
-  std::optional<Stopwatch> watch;
-  if (attribute) watch.emplace();
-  return watch;
 }
 
 const char* ChannelKindName(Channel kind) {
@@ -177,11 +167,6 @@ StatusOr<Bytes> MultiQueryEngine::CreateSourcePayload(
   if (channels.empty()) {
     return Status::FailedPrecondition("no live queries to serve");
   }
-  // Live-attribution probe: one relaxed load when nobody is watching
-  // (covered by the bench/telemetry_overhead guard).
-  auto& timeline = telemetry::EpochTimeline::Global();
-  const bool attribute = timeline.enabled();
-  const std::optional<Stopwatch> phase_watch = StartIf(attribute);
   const size_t width = params_.PsrBytes();
   Bytes body(channels.size() * width);
   for (size_t i = 0; i < channels.size(); ++i) {
@@ -193,30 +178,20 @@ StatusOr<Bytes> MultiQueryEngine::CreateSourcePayload(
     SIES_RETURN_IF_ERROR(sources_[index].CreatePsrInto(
         value.value(), ch.SaltedEpochFor(epoch), body.data() + i * width));
   }
-  if (attribute) {
-    timeline.RecordPhase(telemetry::EpochPhase::kPsrCreate,
-                         phase_watch->ElapsedSeconds());
-  }
   return body;
 }
 
 StatusOr<Bytes> MultiQueryEngine::Merge(
     std::span<const net::SourceRange> child_ranges,
     const std::vector<Bytes>& children) const {
-  auto& timeline = telemetry::EpochTimeline::Global();
-  const bool attribute = timeline.enabled();
-  const std::optional<Stopwatch> phase_watch = StartIf(attribute);
-  auto merged = aggregator_.MergeWire(child_ranges, children,
-                                      registry_.plan().Count());
-  if (attribute) {
-    timeline.RecordPhase(telemetry::EpochPhase::kTreeAggregate,
-                         phase_watch->ElapsedSeconds());
-  }
-  return merged;
+  return aggregator_.MergeWire(child_ranges, children,
+                               registry_.plan().Count());
 }
 
 StatusOr<std::vector<QueryEpochOutcome>> MultiQueryEngine::Evaluate(
     const Bytes& final_payload, uint64_t epoch) const {
+  // Times the four querier sub-phases only the engine can see; its
+  // caller (Network::RunEpoch) times the whole call.
   auto& timeline = telemetry::EpochTimeline::Global();
   const bool attribute = timeline.enabled();
   std::optional<Stopwatch> phase_watch = StartIf(attribute);
@@ -273,22 +248,19 @@ StatusOr<std::vector<QueryEpochOutcome>> MultiQueryEngine::Evaluate(
       timeline.RecordChannelVerify(sample);
     }
   };
-  if (pool_ != nullptr || attribute) {
-    // Warm every channel's epoch material from this thread first, so the
-    // cold N-way derivations run their group fan-out over the full pool.
-    // Reached cold from inside a lane below, they would run inline on
-    // that single lane instead (ThreadPool nesting serializes). With
-    // attribution on, the warm-up also runs in serial mode so that key
-    // derivation lands in its own phase instead of inflating the first
-    // channel's verify sample.
-    phase_watch = StartIf(attribute);
-    for (size_t i = 0; i < channels.size(); ++i) {
-      querier_.WarmEpoch(channels[i].SaltedEpochFor(epoch));
-    }
-    if (attribute) {
-      timeline.RecordPhase(telemetry::EpochPhase::kKeyDerive,
-                           phase_watch->ElapsedSeconds());
-    }
+  // Warm every channel's epoch material from this thread first, so the
+  // cold N-way derivations run their group fan-out over the full pool.
+  // Reached cold from inside a lane below, they would run inline on that
+  // single lane instead (ThreadPool nesting serializes). Key derivation
+  // thereby lands in its own phase instead of inflating the first
+  // channel's verify sample, whether or not the timeline records.
+  phase_watch = StartIf(attribute);
+  for (size_t i = 0; i < channels.size(); ++i) {
+    querier_.WarmEpoch(channels[i].SaltedEpochFor(epoch));
+  }
+  if (attribute) {
+    timeline.RecordPhase(telemetry::EpochPhase::kKeyDerive,
+                         phase_watch->ElapsedSeconds());
   }
   if (pool_ != nullptr) {
     pool_->ParallelFor(channels.size(), eval_one);

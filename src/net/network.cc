@@ -60,11 +60,18 @@ StatusOr<EpochReport> Network::RunEpoch(AggregationProtocol& protocol,
   report.node_tx_bytes.assign(topology_.num_nodes(), 0);
   report.node_rx_bytes.assign(topology_.num_nodes(), 0);
 
+  // One stopwatch per party call feeds every sink of that call: the
+  // EpochReport (the paper's per-party CPU), `sies_phase_seconds`, and,
+  // while they record, the timeline (which traces its records) and the
+  // `evaluate` span. Only the timeline reports transport, so transport
+  // is timed only while it records.
   const std::string scheme = protocol.Name();
   telemetry::Histogram* source_hist = PhaseHistogram(scheme, "source_init");
   telemetry::Histogram* merge_hist = PhaseHistogram(scheme, "merge");
   telemetry::Histogram* eval_hist = PhaseHistogram(scheme, "evaluate");
   telemetry::AuditTrail& audit = telemetry::AuditTrail::Global();
+  telemetry::EpochTimeline& timeline = telemetry::EpochTimeline::Global();
+  const bool attribute = timeline.enabled();
 
   // What each node delivered to its parent this epoch, indexed by the
   // sender's id (the root's entry is the querier's input).
@@ -72,7 +79,6 @@ StatusOr<EpochReport> Network::RunEpoch(AggregationProtocol& protocol,
   std::vector<uint8_t> arrived(topology_.num_nodes(), 0);
 
   Transport& transport = this->transport();
-  auto& timeline = telemetry::EpochTimeline::Global();
 
   auto deliver = [&](NodeId from, NodeId to, Bytes payload,
                      EdgeTraffic& traffic) -> StatusOr<bool> {
@@ -82,12 +88,11 @@ StatusOr<EpochReport> Network::RunEpoch(AggregationProtocol& protocol,
     // (for real backends) the payload's actual journey over sockets.
     // Deliveries stay serial and in a fixed order — the determinism
     // contract both backends' loss models are built on.
-    const bool attribute = timeline.enabled();
-    Stopwatch transport_watch;
+    const std::optional<Stopwatch> transport_watch = StartIf(attribute);
     auto result = transport.Deliver(from, to, epoch, std::move(payload));
     if (attribute) {
       timeline.RecordPhase(telemetry::EpochPhase::kTransport,
-                           transport_watch.ElapsedSeconds());
+                           transport_watch->ElapsedSeconds());
     }
     if (!result.ok()) return result.status();
     Delivery& delivery = result.value();
@@ -156,22 +161,22 @@ StatusOr<EpochReport> Network::RunEpoch(AggregationProtocol& protocol,
   // when the protocol allows it. Accounting and delivery stay serial and
   // in source order below — the loss RNG consumes one draw per delivered
   // message in a fixed sequence, so the epoch's results are bit-identical
-  // for any thread count.
+  // for any thread count. `live` is also the querier's participating set.
   std::vector<NodeId> live;
   live.reserve(topology_.sources().size());
   for (NodeId src : topology_.sources()) {
     if (!failed_sources_.contains(src)) live.push_back(src);
   }
-  std::vector<StatusOr<Bytes>> psrs(live.size(),
-                                    Status::Internal("psr not produced"));
+  // Empty OK slots own no heap; the fan-out overwrites every one.
+  std::vector<StatusOr<Bytes>> psrs(live.size(), Bytes());
   std::vector<double> psr_seconds(live.size(), 0.0);
   auto create_one = [&](size_t i) {
-    // The span lives on the worker thread, so a `--threads` run shows
-    // overlapping source-init spans in the Chrome trace.
-    telemetry::ScopedSpan span("source-init", "phase", epoch);
     Stopwatch psr_watch;
     psrs[i] = protocol.SourceInitialize(live[i], epoch);
     psr_seconds[i] = psr_watch.ElapsedSeconds();
+    // Recorded on the lane that ran the call, so the timeline's busiest
+    // lane and the trace's thread ids follow a `--threads` fan-out.
+    timeline.RecordPhase(telemetry::EpochPhase::kPsrCreate, psr_seconds[i]);
   };
   if (pool_ != nullptr && protocol.ParallelSourceInitSafe()) {
     pool_->ParallelFor(live.size(), create_one);
@@ -191,8 +196,6 @@ StatusOr<EpochReport> Network::RunEpoch(AggregationProtocol& protocol,
     if (!sent.ok()) return sent.status();
   }
 
-  Stopwatch watch;
-
   // --- Merging phase: aggregators fuse children payloads bottom-up. ---
   // One slot per child, empty where nothing arrived; the slot vector is
   // reused across aggregators.
@@ -207,15 +210,12 @@ StatusOr<EpochReport> Network::RunEpoch(AggregationProtocol& protocol,
       any = any || arrived[children[i]];
     }
     if (!any) continue;  // all children failed/dropped
-    watch.Restart();
-    StatusOr<Bytes> merged = Status::Internal("merge not run");
-    {
-      telemetry::ScopedSpan span("merge", "phase", epoch);
-      merged = protocol.AggregatorMerge(agg, epoch, received);
-    }
-    const double merge_seconds = watch.ElapsedSeconds();
+    Stopwatch merge_watch;
+    auto merged = protocol.AggregatorMerge(agg, epoch, received);
+    const double merge_seconds = merge_watch.ElapsedSeconds();
     report.aggregator_cpu.Add(merge_seconds);
     merge_hist->Observe(merge_seconds);
+    timeline.RecordPhase(telemetry::EpochPhase::kTreeAggregate, merge_seconds);
     if (!merged.ok()) return merged.status();
     NodeId parent = topology_.parent(agg);
     EdgeTraffic& traffic = (parent == kQuerierId)
@@ -226,12 +226,7 @@ StatusOr<EpochReport> Network::RunEpoch(AggregationProtocol& protocol,
   }
 
   // --- Evaluation phase at the querier. ---
-  std::vector<NodeId> participating;
-  participating.reserve(topology_.sources().size());
-  for (NodeId src : topology_.sources()) {
-    if (!failed_sources_.contains(src)) participating.push_back(src);
-  }
-  report.expected_contributors = static_cast<uint32_t>(participating.size());
+  report.expected_contributors = static_cast<uint32_t>(live.size());
 
   static telemetry::Gauge* coverage_gauge =
       telemetry::MetricsRegistry::Global().GetGauge(
@@ -252,16 +247,14 @@ StatusOr<EpochReport> Network::RunEpoch(AggregationProtocol& protocol,
     unanswered->Increment();
     return report;
   }
-  watch.Restart();
-  StatusOr<EvalOutcome> outcome = Status::Internal("evaluate not run");
-  {
-    telemetry::ScopedSpan span("evaluate", "phase", epoch);
-    outcome = protocol.QuerierEvaluate(epoch, inbox[topology_.root()],
-                                       participating);
-  }
-  const double eval_seconds = watch.ElapsedSeconds();
+  Stopwatch eval_watch;
+  auto outcome =
+      protocol.QuerierEvaluate(epoch, inbox[topology_.root()], live);
+  const double eval_seconds = eval_watch.ElapsedSeconds();
   report.querier_cpu.Add(eval_seconds);
   eval_hist->Observe(eval_seconds);
+  telemetry::Tracer::Global().RecordElapsed("evaluate", "phase", epoch,
+                                            eval_seconds);
   if (!outcome.ok()) return outcome.status();
   report.outcome = std::move(outcome).value();
   report.contributing_sources =

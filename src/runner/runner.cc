@@ -11,7 +11,6 @@
 #include "ops/admin_server.h"
 #include "telemetry/epoch_timeline.h"
 #include "telemetry/metrics.h"
-#include "telemetry/trace.h"
 
 namespace sies::runner {
 
@@ -479,7 +478,6 @@ StatusOr<ExperimentResult> RunExperiment(const ExperimentConfig& config) {
 
     const bool attribute = timeline.enabled();
     if (attribute) timeline.BeginEpoch(epoch);
-    telemetry::ScopedSpan span("epoch", "runner", epoch);
     auto report = network.RunEpoch(protocol, epoch);
     if (!report.ok()) return report.status();
     const net::EpochReport& r = report.value();

@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "telemetry/metrics.h"
-#include "telemetry/trace.h"
 
 namespace sies::core {
 
@@ -15,7 +14,6 @@ StatusOr<Bytes> Aggregator::Merge(const std::vector<Bytes>& child_psrs) const {
       telemetry::MetricsRegistry::Global().GetCounter(
           "sies_aggregator_merge_total", {{"scheme", "SIES"}});
   merges->Increment();
-  telemetry::ScopedSpan span("merge-add", "aggregator", /*epoch=*/0);
   if (const crypto::Fp256* fp = params_.Fp()) {
     auto acc = ParsePsrFp(params_, *fp, child_psrs[0]);
     if (!acc.ok()) return acc.status();
@@ -47,7 +45,6 @@ Status Aggregator::MergeContiguous(const uint8_t* psrs, size_t count,
       telemetry::MetricsRegistry::Global().GetCounter(
           "sies_aggregator_merge_total", {{"scheme", "SIES"}});
   merges->Increment();
-  telemetry::ScopedSpan span("merge-add", "aggregator", /*epoch=*/0);
   const size_t width = params_.PsrBytes();
   if (const crypto::Fp256* fp = params_.Fp()) {
     auto acc = ParsePsrFp(params_, *fp, psrs, width);
@@ -89,7 +86,6 @@ StatusOr<Bytes> Aggregator::MergeWire(
       telemetry::MetricsRegistry::Global().GetCounter(
           "sies_aggregator_merge_total", {{"scheme", "SIES"}});
   merges->Increment();
-  telemetry::ScopedSpan span("merge-add", "aggregator", /*epoch=*/0);
   const size_t field_bytes = out.size();
   out.resize(field_bytes + body_bytes);
   // Channel ch of a child sits at the same offset from the end of every

@@ -3,7 +3,6 @@
 #include <numeric>
 
 #include "telemetry/metrics.h"
-#include "telemetry/trace.h"
 
 namespace sies::core {
 
@@ -56,7 +55,6 @@ StatusOr<Evaluation> Querier::EvaluateCore(
     const std::vector<uint32_t>& participating) const {
   const QuerierMetrics& metrics = QuerierMetrics::Get();
   metrics.evaluations->Increment();
-  telemetry::ScopedSpan span("evaluate-decrypt", "querier", epoch);
   const crypto::Fp256* fp =
       params_.share_prf == SharePrf::kHmacSha1 ? params_.Fp() : nullptr;
 

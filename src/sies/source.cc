@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "telemetry/metrics.h"
-#include "telemetry/trace.h"
 
 namespace sies::core {
 
@@ -29,7 +28,6 @@ Status Source::CreatePsrInto(uint64_t value, uint64_t epoch,
       telemetry::MetricsRegistry::Global().GetCounter(
           "sies_source_psr_total", {{"scheme", "SIES"}});
   psrs->Increment();
-  telemetry::ScopedSpan span("psr-encrypt", "source", epoch);
   const crypto::Fp256* fp =
       params_.share_prf == SharePrf::kHmacSha1 ? params_.Fp() : nullptr;
   if (fp != nullptr) {

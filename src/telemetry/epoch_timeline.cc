@@ -9,12 +9,6 @@ namespace sies::telemetry {
 
 namespace {
 
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
 void AppendDouble(std::string& out, double value) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.9g", value);
@@ -61,51 +55,49 @@ void EpochTimeline::BeginEpoch(uint64_t epoch) {
   current_.epoch = epoch;
   for (auto& lanes : lanes_) lanes.clear();
   open_ = true;
-  epoch_start_ = std::chrono::steady_clock::now();
+  epoch_watch_.Restart();
 }
 
-void EpochTimeline::RecordPhase(EpochPhase phase, double seconds) {
-  if (!enabled()) return;
-  const uint32_t tid = Tracer::CurrentThreadId();
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!open_) return;
-  RecordPhaseLocked(phase, seconds, tid);
-}
-
-void EpochTimeline::RecordPhaseLocked(EpochPhase phase, double seconds,
-                                      uint32_t tid) {
-  PhaseStat& stat = current_.phases[static_cast<size_t>(phase)];
-  stat.total_seconds += seconds;
-  stat.max_call_seconds = std::max(stat.max_call_seconds, seconds);
-  ++stat.calls;
-  std::vector<LaneAcc>& lanes = lanes_[static_cast<size_t>(phase)];
-  for (LaneAcc& lane : lanes) {
-    if (lane.tid == tid) {
-      lane.seconds += seconds;
-      return;
+void EpochTimeline::Record(EpochPhase phase, double seconds,
+                           const ChannelVerifySample* sample) {
+  // A sample declares its own lane — critical-path math must follow the
+  // lane that paid for the verify, not whoever relays the sample.
+  const uint32_t tid =
+      sample != nullptr ? sample->tid : Tracer::CurrentThreadId();
+  uint64_t epoch = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!open_) return;
+    epoch = current_.epoch;
+    PhaseStat& stat = current_.phases[static_cast<size_t>(phase)];
+    stat.total_seconds += seconds;
+    stat.max_call_seconds = std::max(stat.max_call_seconds, seconds);
+    ++stat.calls;
+    if (sample != nullptr) {
+      current_.channels.push_back(*sample);
+      if (!sample->verified) ++current_.tampered_channels;
+    }
+    std::vector<LaneAcc>& lanes = lanes_[static_cast<size_t>(phase)];
+    auto lane = std::find_if(lanes.begin(), lanes.end(),
+                             [tid](const LaneAcc& l) { return l.tid == tid; });
+    if (lane != lanes.end()) {
+      lane->seconds += seconds;
+    } else {
+      lanes.push_back(LaneAcc{tid, seconds});
     }
   }
-  lanes.push_back(LaneAcc{tid, seconds});
-}
-
-void EpochTimeline::RecordChannelVerify(const ChannelVerifySample& sample) {
-  if (!enabled()) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!open_) return;
-  // The sample declares its own lane (sample.tid) — critical-path math
-  // must follow the lane that paid for the verify, not whoever relays
-  // the sample.
-  RecordPhaseLocked(EpochPhase::kVerify, sample.seconds, sample.tid);
-  current_.channels.push_back(sample);
-  if (!sample.verified) ++current_.tampered_channels;
+  Tracer::Global().RecordElapsed(EpochPhaseName(phase), "phase", epoch,
+                                 seconds);
 }
 
 void EpochTimeline::EndEpoch(const EpochVerdict& verdict) {
   if (!enabled()) return;
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(mu_);
   if (!open_) return;
   open_ = false;
-  current_.wall_seconds = SecondsSince(epoch_start_);
+  const double wall = epoch_watch_.ElapsedSeconds();
+  const uint64_t epoch = current_.epoch;
+  current_.wall_seconds = wall;
   current_.answered = verdict.answered;
   current_.verified = verdict.verified;
   current_.coverage = verdict.coverage;
@@ -135,6 +127,8 @@ void EpochTimeline::EndEpoch(const EpochVerdict& verdict) {
   current_ = EpochRecord{};
   ++epochs_recorded_;
   while (ring_.size() > capacity_) ring_.pop_front();
+  lock.unlock();
+  Tracer::Global().RecordElapsed("epoch", "epoch", epoch, wall);
 }
 
 std::vector<EpochRecord> EpochTimeline::Last(size_t k) const {

@@ -1,16 +1,21 @@
 // EpochTimeline: per-epoch latency attribution for the live ops plane.
 //
-// The tracer answers "show me every span of one finished run"; the
-// timeline answers the operator's question mid-run: "where did THIS
+// The timeline answers the operator's question mid-run: "where did THIS
 // epoch's time go". Every epoch is decomposed into named phases
 // (key-derive, PSR-create, tree-aggregate, wire-parse, per-channel
-// verify, assemble); each phase accumulates total attributed seconds,
-// call count, the slowest single call, and — for phases fanned out over
-// the ThreadPool — the busiest lane, from which EndEpoch computes the
-// epoch's critical path (Σ per-phase busiest-lane times, a lower bound
-// on wall time by construction). Per-channel verify samples keep their
-// slot / salt / kind identity so a tampered channel's cost is
+// verify, assemble, transport); each phase accumulates total attributed
+// seconds, call count, the slowest single call, and — for phases fanned
+// out over the ThreadPool — the busiest lane, from which EndEpoch
+// computes the epoch's critical path (Σ per-phase busiest-lane times, a
+// lower bound on wall time by construction). Per-channel verify samples
+// keep their slot / salt / kind identity so a tampered channel's cost is
 // attributable to the exact wire slot that burned it.
+//
+// Each record is the reading of the one stopwatch that times the
+// interval (Network::RunEpoch's per-call stopwatches, the engine's
+// querier sub-phases), which also feeds EpochReport and
+// `sies_phase_seconds`. While the tracer is on, each record is also a
+// span named after its phase, and each epoch an `epoch` span.
 //
 // Finished epochs land in a bounded ring buffer (default 256 records)
 // served by the admin server's `GET /epochs?last=K`.
@@ -24,20 +29,21 @@
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "common/timer.h"
+
 namespace sies::telemetry {
 
 /// Where an epoch's time can go. Order is export order.
 enum class EpochPhase : uint8_t {
   kKeyDerive = 0,     ///< epoch key/share derivation (querier warm-up)
-  kPsrCreate = 1,     ///< per-source envelope construction
-  kTreeAggregate = 2, ///< aggregator merges, whole tree
+  kPsrCreate = 1,     ///< source calls (AggregationProtocol::SourceInitialize)
+  kTreeAggregate = 2, ///< aggregator calls (AggregatorMerge), whole tree
   kWireParse = 3,     ///< final envelope parse at the querier
   kVerify = 4,        ///< per-channel decrypt + verify fan-out
   kAssemble = 5,      ///< per-query outcome assembly from channel sums
@@ -120,16 +126,24 @@ class EpochTimeline {
   /// next one.
   void BeginEpoch(uint64_t epoch);
 
-  /// Accumulates `seconds` into `phase` of the open record. Safe to
-  /// call from pool lanes; no-op while disabled or with no open record.
-  void RecordPhase(EpochPhase phase, double seconds);
+  /// Accumulates `seconds` into `phase` of the open record, on the
+  /// calling thread's lane, and traces it as a span named after the
+  /// phase. Safe to call from pool lanes; no-op (one relaxed load) while
+  /// disabled, and no-op with no open record.
+  void RecordPhase(EpochPhase phase, double seconds) {
+    if (enabled()) Record(phase, seconds, nullptr);
+  }
 
-  /// Records one channel verification (also accumulates into kVerify).
-  void RecordChannelVerify(const ChannelVerifySample& sample);
+  /// Records one channel verification (also accumulates into kVerify
+  /// and traces a `verify` span).
+  void RecordChannelVerify(const ChannelVerifySample& sample) {
+    if (enabled()) Record(EpochPhase::kVerify, sample.seconds, &sample);
+  }
 
   /// Seals the open record with the run loop's verdicts, computes the
-  /// critical path, and pushes it into the ring (evicting the oldest
-  /// record when full). No-op while disabled or with no open record.
+  /// critical path, pushes it into the ring (evicting the oldest record
+  /// when full) and traces its wall as the `epoch` span. No-op while
+  /// disabled or with no open record.
   void EndEpoch(const EpochVerdict& verdict);
 
   /// The most recent min(k, size()) finished epochs, oldest first.
@@ -158,8 +172,10 @@ class EpochTimeline {
     double seconds = 0.0;
   };
 
-  /// Shared accumulation path; caller holds mu_ with an open record.
-  void RecordPhaseLocked(EpochPhase phase, double seconds, uint32_t tid);
+  /// Accumulates one call (and `sample`, when non-null) into the open
+  /// record on its lane, then traces it.
+  void Record(EpochPhase phase, double seconds,
+              const ChannelVerifySample* sample);
 
   std::atomic<bool> enabled_{false};
   mutable std::mutex mu_;
@@ -169,7 +185,7 @@ class EpochTimeline {
   bool open_ = false;
   EpochRecord current_;
   std::array<std::vector<LaneAcc>, kEpochPhaseCount> lanes_;
-  std::chrono::steady_clock::time_point epoch_start_{};
+  Stopwatch epoch_watch_;
 };
 
 }  // namespace sies::telemetry

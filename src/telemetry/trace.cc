@@ -1,6 +1,7 @@
 #include "telemetry/trace.h"
 
 #include <chrono>
+#include <cmath>
 
 namespace sies::telemetry {
 
@@ -35,6 +36,15 @@ void Tracer::Record(const char* name, const char* category, uint64_t epoch,
   event.tid = CurrentThreadId();
   std::lock_guard<std::mutex> lock(mu_);
   events_.push_back(event);
+}
+
+void Tracer::RecordElapsed(const char* name, const char* category,
+                           uint64_t epoch, double seconds) {
+  if (!enabled()) return;
+  const uint64_t now_us = NowMicros();
+  const uint64_t dur_us = static_cast<uint64_t>(std::llround(seconds * 1e6));
+  Record(name, category, epoch, now_us > dur_us ? now_us - dur_us : 0,
+         dur_us);
 }
 
 std::vector<SpanEvent> Tracer::Events() const {

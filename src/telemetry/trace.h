@@ -1,13 +1,16 @@
-// Phase tracer: per-epoch span events (source-init, merge, evaluate,
-// key-derivation, share-recompute, ...) with a Chrome trace_event
-// exporter, so a run opened in about://tracing (or ui.perfetto.dev)
-// shows the simulator's phases per thread — including the overlapping
-// source-init spans produced by `--threads` fan-out.
+// Phase tracer: per-epoch span events with a Chrome trace_event
+// exporter (about://tracing, ui.perfetto.dev), one row per thread, so a
+// `--threads` run shows its psr_create spans overlapping.
+//
+// Spans carry readings other probes already took: the EpochTimeline
+// traces each phase record and each epoch, Network::RunEpoch each
+// querier call (`evaluate`). Only the epoch-key cache's cold
+// derivations use ScopedSpan: nothing else times a derivation on the
+// pipelining prefetch thread.
 //
 // Tracing is OFF by default. A disabled tracer costs one relaxed atomic
-// load per ScopedSpan construction and nothing else: no clock reads, no
-// allocation, no lock. Recording takes a mutex per completed span —
-// acceptable for a tracer that exists to be read by a human.
+// load per probe: no clock read, no allocation, no lock. Recording takes
+// a mutex per completed span.
 #ifndef SIES_TELEMETRY_TRACE_H_
 #define SIES_TELEMETRY_TRACE_H_
 
@@ -47,6 +50,12 @@ class Tracer {
   /// Records one completed span; thread id is captured from the caller.
   void Record(const char* name, const char* category, uint64_t epoch,
               uint64_t ts_us, uint64_t dur_us);
+
+  /// Records a span that ends now and lasted `seconds` (rounded to the
+  /// microsecond): how a probe hands its one reading to the trace.
+  /// No-op while disabled.
+  void RecordElapsed(const char* name, const char* category, uint64_t epoch,
+                     double seconds);
 
   std::vector<SpanEvent> Events() const;
   size_t size() const;

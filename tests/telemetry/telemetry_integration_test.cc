@@ -1,17 +1,25 @@
 // End-to-end telemetry tests through the full simulator: the audit
 // trail must record EXACTLY the tampering the in-flight adversary
-// injected (count and attribution), the phase histograms must count
-// every phase the epoch ran, and the tracer must capture the phase
-// spans — all against the same global sinks sies_sim exports.
+// injected (count and attribution), and each party call's one reading
+// must reach every sink that reports it — EpochReport, the
+// `sies_phase_seconds` histograms, the epoch timeline and the trace —
+// all against the same global sinks sies_sim exports.
 //
 // These tests share the process-wide telemetry singletons, so each one
 // resets the relevant sink up front and disables it on the way out.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cmath>
+#include <condition_variable>
+#include <map>
+#include <mutex>
 #include <set>
 #include <string>
 
+#include "common/thread_pool.h"
 #include "net/adversary.h"
+#include "runner/runner.h"
 #include "support/sies_fixture.h"
 #include "telemetry/telemetry.h"
 
@@ -20,7 +28,107 @@ namespace {
 
 using telemetry::AuditKind;
 using telemetry::AuditTrail;
+using telemetry::EpochPhase;
+using telemetry::EpochRecord;
+using telemetry::PhaseStat;
 using testutil::SiesFixture;
+
+/// Turns the epoch timeline and the tracer on, empty, for one test and
+/// off again on the way out.
+struct RecordingSinks {
+  RecordingSinks() {
+    timeline.Reset();
+    timeline.Enable();
+    tracer.Reset();
+    tracer.Enable();
+  }
+  ~RecordingSinks() {
+    timeline.Disable();
+    timeline.Reset();
+    tracer.Disable();
+    tracer.Reset();
+  }
+  telemetry::EpochTimeline& timeline = telemetry::EpochTimeline::Global();
+  telemetry::Tracer& tracer = telemetry::Tracer::Global();
+};
+
+/// Spans recorded so far, counted by name.
+std::map<std::string, size_t> SpanCounts(const telemetry::Tracer& tracer) {
+  std::map<std::string, size_t> counts;
+  for (const auto& e : tracer.Events()) ++counts[e.name];
+  return counts;
+}
+
+const PhaseStat& Phase(const EpochRecord& record, EpochPhase phase) {
+  return record.phases[static_cast<size_t>(phase)];
+}
+
+/// Observations `scheme`'s source_init, merge and evaluate
+/// `sies_phase_seconds` histograms gained since construction. The
+/// registry is process-global and other tests feed it too, so compare
+/// deltas on the stable handles rather than absolute counts.
+class PhaseCounts {
+ public:
+  explicit PhaseCounts(const std::string& scheme) {
+    const char* phases[] = {"source_init", "merge", "evaluate"};
+    for (const char* phase : phases) {
+      hists_.push_back(telemetry::MetricsRegistry::Global().GetHistogram(
+          "sies_phase_seconds", {{"scheme", scheme}, {"phase", phase}}));
+      start_.push_back(hists_.back()->TotalCount());
+    }
+  }
+  std::vector<uint64_t> Gained() const {
+    std::vector<uint64_t> gained;
+    for (size_t i = 0; i < hists_.size(); ++i) {
+      gained.push_back(hists_[i]->TotalCount() - start_[i]);
+    }
+    return gained;
+  }
+
+ private:
+  std::vector<telemetry::Histogram*> hists_;
+  std::vector<uint64_t> start_;
+};
+
+/// Runs one epoch of `protocol` on `network` (16 sources on a 4-ary
+/// tree: 5 aggregators, 21 deliveries) inside a timeline epoch, and
+/// checks that every party call's one reading reached every sink.
+void ExpectOneReadingPerSink(net::Network& network,
+                             net::AggregationProtocol& protocol) {
+  ASSERT_EQ(network.topology().sources().size(), 16u);
+  ASSERT_EQ(network.topology().aggregators_bottom_up().size(), 5u);
+  RecordingSinks sinks;
+  PhaseCounts counts(protocol.Name());
+
+  sinks.timeline.BeginEpoch(1);
+  auto report = network.RunEpoch(protocol, 1);
+  sinks.timeline.EndEpoch(telemetry::EpochVerdict{});
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report.value().outcome.verified);
+  const std::vector<EpochRecord> records = sinks.timeline.Last(1);
+  ASSERT_EQ(records.size(), 1u);
+  const EpochRecord& record = records[0];
+
+  // The timeline's phase totals ARE the report's per-party CPU: the same
+  // readings, added in the same order.
+  const PhaseStat& psr = Phase(record, EpochPhase::kPsrCreate);
+  EXPECT_EQ(psr.calls, 16u);
+  EXPECT_EQ(psr.total_seconds, report.value().source_cpu.total_seconds());
+  const PhaseStat& merge = Phase(record, EpochPhase::kTreeAggregate);
+  EXPECT_EQ(merge.calls, 5u);
+  EXPECT_EQ(merge.total_seconds,
+            report.value().aggregator_cpu.total_seconds());
+  EXPECT_EQ(Phase(record, EpochPhase::kTransport).calls, 21u);
+
+  EXPECT_EQ(counts.Gained(), (std::vector<uint64_t>{16, 5, 1}));
+
+  std::map<std::string, size_t> spans = SpanCounts(sinks.tracer);
+  EXPECT_EQ(spans["psr_create"], 16u);
+  EXPECT_EQ(spans["tree_aggregate"], 5u);
+  EXPECT_EQ(spans["transport"], 21u);
+  EXPECT_EQ(spans["evaluate"], 1u);
+  EXPECT_EQ(spans["epoch"], 1u);
+}
 
 TEST(TelemetryIntegrationTest, AuditTrailMatchesInjectedTamperingExactly) {
   SiesFixture fx;
@@ -122,46 +230,155 @@ TEST(TelemetryIntegrationTest, DisabledAuditRecordsNothingUnderAttack) {
   EXPECT_EQ(audit.size(), 0u);
 }
 
-TEST(TelemetryIntegrationTest, PhaseHistogramsCountEveryPhase) {
-  SiesFixture fx;
-  auto& registry = telemetry::MetricsRegistry::Global();
-  // The registry is process-global and other tests feed it too, so
-  // compare deltas on the stable handles rather than absolute counts.
-  telemetry::Histogram* source_h = registry.GetHistogram(
-      "sies_phase_seconds", {{"scheme", "SIES"}, {"phase", "source_init"}});
-  telemetry::Histogram* merge_h = registry.GetHistogram(
-      "sies_phase_seconds", {{"scheme", "SIES"}, {"phase", "merge"}});
-  telemetry::Histogram* eval_h = registry.GetHistogram(
-      "sies_phase_seconds", {{"scheme", "SIES"}, {"phase", "evaluate"}});
-  uint64_t source0 = source_h->TotalCount();
-  uint64_t merge0 = merge_h->TotalCount();
-  uint64_t eval0 = eval_h->TotalCount();
-
-  auto report = fx.network.RunEpoch(fx.scheduler, 1).value();
-  EXPECT_TRUE(report.outcome.verified);
-
-  // 16 sources, a 4-ary complete tree (5 aggregators), one evaluation.
-  EXPECT_EQ(source_h->TotalCount() - source0, 16u);
-  EXPECT_EQ(merge_h->TotalCount() - merge0, 5u);
-  EXPECT_EQ(eval_h->TotalCount() - eval0, 1u);
+TEST(TelemetryIntegrationTest, OneSiesReadingReachesEverySink) {
+  SiesFixture fx;  // N=16, F=4, no pool
+  ExpectOneReadingPerSink(fx.network, fx.scheduler);
 }
 
-TEST(TelemetryIntegrationTest, TracerCapturesPhaseSpans) {
+TEST(TelemetryIntegrationTest, OneCmtReadingReachesEverySink) {
+  // The network times every scheme's party calls, so a baseline bound
+  // through BindScheme fills psr_create and tree_aggregate too.
+  ExperimentConfig config;
+  config.scheme = Scheme::kCmt;
+  config.num_sources = 16;
+  config.fanout = 4;
+  net::Network network(
+      net::Topology::BuildCompleteTree(config.num_sources, config.fanout)
+          .value());
+  auto binding = BindScheme(config, network.topology());
+  ASSERT_TRUE(binding.ok()) << binding.status().ToString();
+  ExpectOneReadingPerSink(network, *binding.value().protocol);
+}
+
+// A protocol whose first two SourceInitialize calls wait for each other
+// before either runs, so a two-lane pool runs them on both of its
+// threads whatever the scheduler does. (A lane that waits in vain gives
+// up after 10 s, and the test fails on the thread count instead of
+// hanging.)
+class RendezvousProtocol : public net::AggregationProtocol {
+ public:
+  explicit RendezvousProtocol(net::AggregationProtocol& inner)
+      : inner_(inner) {}
+  std::string Name() const override { return inner_.Name(); }
+  StatusOr<Bytes> SourceInitialize(net::NodeId id, uint64_t epoch) override {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      if (tids_.size() < 2) {
+        tids_.insert(telemetry::Tracer::CurrentThreadId());
+        cv_.notify_all();
+        cv_.wait_for(lock, std::chrono::seconds(10),
+                     [this] { return tids_.size() == 2; });
+      }
+    }
+    return inner_.SourceInitialize(id, epoch);
+  }
+  StatusOr<Bytes> AggregatorMerge(
+      net::NodeId id, uint64_t epoch,
+      const std::vector<Bytes>& children) override {
+    return inner_.AggregatorMerge(id, epoch, children);
+  }
+  StatusOr<net::EvalOutcome> QuerierEvaluate(
+      uint64_t epoch, const Bytes& final_payload,
+      const std::vector<net::NodeId>& participating) override {
+    return inner_.QuerierEvaluate(epoch, final_payload, participating);
+  }
+  bool ParallelSourceInitSafe() const override { return true; }
+
+  /// The two threads that met at the rendezvous.
+  std::set<uint32_t> tids() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return tids_;
+  }
+
+ private:
+  net::AggregationProtocol& inner_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::set<uint32_t> tids_;
+};
+
+TEST(TelemetryIntegrationTest, PsrCreateSpansCarryTheLaneThatRanTheCall) {
   SiesFixture fx;
-  telemetry::Tracer& tracer = telemetry::Tracer::Global();
-  tracer.Reset();
-  tracer.Enable();
+  common::ThreadPool pool(2);
+  fx.network.SetThreadPool(&pool);
+  RendezvousProtocol protocol(fx.scheduler);
+  RecordingSinks sinks;
 
-  auto report = fx.network.RunEpoch(fx.scheduler, 1).value();
-  EXPECT_TRUE(report.outcome.verified);
-  tracer.Disable();
+  sinks.timeline.BeginEpoch(1);
+  auto report = fx.network.RunEpoch(protocol, 1);
+  sinks.timeline.EndEpoch(telemetry::EpochVerdict{});
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report.value().outcome.verified);
 
-  std::set<std::string> names;
-  for (const auto& e : tracer.Events()) names.insert(e.name);
-  EXPECT_TRUE(names.count("source-init"));
-  EXPECT_TRUE(names.count("merge"));
-  EXPECT_TRUE(names.count("evaluate"));
-  tracer.Reset();
+  // Both lanes ran a source call, and each call's span names its lane.
+  std::set<uint32_t> span_tids;
+  for (const auto& e : sinks.tracer.Events()) {
+    if (std::string(e.name) == "psr_create") span_tids.insert(e.tid);
+  }
+  EXPECT_EQ(protocol.tids().size(), 2u);
+  EXPECT_EQ(span_tids, protocol.tids());
+}
+
+// The `sies_sim --trace-out --audit-out` run on a tiny tree under
+// tamper (N=8, F=2, E=3, two lanes): every sink holds what the run
+// implies. The CLI wiring itself is the example_sies_sim_telemetry
+// ctest.
+TEST(TelemetryIntegrationTest, TamperedRunFillsEverySink) {
+  ExperimentConfig config;
+  config.num_sources = 8;
+  config.fanout = 2;
+  config.epochs = 3;
+  config.threads = 2;
+  config.adversary = AdversaryKind::kTamper;
+  const size_t aggregators =
+      net::Topology::BuildCompleteTree(config.num_sources, config.fanout)
+          .value()
+          .aggregators_bottom_up()
+          .size();
+  PhaseCounts counts("SIES");
+  AuditTrail& audit = AuditTrail::Global();
+  audit.Reset();
+  audit.Enable();
+  RecordingSinks sinks;
+
+  auto result = RunExperiment(config);
+  audit.Disable();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result.value().answered_epochs, 3u);
+
+  EXPECT_EQ(counts.Gained(),
+            (std::vector<uint64_t>{3 * 8, 3 * aggregators, 3}));
+
+  std::map<std::string, size_t> spans = SpanCounts(sinks.tracer);
+  EXPECT_EQ(spans["psr_create"], 3u * 8);
+  EXPECT_EQ(spans["tree_aggregate"], 3u * aggregators);
+  EXPECT_EQ(spans["transport"], 3u * (8 + aggregators));
+  EXPECT_EQ(spans["evaluate"], 3u);
+  EXPECT_EQ(spans["epoch"], 3u);
+  for (const char* name : {"key_derive", "wire_parse", "verify", "assemble"}) {
+    EXPECT_EQ(spans[name], 3u) << name;
+  }
+
+  // Each epoch span is the timeline's wall for that epoch.
+  const std::vector<EpochRecord> records = sinks.timeline.Last(3);
+  ASSERT_EQ(records.size(), 3u);
+  for (const auto& e : sinks.tracer.Events()) {
+    if (std::string(e.name) != "epoch") continue;
+    ASSERT_GE(e.epoch, 1u);
+    ASSERT_LE(e.epoch, 3u);
+    const EpochRecord& record = records[e.epoch - 1];
+    EXPECT_EQ(record.epoch, e.epoch);
+    EXPECT_EQ(e.dur_us, static_cast<uint64_t>(
+                            std::llround(record.wall_seconds * 1e6)));
+  }
+
+  // Every payload was flipped in flight, and every epoch failed
+  // verification exactly once.
+  EXPECT_GT(audit.CountOf(AuditKind::kTamper), 0u);
+  EXPECT_EQ(audit.CountOf(AuditKind::kTamper),
+            result.value().adversary_events);
+  EXPECT_EQ(audit.CountOf(AuditKind::kVerificationFailure), 3u);
+  audit.Reset();
 }
 
 }  // namespace
