@@ -23,7 +23,7 @@
 //                     target on SHA-NI hardware.
 //   kind=cold_start   the fig6a querier cold start at N = 10^6 (smoke:
 //                     4096): one full epoch — per-source PSR creation
-//                     into a PsrArena, contiguous aggregation, then a
+//                     into one contiguous buffer, its aggregation, then a
 //                     cold Querier::Evaluate (all N k_{i,t}/ss_{i,t}
 //                     derivations) — at --threads {1,2,4}. Building the
 //                     sources (their key schedules) is timed apart as
@@ -56,7 +56,6 @@
 #include "crypto/sha256.h"
 #include "crypto/sha256x8.h"
 #include "sies/aggregator.h"
-#include "sies/psr_arena.h"
 #include "sies/querier.h"
 #include "sies/source.h"
 
@@ -273,7 +272,7 @@ int main(int argc, char** argv) {
     auto qkeys = core::GenerateKeys(params, EncodeUint64(kSeed));
     const size_t width = params.PsrBytes();
     core::Aggregator agg(params);
-    core::PsrArena arena;
+    Bytes psrs(width * n);  // PSR i at psrs.data() + i * width
 
     for (uint32_t threads : thread_counts) {
       std::unique_ptr<common::ThreadPool> pool;
@@ -288,15 +287,15 @@ int main(int argc, char** argv) {
       };
       // Phase 1: build the sources — each schedules K and k_i, once per
       // deployment, so that is timed apart — then every source encrypts
-      // into its arena slot with zero per-source heap allocation (the
-      // arena reuses capacity across reps, i.e. across epochs in a
-      // deployment). Blocks of sources keep at most kBlock alive.
+      // into its slot of the shared buffer with zero per-source heap
+      // allocation (the buffer is reused across thread counts, i.e.
+      // across epochs in a deployment). Blocks of sources keep at most
+      // kBlock alive.
       constexpr size_t kBlock = size_t{1} << 14;
       std::vector<std::optional<core::Source>> block(
           std::min<size_t>(kBlock, n));
       double setup_ms = 0;
       double create_ms = 0;
-      arena.Reset(width, n);
       for (size_t begin = 0; begin < n; begin += kBlock) {
         const size_t count = std::min<size_t>(kBlock, n - begin);
         watch.Restart();
@@ -307,18 +306,17 @@ int main(int argc, char** argv) {
         setup_ms += watch.ElapsedMillis();
         watch.Restart();
         run(count, [&](size_t j) {
-          if (!block[j]->CreatePsrInto(1, 1, arena.Slot(begin + j)).ok()) {
-            std::abort();
-          }
+          uint8_t* slot = psrs.data() + (begin + j) * width;
+          if (!block[j]->CreatePsrInto(1, 1, slot).ok()) std::abort();
         });
         create_ms += watch.ElapsedMillis();
       }
       block.clear();
 
-      // Phase 2: one contiguous fold over the arena.
+      // Phase 2: one contiguous fold over the buffer.
       Bytes final_psr(width);
       watch.Restart();
-      if (!agg.MergeContiguous(arena.data(), n, final_psr.data()).ok()) {
+      if (!agg.MergeContiguous(psrs.data(), n, final_psr.data()).ok()) {
         return 1;
       }
       double merge_ms = watch.ElapsedMillis();

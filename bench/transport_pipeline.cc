@@ -59,8 +59,8 @@ double MeanAttributedMs(const std::vector<EpochRecord>& records) {
   return sum * 1e3 / static_cast<double>(records.size());
 }
 
-/// Best (max over epochs) attributed/wall share — the ops-smoke
-/// attribution criterion.
+/// Best (max over epochs) attributed/wall share — the attribution
+/// criterion of the ops_attribution_guard ctest.
 double BestAttributionShare(const std::vector<EpochRecord>& records) {
   double best = 0.0;
   for (const EpochRecord& r : records) {

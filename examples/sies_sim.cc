@@ -391,8 +391,8 @@ int main(int argc, char** argv) {
     }
     config.ops_port = static_cast<int>(p.value());
     config.on_ops_ready = [](uint16_t port) {
-      // stderr, flushed immediately: scripts (check.sh --ops-smoke)
-      // block on this line to learn the resolved ephemeral port.
+      // stderr, flushed immediately: scripts block on this line to
+      // learn the resolved ephemeral port (ctest example_sies_sim_ops).
       std::fprintf(stderr, "ops: serving http://127.0.0.1:%u\n", port);
       std::fflush(stderr);
     };
@@ -498,11 +498,15 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(r.channel_epochs),
         static_cast<unsigned long long>(r.naive_channel_epochs));
     if (r.queries.empty()) std::printf("%s,,,,,,,,,\n", run);
-    for (const runner::QueryStats& qs : r.queries) {
-      std::printf("%s,%u,%u,%u,%u,%u,%.6f,%.6f,%u,\"%s\"\n", run,
-                  qs.query_id, qs.answered_epochs, qs.verified_epochs,
-                  qs.unverified_epochs, qs.partial_epochs, qs.mean_coverage,
-                  qs.last_value, qs.wire_channels, qs.sql.c_str());
+    for (const telemetry::QueryRecord& qs : r.queries) {
+      std::printf("%s,%u,%llu,%llu,%llu,%llu,%.6f,%.6f,%u,\"%s\"\n", run,
+                  qs.query_id,
+                  static_cast<unsigned long long>(qs.answered_epochs),
+                  static_cast<unsigned long long>(qs.verified_epochs),
+                  static_cast<unsigned long long>(qs.unverified_epochs),
+                  static_cast<unsigned long long>(qs.partial_epochs),
+                  qs.mean_coverage, qs.last_value, qs.wire_channels,
+                  qs.sql.c_str());
     }
     return 0;
   }
@@ -571,12 +575,14 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(r.naive_channel_epochs -
                                                 r.channel_epochs));
   }
-  for (const runner::QueryStats& qs : r.queries) {
-    std::printf("  q%-4u %-44s : %u/%u verified (%u partial), "
+  for (const telemetry::QueryRecord& qs : r.queries) {
+    std::printf("  q%-4u %-44s : %llu/%llu verified (%llu partial), "
                 "last=%.4f, %u wire channels\n",
-                qs.query_id, qs.sql.c_str(), qs.verified_epochs,
-                qs.answered_epochs, qs.partial_epochs, qs.last_value,
-                qs.wire_channels);
+                qs.query_id, qs.sql.c_str(),
+                static_cast<unsigned long long>(qs.verified_epochs),
+                static_cast<unsigned long long>(qs.answered_epochs),
+                static_cast<unsigned long long>(qs.partial_epochs),
+                qs.last_value, qs.wire_channels);
   }
 
   if (demo.active) {

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Full local check: configure, build, run every test (including the
-# SIES_NATIVE=scalar `_portable` twins), example, and bench, plus the
-# repo benchmark's equivalence check (bench_e2e/run.py --check).
+# SIES_NATIVE=scalar `_portable` twins and the `example_*` runs of every
+# example) and bench, plus the repo benchmark's equivalence check
+# (bench_e2e/run.py --check).
 # Usage: scripts/check.sh [--skip-bench] [--sanitize] [--tsan] [--tidy]
-#                         [--lint] [--bench-smoke] [--ops-smoke]
-#                         [--predicate-smoke] [--fuzz] [--coverage]
+#                         [--lint] [--bench-smoke] [--fuzz] [--coverage]
 #   --skip-bench       skip the full (slow) bench binaries; the JSON smoke
 #                      pass below always runs
 #   --bench-smoke      ONLY run the bench JSON smoke (tiny-N --smoke runs
@@ -29,21 +29,6 @@
 #                      (scripts/lint_secrets.py: self-test + full src/
 #                      scan) followed by the --tidy gate; nonzero on any
 #                      finding
-#   --ops-smoke        ONLY run the live ops-plane smoke (sies_sim
-#                      --queries with --ops-port=0 on a paced
-#                      single-threaded run; every admin endpoint scraped
-#                      mid-run and validated: 200s, parseable bodies,
-#                      critical path <= wall, and the phase probes
-#                      explaining >= 90% of the best epoch's wall); the
-#                      smoke also runs as part of the full check
-#   --predicate-smoke  ONLY run the predicate-compiler smoke (sies_sim
-#                      with a band-query mix across a loss-rate x
-#                      adversary matrix — per-query channel counts
-#                      bounded by 2*ceil(log2 D), dedup accounting —
-#                      plus the --histogram / --group-by demos and the
-#                      grammar's inverted/strict-bound rejections) plus
-#                      the `predicate`-labeled ctest subset; the smoke
-#                      also runs as part of the full check
 #   --fuzz             ONLY run the fuzz smoke: the `fuzz`-labeled
 #                      corpus-replay ctests (committed corpora +
 #                      regressions through every harness in fuzz/)
@@ -65,8 +50,6 @@ TSAN_ONLY=0
 TIDY_ONLY=0
 LINT_ONLY=0
 BENCH_SMOKE_ONLY=0
-OPS_ONLY=0
-PREDICATE_ONLY=0
 FUZZ_ONLY=0
 COVERAGE_ONLY=0
 for arg in "$@"; do
@@ -77,8 +60,6 @@ for arg in "$@"; do
     --tidy) TIDY_ONLY=1 ;;
     --lint) LINT_ONLY=1 ;;
     --bench-smoke) BENCH_SMOKE_ONLY=1 ;;
-    --ops-smoke) OPS_ONLY=1 ;;
-    --predicate-smoke) PREDICATE_ONLY=1 ;;
     --fuzz) FUZZ_ONLY=1 ;;
     --coverage) COVERAGE_ONLY=1 ;;
     *) echo "unknown flag: $arg" >&2; exit 2 ;;
@@ -134,90 +115,6 @@ tidy_gate() {
   echo "tidy gate OK"
 }
 
-# Compiled range queries end-to-end: a band-query mix across a
-# loss-rate x adversary matrix (per-query CSV channel counts bounded by
-# 2*ceil(log2 D), dyadic-node dedup strictly beating the naive layout),
-# the --histogram and --group-by demos with every cell verified, and
-# the grammar's distinct inverted/strict-bound rejections.
-predicate_smoke() {
-  local build="$1" dir rc loss adversary bad
-  dir="$(mktemp -d)"
-  echo "== predicate smoke (band mix x loss x adversary matrix) =="
-  cat > "$dir/bands.txt" <<'EOF'
-count temperature where 20 <= temperature <= 30
-count temperature where 20 <= temperature <= 35
-avg humidity between 35 and 55
-sum temperature
-EOF
-  for loss in 0 0.3; do
-    for adversary in none tamper; do
-      rc=0
-      "./$build/examples/sies_sim" --queries-file="$dir/bands.txt" \
-          --sources=16 --fanout=4 --epochs=8 --seed=5 \
-          --loss-rate="$loss" --max-retries=2 --adversary="$adversary" \
-          --csv > "$dir/$loss-$adversary.csv" || rc=$?
-      if [[ $rc -ne 0 ]]; then
-        echo "sies_sim band mix --loss-rate=$loss --adversary=$adversary" \
-             "exited $rc" >&2
-        exit 1
-      fi
-    done
-  done
-  "./$build/examples/sies_sim" --histogram=temperature:20:30:8 \
-      --sources=32 --epochs=6 --seed=5 > "$dir/histogram.txt"
-  "./$build/examples/sies_sim" --group-by=avg:temperature:humidity:30:60:4 \
-      --sources=32 --epochs=6 --seed=5 > "$dir/groupby.txt"
-  # The grammar's rejections must fail loudly, not run a wrong query.
-  for bad in "sum temperature where 30 <= temperature <= 20" \
-             "sum temperature where 20 < temperature <= 30"; do
-    echo "$bad" > "$dir/bad.txt"
-    if "./$build/examples/sies_sim" --queries-file="$dir/bad.txt" \
-        --sources=16 --epochs=1 > /dev/null 2>&1; then
-      echo "malformed band must be rejected: $bad" >&2
-      exit 1
-    fi
-  done
-  python3 - "$dir" <<'PYEOF'
-import csv, math, sys
-d = sys.argv[1]
-# Scaled (10^-2) domain sizes of the three band queries, and how many
-# channel kinds each aggregate reads (AVG = SUM + COUNT).
-bands = {0: (1001, 1), 1: (1501, 1), 2: (2001, 2)}
-for loss in ("0", "0.3"):
-    for adversary in ("none", "tamper"):
-        with open(f"{d}/{loss}-{adversary}.csv") as f:
-            rows = list(csv.DictReader(f))
-        label = f"loss={loss} adversary={adversary}"
-        assert len(rows) == 4, label
-        ch = int(rows[0]["channel_epochs"])
-        naive = int(rows[0]["naive_channel_epochs"])
-        # The overlapping [20,30]/[20,35] COUNT bands share dyadic
-        # prefix nodes: the engine MUST beat per-query compilation.
-        assert ch < naive, (label, ch, naive)
-        for row in rows:
-            qid = int(row["query_id"])
-            channels = int(row["channels"])
-            if qid in bands:
-                domain, kinds = bands[qid]
-                cap = kinds * 2 * math.ceil(math.log2(domain))
-                assert 0 < channels <= cap, (label, qid, channels, cap)
-            else:
-                assert channels == 1, (label, qid)  # plain SUM
-            if adversary == "none":
-                assert int(row["query_unverified"]) == 0, label
-            if loss == "0" and adversary == "none":
-                assert float(row["query_coverage"]) == 1.0, label
-hist = open(f"{d}/histogram.txt").read()
-assert "all cells verified" in hist and "quantiles" in hist, "histogram"
-assert "BAD" not in hist, "histogram has unverified cells"
-gb = open(f"{d}/groupby.txt").read()
-assert "all cells verified" in gb and "BAD" not in gb, "group-by"
-print("predicate smoke OK: 4 matrix cells + histogram/GROUP-BY demos "
-      "validated")
-PYEOF
-  rm -rf "$dir"
-}
-
 # Tiny-N (--smoke) runs of every JSON-emitting bench, outputs validated
 # as parseable JSON and diffed against the committed baselines by the
 # regression gate (structural mode: schema, metric presence, boolean
@@ -240,112 +137,6 @@ bench_smoke() {
   done
   echo "-- bench_compare (structural) vs bench/baselines"
   python3 scripts/bench_compare.py "$dir" > /dev/null
-  rm -rf "$dir"
-}
-
-# Boots sies_sim's live ops plane on an ephemeral port and scrapes every
-# admin endpoint mid-run. The run is paced (--epoch-ms) and
-# single-threaded so wall time is meaningful: beyond the 200/parse
-# checks, the epoch timeline must satisfy critical <= wall on every
-# record and the phase probes must explain >= 90% of the wall on the
-# best-attributed epoch.
-ops_smoke() {
-  local build="$1" dir port sim_pid
-  dir="$(mktemp -d)"
-  echo "== ops smoke (live admin server scrape) =="
-  "./$build/examples/sies_sim" --queries=4 --sources=64 --epochs=40 \
-      --threads=1 --epoch-ms=50 --seed=5 --ops-port=0 \
-      > "$dir/stdout" 2> "$dir/stderr" &
-  sim_pid=$!
-  # The sim announces the kernel-assigned port on stderr once bound.
-  port=""
-  for _ in $(seq 1 100); do
-    port="$(sed -n 's|^ops: serving http://127\.0\.0\.1:||p' "$dir/stderr")"
-    [[ -n "$port" ]] && break
-    sleep 0.1
-  done
-  if [[ -z "$port" ]]; then
-    echo "ops smoke: server never announced its port" >&2
-    cat "$dir/stderr" >&2
-    kill "$sim_pid" 2> /dev/null || true
-    exit 1
-  fi
-  if ! python3 - "$port" <<'PYEOF'
-import json, sys, time, urllib.error, urllib.request
-
-port = sys.argv[1]
-base = f"http://127.0.0.1:{port}"
-
-def get(path):
-    try:
-        with urllib.request.urlopen(base + path, timeout=5) as r:
-            return r.status, r.read().decode()
-    except urllib.error.HTTPError as e:
-        return e.code, e.read().decode()
-
-status, body = get("/healthz")
-assert status == 200 and body.strip() == "ok", (status, body)
-
-# Readiness flips once epoch 1 finishes (keys warm) and stays fresh.
-for _ in range(100):
-    status, body = get("/readyz")
-    if status == 200:
-        break
-    time.sleep(0.05)
-assert status == 200, (status, body)
-ready = json.loads(body)
-assert ready["ready"] is True, ready
-
-status, body = get("/queries")
-assert status == 200, (status, body)
-queries = json.loads(body)
-assert queries["count"] == 4, queries
-for q in queries["queries"]:
-    assert q["slots"], q
-
-# Scrape /metrics twice: the first response must be visible as a
-# counted 200 in the second (the server observes itself).
-status, body = get("/metrics")
-assert status == 200 and "# TYPE" in body, (status, body[:200])
-status, body = get("/metrics")
-assert 'ops_http_responses_total{code="200"}' in body, body[:400]
-
-status, body = get("/nope")
-assert status == 404, (status, body)
-
-# Let a few paced epochs land, then check the timeline arithmetic.
-time.sleep(0.5)
-status, body = get("/epochs?last=16")
-assert status == 200, (status, body)
-timeline = json.loads(body)
-epochs = timeline["epochs"]
-assert epochs, timeline
-best = 0.0
-for rec in epochs:
-    wall = rec["wall_seconds"]
-    attributed = rec["attributed_seconds"]
-    critical = rec["critical_path_seconds"]
-    assert wall > 0.0, rec
-    assert 0.0 < critical <= wall, rec
-    assert critical <= attributed, rec
-    assert rec["verified"] is True, rec
-    assert rec["tampered_channels"] == 0, rec
-    assert sum(p["total_seconds"] for p in rec["phases"]) > 0.0, rec
-    best = max(best, attributed / wall)
-assert best >= 0.9, f"best attribution {best:.3f} < 0.9 of wall"
-print(f"ops smoke OK: {len(epochs)} epochs scraped, "
-      f"best attribution {100.0 * best:.1f}% of wall")
-PYEOF
-  then
-    echo "ops smoke FAILED" >&2
-    kill "$sim_pid" 2> /dev/null || true
-    exit 1
-  fi
-  if ! wait "$sim_pid"; then
-    echo "ops smoke: sies_sim exited nonzero" >&2
-    cat "$dir/stderr" >&2
-    exit 1
-  fi
   rm -rf "$dir"
 }
 
@@ -440,37 +231,9 @@ if [[ $BENCH_SMOKE_ONLY -eq 1 ]]; then
   exit 0
 fi
 
-if [[ $OPS_ONLY -eq 1 ]]; then
-  configure "$BUILD" "${EXTRA[@]}"
-  cmake --build "$BUILD" --target sies_sim
-  ops_smoke "$BUILD"
-  echo "OPS SMOKE PASSED"
-  exit 0
-fi
-
-if [[ $PREDICATE_ONLY -eq 1 ]]; then
-  configure "$BUILD" "${EXTRA[@]}"
-  cmake --build "$BUILD"
-  ctest --test-dir "$BUILD" -L predicate --output-on-failure
-  predicate_smoke "$BUILD"
-  echo "PREDICATE SMOKE PASSED"
-  exit 0
-fi
-
 configure "$BUILD" "${EXTRA[@]}"
 cmake --build "$BUILD"
 ctest --test-dir "$BUILD" -j"$(nproc)" --output-on-failure
-
-echo "== examples =="
-for e in quickstart factory_monitoring battlefield_audit scheme_comparison \
-         outsourced_aggregation climate_dashboard mixed_aggregates; do
-  echo "-- $e"
-  "./$BUILD/examples/$e" > /dev/null
-done
-"./$BUILD/examples/keygen" --sources=4 --out="$(mktemp -u)" > /dev/null
-"./$BUILD/examples/sies_sim" --scheme=sies --sources=64 --epochs=2 > /dev/null
-"./$BUILD/examples/sies_sim" --scheme=sies --sources=64 --epochs=2 \
-    --threads=1 > /dev/null
 
 # The repo benchmark's own equivalence check (bench_e2e/README.md):
 # benchmark == runner outcomes, UDP == simulator, traced == untraced, every
@@ -478,9 +241,6 @@ done
 # from src/, and nothing else reruns it after src/ changes.
 echo "== bench_e2e check =="
 python3 bench_e2e/run.py --check
-
-ops_smoke "$BUILD"
-predicate_smoke "$BUILD"
 
 bench_smoke "$BUILD"
 

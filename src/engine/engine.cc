@@ -117,13 +117,6 @@ Status MultiQueryEngine::Admit(const core::Query& query, uint64_t epoch) {
   return Status::OK();
 }
 
-StatusOr<uint32_t> MultiQueryEngine::AdmitAuto(core::Query query,
-                                               uint64_t epoch) {
-  auto id = registry_.AdmitAuto(std::move(query), epoch);
-  if (id.ok()) ReserveCaches();
-  return id;
-}
-
 Status MultiQueryEngine::Teardown(uint32_t query_id, uint64_t epoch) {
   return registry_.Teardown(query_id, epoch);
 }

@@ -58,9 +58,6 @@ class MultiQueryEngine {
   /// Scales the epoch-key caches with the resulting channel count.
   Status Admit(const core::Query& query, uint64_t epoch);
 
-  /// Admit under the smallest free id; returns the id.
-  StatusOr<uint32_t> AdmitAuto(core::Query query, uint64_t epoch);
-
   /// Tears down the live query `query_id` at `epoch`.
   Status Teardown(uint32_t query_id, uint64_t epoch);
 

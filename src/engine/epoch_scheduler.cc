@@ -60,22 +60,34 @@ Status EpochScheduler::ApplyPending(uint64_t epoch) {
 
 Status EpochScheduler::Admit(const core::Query& query, uint64_t epoch) {
   SIES_RETURN_IF_ERROR(engine_->Admit(query, epoch));
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  QueryLiveStats stats;
-  stats.query_id = query.query_id;
-  stats.sql = query.ToSql();
-  stats.admitted_epoch = epoch;
-  stats_.push_back(std::move(stats));
+  telemetry::QueryRecord record;
+  record.query_id = query.query_id;
+  record.sql = query.ToSql();
+  record.admitted_epoch = epoch;
+  // One labeled series per (query, verdict), resolved here so that no
+  // epoch builds label strings or takes the registry's lock.
+  auto& metrics = telemetry::MetricsRegistry::Global();
+  const std::string label = "q" + std::to_string(query.query_id);
+  LiveRecord live;
+  live.verified = metrics.GetCounter("sies_engine_query_epochs_total",
+                                     {{"query", label}, {"verified", "true"}});
+  live.unverified = metrics.GetCounter(
+      "sies_engine_query_epochs_total",
+      {{"query", label}, {"verified", "false"}});
+  std::lock_guard<std::mutex> lock(ledger_mu_);
+  live.index = ledger_.size();
+  ledger_.push_back(std::move(record));
+  live_.push_back(live);
   RefreshSlotsLocked();
   return Status::OK();
 }
 
 Status EpochScheduler::Teardown(uint32_t query_id, uint64_t epoch) {
   SIES_RETURN_IF_ERROR(engine_->Teardown(query_id, epoch));
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  for (auto it = stats_.begin(); it != stats_.end(); ++it) {
-    if (it->query_id == query_id) {
-      stats_.erase(it);
+  std::lock_guard<std::mutex> lock(ledger_mu_);
+  for (auto it = live_.begin(); it != live_.end(); ++it) {
+    if (ledger_[it->index].query_id == query_id) {
+      live_.erase(it);  // the record stays in the ledger as it is
       break;
     }
   }
@@ -86,24 +98,36 @@ Status EpochScheduler::Teardown(uint32_t query_id, uint64_t epoch) {
 void EpochScheduler::RefreshSlotsLocked() {
   // Control-plane only (run thread, between epochs), so reading the
   // unsynchronized registry here is safe.
-  for (QueryLiveStats& stats : stats_) {
-    stats.slots.clear();
-    for (const ActiveQuery& aq : engine_->registry().active()) {
-      if (aq.query.query_id != stats.query_id) continue;
-      auto slots = engine_->registry().plan().ChannelsOf(aq.query);
-      if (!slots.ok()) break;  // snapshot stays slotless, never fails
-      stats.slots.reserve(slots.value().size());
-      for (size_t slot : slots.value()) {
-        stats.slots.push_back(static_cast<uint32_t>(slot));
-      }
-      break;
+  const QueryRegistry& registry = engine_->registry();
+  for (const LiveRecord& live : live_) {
+    telemetry::QueryRecord& record = ledger_[live.index];
+    const ActiveQuery* active = registry.Find(record.query_id);
+    if (active == nullptr) continue;
+    auto channels = registry.plan().ChannelsOf(active->query);
+    if (!channels.ok()) continue;  // the record stays as it was
+    std::vector<uint32_t> slots;
+    slots.reserve(channels.value().size());
+    for (size_t slot : channels.value()) {
+      slots.push_back(static_cast<uint32_t>(slot));
     }
+    record.SetSlots(std::move(slots));
   }
 }
 
-std::vector<QueryLiveStats> EpochScheduler::SnapshotQueries() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  return stats_;
+std::vector<telemetry::QueryRecord> EpochScheduler::SnapshotQueries() const {
+  std::lock_guard<std::mutex> lock(ledger_mu_);
+  std::vector<telemetry::QueryRecord> out;
+  out.reserve(live_.size());
+  for (const LiveRecord& live : live_) out.push_back(ledger_[live.index]);
+  return out;
+}
+
+uint64_t EpochScheduler::LiveQueryChannels() const {
+  uint64_t channels = 0;
+  for (const LiveRecord& live : live_) {
+    channels += ledger_[live.index].wire_channels;
+  }
+  return channels;
 }
 
 StatusOr<Bytes> EpochScheduler::SourceInitialize(net::NodeId id,
@@ -154,16 +178,20 @@ StatusOr<net::EvalOutcome> EpochScheduler::QuerierEvaluate(
   out.exact = true;
   out.has_contributors = true;
   out.verified = true;
-  for (const QueryEpochOutcome& qo : last_outcomes_) {
-    out.verified = out.verified && qo.outcome.verified;
-    // Per-query telemetry: one labeled counter series per (query,
-    // verdict). Query ids are few and stable, so the registry lookup
-    // per epoch is cheap relative to an evaluation.
-    telemetry::MetricsRegistry::Global()
-        .GetCounter("sies_engine_query_epochs_total",
-                    {{"query", "q" + std::to_string(qo.query_id)},
-                     {"verified", qo.outcome.verified ? "true" : "false"}})
-        ->Increment();
+  {
+    // Fold each query's verdict into its record and its counter, once.
+    std::lock_guard<std::mutex> lock(ledger_mu_);
+    for (const QueryEpochOutcome& qo : last_outcomes_) {
+      out.verified = out.verified && qo.outcome.verified;
+      for (const LiveRecord& live : live_) {
+        telemetry::QueryRecord& record = ledger_[live.index];
+        if (record.query_id != qo.query_id) continue;
+        (qo.outcome.verified ? live.verified : live.unverified)->Increment();
+        record.Fold(epoch, qo.outcome.verified, qo.outcome.result.value,
+                    qo.outcome.coverage);
+        break;
+      }
+    }
   }
   if (!last_outcomes_.empty()) {
     // The simulator models a single scalar answer per epoch; report the
@@ -173,27 +201,6 @@ StatusOr<net::EvalOutcome> EpochScheduler::QuerierEvaluate(
     out.contributors.reserve(contributors.size());
     for (uint32_t index : contributors) {
       out.contributors.push_back(topology_.sources()[index]);
-    }
-  }
-
-  // Fold this epoch into the live-stats snapshot the ops plane scrapes.
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    for (const QueryEpochOutcome& qo : last_outcomes_) {
-      for (QueryLiveStats& stats : stats_) {
-        if (stats.query_id != qo.query_id) continue;
-        ++stats.answered_epochs;
-        stats.last_coverage = qo.outcome.coverage;
-        stats.last_epoch = epoch;
-        if (qo.outcome.verified) {
-          ++stats.verified_epochs;
-          stats.last_value = qo.outcome.result.value;
-          if (qo.outcome.coverage < 1.0) ++stats.partial_epochs;
-        } else {
-          ++stats.unverified_epochs;
-        }
-        break;
-      }
     }
   }
   return out;

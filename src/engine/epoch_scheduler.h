@@ -10,7 +10,9 @@
 // its children's source ranges, feeds each source its sensor reading,
 // and demultiplexes the querier's evaluation into per-query outcomes
 // (exposed via last_outcomes(), since the simulator's EvalOutcome
-// models a single answer).
+// models a single answer). Each outcome is folded once into its
+// admission's telemetry::QueryRecord — the ledger that the ops plane's
+// /queries and the experiment runner's per-query rows both read.
 //
 // Admission and teardown are forwarded to the engine and must happen
 // between RunEpoch calls: the wire width changes with the plan, and
@@ -41,6 +43,8 @@
 #include "engine/engine.h"
 #include "net/network.h"
 #include "net/topology.h"
+#include "telemetry/metrics.h"
+#include "telemetry/query_record.h"
 
 namespace sies::engine {
 
@@ -48,25 +52,6 @@ namespace sies::engine {
 /// (typically backed by workload::TraceGenerator::ReadingAt).
 using ReadingFn =
     std::function<core::SensorReading(uint32_t index, uint64_t epoch)>;
-
-/// One live query's state as seen by an external observer (the ops
-/// plane's /queries endpoint). A point-in-time copy — safe to hold
-/// while the engine keeps running.
-struct QueryLiveStats {
-  uint32_t query_id = 0;
-  std::string sql;
-  uint64_t admitted_epoch = 0;
-  /// Physical wire slots the query reads (shared slots appear in every
-  /// reader's list; recomputed on every admit/teardown).
-  std::vector<uint32_t> slots;
-  uint64_t answered_epochs = 0;
-  uint64_t verified_epochs = 0;
-  uint64_t unverified_epochs = 0;
-  uint64_t partial_epochs = 0;  ///< verified with coverage < 1
-  double last_value = 0.0;      ///< result of the last verified epoch
-  double last_coverage = 0.0;
-  uint64_t last_epoch = 0;  ///< last epoch this query was answered
-};
 
 class EpochScheduler : public net::AggregationProtocol {
  public:
@@ -80,8 +65,8 @@ class EpochScheduler : public net::AggregationProtocol {
       net::NodeId id, uint64_t epoch,
       const std::vector<Bytes>& children) override;
   /// Evaluates the batched envelope, records per-query outcomes (see
-  /// last_outcomes()) and per-query telemetry, and reports the epoch as
-  /// verified iff EVERY live query verified.
+  /// last_outcomes()), folds each into its query's record and counter,
+  /// and reports the epoch as verified iff EVERY live query verified.
   StatusOr<net::EvalOutcome> QuerierEvaluate(
       uint64_t epoch, const Bytes& final_payload,
       const std::vector<net::NodeId>& participating) override;
@@ -92,9 +77,9 @@ class EpochScheduler : public net::AggregationProtocol {
     engine_->SetThreadPool(pool);
   }
 
-  /// Control plane, forwarded to the engine (between epochs only).
-  /// Successful calls also update the live-stats snapshot behind
-  /// SnapshotQueries().
+  /// Control plane, forwarded to the engine (between epochs only). A
+  /// successful Admit opens the query's record in the ledger; Teardown
+  /// closes it with its final tally.
   Status Admit(const core::Query& query, uint64_t epoch);
   Status Teardown(uint32_t query_id, uint64_t epoch);
 
@@ -122,11 +107,23 @@ class EpochScheduler : public net::AggregationProtocol {
     return prefetched_epochs_.load(std::memory_order_relaxed);
   }
 
-  /// Point-in-time copy of every live query's stats, admission order.
+  /// Point-in-time copy of every live query's record, admission order.
   /// The ONLY scheduler accessor that is safe from another thread while
   /// an epoch is running (the ops scraper reads through this; the
   /// QueryRegistry itself is not synchronized).
-  std::vector<QueryLiveStats> SnapshotQueries() const;
+  std::vector<telemetry::QueryRecord> SnapshotQueries() const;
+
+  /// Every admission's record, in admission order; a torn-down query's
+  /// record keeps its final tally and the slots it last read. Run
+  /// thread only (the run thread is the ledger's only writer).
+  const std::vector<telemetry::QueryRecord>& ledger() const {
+    return ledger_;
+  }
+
+  /// Σ wire_channels over the live queries: what one session per query
+  /// (and, for band queries, per bucket) would put on the wire in an
+  /// epoch. Run thread only.
+  uint64_t LiveQueryChannels() const;
 
   MultiQueryEngine& engine() { return *engine_; }
   const MultiQueryEngine& engine() const { return *engine_; }
@@ -138,9 +135,16 @@ class EpochScheduler : public net::AggregationProtocol {
   }
 
  private:
-  /// Recomputes every snapshot entry's slot list from the live plan
-  /// (slot assignments shift when the plan compacts). Caller holds
-  /// stats_mu_.
+  /// A live query's record in the ledger and its two verdict series of
+  /// `sies_engine_query_epochs_total`, resolved once at admission.
+  struct LiveRecord {
+    size_t index = 0;
+    telemetry::Counter* verified = nullptr;
+    telemetry::Counter* unverified = nullptr;
+  };
+
+  /// Recomputes every live record's slot list from the live plan (slot
+  /// assignments shift when the plan compacts). Caller holds ledger_mu_.
   void RefreshSlotsLocked();
 
   std::shared_ptr<MultiQueryEngine> engine_;
@@ -148,11 +152,14 @@ class EpochScheduler : public net::AggregationProtocol {
   ReadingFn readings_;
   std::vector<QueryEpochOutcome> last_outcomes_;
 
-  /// Guards stats_ only: the control plane and QuerierEvaluate write it
-  /// from the run thread, the ops scraper reads it from the admin
-  /// thread. Never held across engine calls that take other locks.
-  mutable std::mutex stats_mu_;
-  std::vector<QueryLiveStats> stats_;
+  /// Guards ledger_ and live_: the control plane and QuerierEvaluate
+  /// write them from the run thread, the ops scraper reads them from the
+  /// admin thread. Never held across engine calls that take other locks.
+  mutable std::mutex ledger_mu_;
+  std::vector<telemetry::QueryRecord> ledger_;
+  /// The live queries' records, in admission order — the order of
+  /// last_outcomes().
+  std::vector<LiveRecord> live_;
 
   /// Guards the queued control plane only (writers: any thread; reader:
   /// ApplyPending on the run thread).

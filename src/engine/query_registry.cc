@@ -49,17 +49,6 @@ Status QueryRegistry::Admit(const Query& query, uint64_t epoch) {
   return Status::OK();
 }
 
-StatusOr<uint32_t> QueryRegistry::AdmitAuto(Query query, uint64_t epoch) {
-  for (uint32_t id = 0; id <= kMaxQueryId; ++id) {
-    if (Find(id) != nullptr || plan_.SaltIdInUse(id)) continue;
-    query.query_id = id;
-    Status admitted = Admit(query, epoch);
-    if (!admitted.ok()) return admitted;
-    return id;
-  }
-  return Status::FailedPrecondition("query id space exhausted");
-}
-
 Status QueryRegistry::Teardown(uint32_t query_id, uint64_t epoch) {
   auto it = std::find_if(active_.begin(), active_.end(),
                          [&](const ActiveQuery& aq) {

@@ -41,10 +41,6 @@ class QueryRegistry {
   /// uncompilable or the salt space cannot fit its buckets.
   Status Admit(const Query& query, uint64_t epoch);
 
-  /// Admits `query` under the smallest id that passes every Admit
-  /// check, ignoring the incoming query_id field. Returns the id.
-  StatusOr<uint32_t> AdmitAuto(Query query, uint64_t epoch);
-
   /// Tears down the live query `query_id` at `epoch`; its channel slots
   /// are released (shared slots survive under their original salt).
   Status Teardown(uint32_t query_id, uint64_t epoch);

@@ -34,12 +34,12 @@ void AppendDouble(std::string& out, double value) {
   out += buf;
 }
 
-std::string QueriesJson(const std::vector<QueryInfo>& queries) {
+std::string QueriesJson(const std::vector<telemetry::QueryRecord>& queries) {
   std::string out = "{\"count\": " + std::to_string(queries.size()) +
                     ", \"queries\": [\n";
   for (size_t i = 0; i < queries.size(); ++i) {
-    const QueryInfo& q = queries[i];
-    out += "  {\"id\": " + std::to_string(q.id) + ", \"sql\": \"" +
+    const telemetry::QueryRecord& q = queries[i];
+    out += "  {\"id\": " + std::to_string(q.query_id) + ", \"sql\": \"" +
            JsonEscape(q.sql) + "\", \"admitted_epoch\": " +
            std::to_string(q.admitted_epoch) + ", \"slots\": [";
     for (size_t s = 0; s < q.slots.size(); ++s) {
@@ -139,7 +139,7 @@ void AdminServer::RegisterEndpoints() {
   http_.Handle("/readyz",
                [this](const HttpRequest&) { return Readyz(); });
   http_.Handle("/queries", [this](const HttpRequest&) {
-    std::vector<QueryInfo> queries;
+    std::vector<telemetry::QueryRecord> queries;
     if (queries_) queries = queries_();
     return HttpResponse{200, "application/json", QueriesJson(queries)};
   });

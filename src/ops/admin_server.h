@@ -15,7 +15,9 @@
 //                       not flip readiness).
 //   GET /queries        JSON introspection of the live query set: ids,
 //                       SQL, admission epochs, wire slots, per-query
-//                       outcome counters (via the snapshot callback).
+//                       outcome counters — the live queries' records of
+//                       the scheduler's ledger (via the snapshot
+//                       callback).
 //   GET /epochs?last=K  the EpochTimeline ring: per-epoch phase
 //                       breakdowns, per-channel verify attribution,
 //                       critical path, and verdicts.
@@ -36,27 +38,15 @@
 
 #include "common/status.h"
 #include "ops/http_server.h"
+#include "telemetry/query_record.h"
 
 namespace sies::ops {
 
-/// One live query as served by GET /queries.
-struct QueryInfo {
-  uint32_t id = 0;
-  std::string sql;
-  uint64_t admitted_epoch = 0;
-  std::vector<uint32_t> slots;  ///< physical wire slots the query reads
-  uint64_t answered_epochs = 0;
-  uint64_t verified_epochs = 0;
-  uint64_t unverified_epochs = 0;
-  uint64_t partial_epochs = 0;
-  double last_value = 0.0;
-  double last_coverage = 0.0;
-  uint64_t last_epoch = 0;  ///< last epoch this query was answered in
-};
-
-/// Supplies a consistent snapshot of the live query set. Called on the
-/// server thread; implementations must be internally synchronized.
-using QuerySnapshotFn = std::function<std::vector<QueryInfo>()>;
+/// Supplies a consistent snapshot of the live queries' records, served
+/// by GET /queries. Called on the server thread; implementations must
+/// be internally synchronized.
+using QuerySnapshotFn =
+    std::function<std::vector<telemetry::QueryRecord>()>;
 
 struct AdminOptions {
   /// Loopback by default: the ops plane is unauthenticated by design

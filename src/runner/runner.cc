@@ -3,7 +3,6 @@
 #include <chrono>
 #include <cmath>
 #include <thread>
-#include <unordered_map>
 
 #include "common/timer.h"
 #include "crypto/prime.h"
@@ -333,25 +332,8 @@ StatusOr<ExperimentResult> RunExperiment(const ExperimentConfig& config) {
     ops::AdminOptions options;
     options.port = static_cast<uint16_t>(config.ops_port);
     options.ready_staleness_seconds = config.ops_staleness_seconds;
-    auto started = ops::AdminServer::Start(options, [scheduler]() {
-      std::vector<ops::QueryInfo> out;
-      for (const engine::QueryLiveStats& q : scheduler->SnapshotQueries()) {
-        ops::QueryInfo info;
-        info.id = q.query_id;
-        info.sql = q.sql;
-        info.admitted_epoch = q.admitted_epoch;
-        info.slots = q.slots;
-        info.answered_epochs = q.answered_epochs;
-        info.verified_epochs = q.verified_epochs;
-        info.unverified_epochs = q.unverified_epochs;
-        info.partial_epochs = q.partial_epochs;
-        info.last_value = q.last_value;
-        info.last_coverage = q.last_coverage;
-        info.last_epoch = q.last_epoch;
-        out.push_back(std::move(info));
-      }
-      return out;
-    });
+    auto started = ops::AdminServer::Start(
+        options, [scheduler]() { return scheduler->SnapshotQueries(); });
     if (!started.ok()) return started.status();
     admin = std::move(started).value();
     // Keys and topology exist by now; epoch-key caches warm during the
@@ -399,16 +381,6 @@ StatusOr<ExperimentResult> RunExperiment(const ExperimentConfig& config) {
   ExperimentResult result;
   result.scheme_name = protocol.Name();
   result.epochs = config.epochs;
-  std::unordered_map<uint32_t, size_t> stats_index;
-  std::vector<double> query_coverage_sums(schedule.size(), 0.0);
-  result.queries.reserve(schedule.size());
-  for (const QuerySchedule& sched : schedule) {
-    QueryStats stats;
-    stats.query_id = sched.query.query_id;
-    stats.sql = sched.query.ToSql();
-    stats_index[sched.query.query_id] = result.queries.size();
-    result.queries.push_back(std::move(stats));
-  }
 
   static telemetry::Counter* epochs_total =
       telemetry::MetricsRegistry::Global().GetCounter("sies_epochs_total");
@@ -459,21 +431,7 @@ StatusOr<ExperimentResult> RunExperiment(const ExperimentConfig& config) {
         continue;
       }
       result.channel_epochs += registry.plan().Count();
-      for (const engine::ActiveQuery& live : registry.active()) {
-        // A live query's compiled channel count (== ChannelCount for
-        // plain queries, buckets × kinds for band queries) is what a
-        // dedicated session per query-per-bucket would put on the wire.
-        auto slots = registry.plan().ChannelsOf(live.query);
-        const uint64_t compiled =
-            slots.ok() ? slots.value().size()
-                       : core::ChannelCount(live.query.aggregate);
-        result.naive_channel_epochs += compiled;
-        auto it = stats_index.find(live.query.query_id);
-        if (it != stats_index.end()) {
-          result.queries[it->second].wire_channels =
-              static_cast<uint32_t>(compiled);
-        }
-      }
+      result.naive_channel_epochs += scheduler->LiveQueryChannels();
     }
 
     const bool attribute = timeline.enabled();
@@ -505,23 +463,6 @@ StatusOr<ExperimentResult> RunExperiment(const ExperimentConfig& config) {
         ++result.unverified_epochs;
         result.all_verified = false;
         epochs_unverified->Increment();
-      }
-      if (scheduler != nullptr) {
-        for (const engine::QueryEpochOutcome& qo :
-             scheduler->last_outcomes()) {
-          auto it = stats_index.find(qo.query_id);
-          if (it == stats_index.end()) continue;
-          QueryStats& stats = result.queries[it->second];
-          ++stats.answered_epochs;
-          query_coverage_sums[it->second] += qo.outcome.coverage;
-          if (qo.outcome.verified) {
-            ++stats.verified_epochs;
-            stats.last_value = qo.outcome.result.value;
-            if (qo.outcome.coverage < 1.0) ++stats.partial_epochs;
-          } else {
-            ++stats.unverified_epochs;
-          }
-        }
       }
     }
     if (scheduler != nullptr && config.on_epoch_outcomes) {
@@ -573,12 +514,6 @@ StatusOr<ExperimentResult> RunExperiment(const ExperimentConfig& config) {
     if (admin) admin->SetKeysWarm(true);
     finish_epoch(epoch, verified, epoch_watch);
   }
-  for (size_t i = 0; i < result.queries.size(); ++i) {
-    if (result.queries[i].answered_epochs > 0) {
-      result.queries[i].mean_coverage =
-          query_coverage_sums[i] / result.queries[i].answered_epochs;
-    }
-  }
   auto spread = [](const CostAccumulator& acc) {
     return CostSpread{acc.MinSeconds(), acc.MaxSeconds(),
                       acc.StdDevSeconds()};
@@ -605,6 +540,7 @@ StatusOr<ExperimentResult> RunExperiment(const ExperimentConfig& config) {
   if (scheduler != nullptr) {
     scheduler->JoinPrefetch();
     result.prefetched_epochs = scheduler->prefetched_epochs();
+    result.queries = scheduler->ledger();
   }
   if (udp) {
     result.udp_datagrams_sent = udp->datagrams_sent();

@@ -20,6 +20,7 @@
 #include "net/network.h"
 #include "secoa/secoa_max.h"
 #include "secoa/secoa_sum.h"
+#include "telemetry/query_record.h"
 #include "workload/workload.h"
 
 namespace sies::runner {
@@ -207,22 +208,6 @@ struct CostSpread {
   double stddev_seconds = 0;
 };
 
-/// Per-query verdict accounting over a SIES run.
-struct QueryStats {
-  uint32_t query_id = 0;
-  std::string sql;
-  uint32_t answered_epochs = 0;    ///< epochs live AND answered
-  uint32_t verified_epochs = 0;
-  uint32_t unverified_epochs = 0;
-  uint32_t partial_epochs = 0;     ///< verified with coverage < 1
-  double last_value = 0.0;         ///< result of the last verified epoch
-  double mean_coverage = 0.0;      ///< over answered epochs
-  /// Physical wire channels this query reads in the live plan (from its
-  /// last live epoch): ChannelCount for a plain query, buckets × kinds
-  /// for a compiled band query (≤ 2⌈log₂ D⌉ per kind).
-  uint32_t wire_channels = 0;
-};
-
 /// Aggregated outcome of a multi-epoch experiment.
 struct ExperimentResult {
   std::string scheme_name;
@@ -276,10 +261,10 @@ struct ExperimentResult {
   /// Σ over run epochs of live physical channels — what the engine
   /// actually puts on the wire.
   uint64_t channel_epochs = 0;
-  /// Σ over run epochs of each live query's COMPILED channel count —
-  /// what independent per-query (and, for band queries, per-bucket)
-  /// sessions would have to transmit. Equals Σ ChannelCount(q) when no
-  /// query carries a band. channel_epochs < naive ⇔ dedup won.
+  /// Σ over run epochs of each live query's wire_channels — what
+  /// independent per-query (and, for band queries, per-bucket) sessions
+  /// would have to transmit. Equals Σ ChannelCount(q) when no query
+  /// carries a band. channel_epochs < naive ⇔ dedup won.
   uint64_t naive_channel_epochs = 0;
   /// Epochs whose t+1 keys the pipeline prefetched ahead of use (0 when
   /// config.pipeline is off).
@@ -288,7 +273,11 @@ struct ExperimentResult {
   /// backend (0 under the simulator).
   uint64_t udp_datagrams_sent = 0;
   uint64_t udp_malformed_datagrams = 0;
-  std::vector<QueryStats> queries;  ///< schedule order
+  /// The scheduler's ledger: one record per admission, in admission
+  /// order. A torn-down query keeps its final tally and the slots it
+  /// last read; a scheduled query whose admission epoch never came has
+  /// no record.
+  std::vector<telemetry::QueryRecord> queries;
 };
 
 /// One scheme bound to the simulator, with the synthetic trace its

@@ -27,9 +27,10 @@ class Aggregator {
   /// Merge over `count` PSRs stored back to back at `psrs` (PSR i at
   /// `psrs + i * PsrBytes()`), writing the merged PSR to `out` (also
   /// PsrBytes() wide). Allocation-free on the fixed-width fast path —
-  /// the form the epoch hot loop uses with a core::PsrArena, where the
-  /// vector-of-Bytes overload would cost one heap slice per source.
-  /// Identical bytes to Merge.
+  /// the form for PSRs held back to back in one buffer
+  /// (bench/batched_crypto's N-source epoch), where the vector-of-Bytes
+  /// overload would cost one heap slice per source. Identical bytes to
+  /// Merge.
   Status MergeContiguous(const uint8_t* psrs, size_t count,
                          uint8_t* out) const;
 

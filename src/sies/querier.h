@@ -63,8 +63,8 @@ class Querier {
 
   /// Zero-copy Evaluate over `len` PSR bytes in place — for callers that
   /// hold many channels' PSRs in one contiguous buffer (the multi-query
-  /// engine's wire body, a PsrArena) and would otherwise copy each slice
-  /// into a fresh Bytes per channel per epoch. Identical semantics to
+  /// engine's wire body) and would otherwise copy each slice into a
+  /// fresh Bytes per channel per epoch. Identical semantics to
   /// Evaluate(Bytes, ...).
   StatusOr<Evaluation> EvaluateSlice(
       const uint8_t* psr, size_t len, uint64_t epoch,

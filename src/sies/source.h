@@ -35,10 +35,10 @@ class Source {
   StatusOr<Bytes> CreatePsr(uint64_t value, uint64_t epoch) const;
 
   /// CreatePsr writing the params().PsrBytes()-wide PSR into `out`
-  /// instead of allocating — for hot epoch loops assembling many PSRs
-  /// into one buffer (a core::PsrArena, the engine's multi-channel
-  /// body). On the fixed-width fast path this performs no heap
-  /// allocation at all. Identical bytes to CreatePsr.
+  /// instead of allocating — for loops assembling many PSRs into one
+  /// buffer (the engine's multi-channel body, bench/batched_crypto's
+  /// N-source epoch). On the fixed-width fast path this performs no
+  /// heap allocation at all. Identical bytes to CreatePsr.
   Status CreatePsrInto(uint64_t value, uint64_t epoch, uint8_t* out) const;
 
   /// Optional: share an EpochKeyCache with co-located sources so K_t is

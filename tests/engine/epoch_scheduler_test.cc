@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "engine/query_spec.h"
 #include "runner/runner.h"
 
@@ -43,7 +45,7 @@ TEST(EpochSchedulerTest, BatchedQueriesAllVerify) {
   // 3 queries, 6 naive channels, 3 physical slots per epoch.
   EXPECT_EQ(result.value().channel_epochs, 30u);
   EXPECT_EQ(result.value().naive_channel_epochs, 60u);
-  for (const runner::QueryStats& qs : result.value().queries) {
+  for (const telemetry::QueryRecord& qs : result.value().queries) {
     EXPECT_EQ(qs.verified_epochs, 10u) << qs.sql;
     EXPECT_EQ(qs.mean_coverage, 1.0);
   }
@@ -95,7 +97,7 @@ TEST(EpochSchedulerTest, LossDegradesGracefullyPerQuery) {
   // exactly the contributing set, for every co-batched query alike.
   EXPECT_TRUE(r.all_verified);
   EXPECT_GT(r.answered_epochs, 0u);
-  for (const runner::QueryStats& qs : r.queries) {
+  for (const telemetry::QueryRecord& qs : r.queries) {
     EXPECT_EQ(qs.unverified_epochs, 0u);
     EXPECT_EQ(qs.answered_epochs, r.answered_epochs)
         << "co-batched queries share the wire and thus the loss fate";
@@ -156,7 +158,7 @@ TEST(EpochSchedulerTest, DefaultMixAcrossLossAndTamper) {
           EXPECT_EQ(r.channel_epochs, r.naive_channel_epochs);
         }
         const bool clean = adversary == runner::AdversaryKind::kNone;
-        for (const runner::QueryStats& qs : r.queries) {
+        for (const telemetry::QueryRecord& qs : r.queries) {
           EXPECT_LE(qs.answered_epochs, r.epochs);
           EXPECT_GE(qs.mean_coverage, 0.0);
           EXPECT_LE(qs.mean_coverage, 1.0);
@@ -178,6 +180,59 @@ TEST(EpochSchedulerTest, DefaultMixAcrossLossAndTamper) {
           EXPECT_GT(r.queries[0].verified_epochs, 0u);
           EXPECT_GT(r.queries[3].verified_epochs, 0u);
         }
+      }
+    }
+  }
+}
+
+// Compiled band queries across the same loss × tamper matrix: each band
+// reads at most 2⌈log₂ D⌉ bucket channels per kind, the overlapping
+// [20,30]/[20,35] COUNT bands share dyadic prefix nodes (so the engine
+// beats per-query compilation), and loss never costs verification.
+TEST(EpochSchedulerTest, BandMixAcrossLossAndTamper) {
+  auto bands = ParseQueriesText(
+      "count temperature where 20 <= temperature <= 30\n"
+      "count temperature where 20 <= temperature <= 35\n"
+      "avg humidity between 35 and 55\n"
+      "sum temperature\n");
+  ASSERT_TRUE(bands.ok()) << bands.status().ToString();
+  // Scaled (10^-2) domain sizes of the three bands, and the channel
+  // kinds each reads (AVG = SUM + COUNT).
+  const uint32_t domains[] = {1001, 1501, 2001};
+  const uint32_t kinds[] = {1, 1, 2};
+  for (double loss : {0.0, 0.3}) {
+    for (runner::AdversaryKind adversary :
+         {runner::AdversaryKind::kNone, runner::AdversaryKind::kTamper}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "loss=" << loss
+                   << " adversary=" << static_cast<int>(adversary));
+      runner::ExperimentConfig config = BaseConfig();
+      config.num_sources = 16;
+      config.epochs = 8;
+      config.seed = 5;
+      config.loss_rate = loss;
+      config.max_retries = 2;
+      config.adversary = adversary;
+      for (const core::Query& q : bands.value()) config.queries.push_back({q});
+      auto result = runner::RunExperiment(config);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      const runner::ExperimentResult& r = result.value();
+      ASSERT_EQ(r.queries.size(), 4u);
+      EXPECT_LT(r.channel_epochs, r.naive_channel_epochs);
+      const bool clean = adversary == runner::AdversaryKind::kNone;
+      for (size_t i = 0; i < r.queries.size(); ++i) {
+        const telemetry::QueryRecord& qs = r.queries[i];
+        if (i < 3) {
+          const uint32_t cap =
+              kinds[i] * 2 *
+              static_cast<uint32_t>(std::ceil(std::log2(domains[i])));
+          EXPECT_GT(qs.wire_channels, 0u) << qs.sql;
+          EXPECT_LE(qs.wire_channels, cap) << qs.sql;
+        } else {
+          EXPECT_EQ(qs.wire_channels, 1u) << qs.sql;  // the plain SUM
+        }
+        if (clean) EXPECT_EQ(qs.unverified_epochs, 0u) << qs.sql;
+        if (clean && loss == 0.0) EXPECT_EQ(qs.mean_coverage, 1.0) << qs.sql;
       }
     }
   }

@@ -56,16 +56,6 @@ TEST(QueryRegistryTest, RejectsIdThatStillSaltsALiveChannel) {
   EXPECT_TRUE(registry.Admit(MakeQuery(core::Aggregate::kSum, 0), 5).ok());
 }
 
-TEST(QueryRegistryTest, AdmitAutoSkipsActiveAndSaltedIds) {
-  QueryRegistry registry;
-  ASSERT_TRUE(registry.Admit(MakeQuery(core::Aggregate::kAvg, 0), 1).ok());
-  ASSERT_TRUE(registry.Admit(MakeQuery(core::Aggregate::kAvg, 1), 1).ok());
-  ASSERT_TRUE(registry.Teardown(0, 2).ok());  // id 0 still salts slots
-  auto id = registry.AdmitAuto(MakeQuery(core::Aggregate::kCount, 999), 3);
-  ASSERT_TRUE(id.ok());
-  EXPECT_EQ(id.value(), 2u) << "0 is salted, 1 is active, 2 is free";
-}
-
 TEST(QueryRegistryTest, TeardownUnknownIdIsNotFound) {
   QueryRegistry registry;
   EXPECT_EQ(registry.Teardown(5, 1).code(), StatusCode::kNotFound);

@@ -63,7 +63,7 @@ std::string SemanticFingerprint(ExperimentConfig config,
       << " verified=" << r.all_verified << " retx=" << r.retransmits
       << " lost=" << r.lost_messages << " ch=" << r.channel_epochs << "/"
       << r.naive_channel_epochs;
-  for (const QueryStats& qs : r.queries) {
+  for (const telemetry::QueryRecord& qs : r.queries) {
     out << " | q" << qs.query_id << " a=" << qs.answered_epochs
         << " ve=" << qs.verified_epochs << " un=" << qs.unverified_epochs
         << " pa=" << qs.partial_epochs << " last=" << qs.last_value

@@ -16,9 +16,9 @@ namespace {
 
 using testing::Get;
 
-std::vector<QueryInfo> TwoQueries() {
-  QueryInfo avg;
-  avg.id = 0;
+std::vector<telemetry::QueryRecord> TwoQueries() {
+  telemetry::QueryRecord avg;
+  avg.query_id = 0;
   avg.sql = "SELECT AVG(temperature) FROM Sensors";
   avg.admitted_epoch = 1;
   avg.slots = {0, 1};
@@ -29,8 +29,8 @@ std::vector<QueryInfo> TwoQueries() {
   avg.last_value = 35.25;
   avg.last_coverage = 0.5;
   avg.last_epoch = 7;
-  QueryInfo count;
-  count.id = 3;
+  telemetry::QueryRecord count;
+  count.query_id = 3;
   count.sql = "SELECT COUNT(pressure) FROM Sensors WHERE \"x\"";
   count.admitted_epoch = 4;
   count.slots = {2};

@@ -90,11 +90,22 @@ TEST(RunExperimentTest, EveryRunCountsItsEpochs) {
   config.adversary = AdversaryKind::kTamper;
   total_before = total->Value();
   unverified_before = unverified->Value();
+  // Each query counts its verdicts in its own series.
+  telemetry::Counter* sum_verified =
+      registry.GetCounter("sies_engine_query_epochs_total",
+                          {{"query", "q0"}, {"verified", "true"}});
+  telemetry::Counter* variance_unverified =
+      registry.GetCounter("sies_engine_query_epochs_total",
+                          {{"query", "q1"}, {"verified", "false"}});
+  const uint64_t sum_verified_before = sum_verified->Value();
+  const uint64_t variance_unverified_before = variance_unverified->Value();
   auto result = RunExperiment(config);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result.value().unverified_epochs, 3u);
   EXPECT_EQ(total->Value() - total_before, 3u);
   EXPECT_EQ(unverified->Value() - unverified_before, 3u);
+  EXPECT_EQ(sum_verified->Value() - sum_verified_before, 3u);
+  EXPECT_EQ(variance_unverified->Value() - variance_unverified_before, 3u);
 }
 
 // A torn-down query's id may be reused by a different query; each
@@ -113,6 +124,21 @@ TEST(RunExperimentTest, ReusedQueryIdMeasuredAgainstTheLiveQuery) {
   EXPECT_EQ(result.value().idle_epochs, 1u);
   EXPECT_TRUE(result.value().all_verified);
   EXPECT_DOUBLE_EQ(result.value().mean_relative_error, 0.0);
+  // One record per admission: each query tallies only the epochs it was
+  // live in, and the torn-down one keeps the slot it last read.
+  const std::vector<telemetry::QueryRecord>& queries = result.value().queries;
+  ASSERT_EQ(queries.size(), 2u);
+  EXPECT_EQ(queries[0].sql, temperature.ToSql());
+  EXPECT_EQ(queries[0].admitted_epoch, 1u);
+  EXPECT_EQ(queries[0].answered_epochs, 2u);
+  EXPECT_EQ(queries[0].verified_epochs, 2u);
+  EXPECT_EQ(queries[0].slots, std::vector<uint32_t>{0});
+  EXPECT_EQ(queries[1].sql, humidity.ToSql());
+  EXPECT_EQ(queries[1].admitted_epoch, 4u);
+  EXPECT_EQ(queries[1].answered_epochs, 2u);
+  EXPECT_EQ(queries[1].verified_epochs, 2u);
+  EXPECT_EQ(queries[1].wire_channels, 1u);
+  EXPECT_EQ(result.value().naive_channel_epochs, 4u);
 }
 
 // Queries, pipelining, the ops plane and the UDP transport are SIES
