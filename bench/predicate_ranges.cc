@@ -139,8 +139,9 @@ int main(int argc, char** argv) {
     const double querier_ms = er.querier_cpu_seconds * 1e3;
     std::printf("%-16s | %7llu %7u %9u | %10llu | %12llu %12.2f %8.3f\n",
                 pt.label, static_cast<unsigned long long>(domain), compiled,
-                bound, static_cast<unsigned long long>(domain), exact,
-                approx.value(), querier_ms);
+                bound, static_cast<unsigned long long>(domain),
+                static_cast<unsigned long long>(exact), approx.value(),
+                querier_ms);
     if (!er.all_verified || !bound_met) {
       std::fprintf(stderr,
                    "FAIL at %s: verified=%d compiled=%u bound=%u\n",

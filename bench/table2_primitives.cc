@@ -1,10 +1,11 @@
 // Table II reproduction: the primitive operation costs on this host,
 // printed side by side with the paper's reference values, plus
 // google-benchmark timings for each primitive (and for the scheduled
-// HM1 / HM256 the parties actually run).
+// HM1 / HM256 the parties actually run, singly and batched).
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <vector>
 
 #include "common/rng.h"
 #include "costmodel/primitives.h"
@@ -12,6 +13,7 @@
 #include "crypto/hmac.h"
 #include "crypto/prime.h"
 #include "crypto/rsa.h"
+#include "crypto/sha256x8.h"
 #include "sketch/ams_sketch.h"
 
 namespace {
@@ -103,6 +105,51 @@ void BM_HmacSha256_Scheduled(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HmacSha256_Scheduled);
+
+// The querier's form: one epoch's PRF over many schedules in one batch
+// call (two lanes at a time on SHA-NI). `per_prf` is the time per PRF.
+constexpr size_t kBatchKeys = 64;
+
+std::vector<sies::crypto::PrfKey> BatchSchedules() {
+  Xoshiro256 rng(0xba7c);
+  std::vector<sies::crypto::PrfKey> keys;
+  for (size_t i = 0; i < kBatchKeys; ++i) keys.emplace_back(rng.NextBytes(20));
+  return keys;
+}
+
+void BM_HmacSha1_Batch(benchmark::State& state) {
+  const std::vector<sies::crypto::PrfKey> keys = BatchSchedules();
+  std::vector<const sies::crypto::PrfKey*> ptrs;
+  for (const sies::crypto::PrfKey& key : keys) ptrs.push_back(&key);
+  std::vector<uint8_t> tags(20 * kBatchKeys);
+  uint64_t epoch = 0;
+  for (auto _ : state) {
+    sies::crypto::EpochPrfSha1Batch(kBatchKeys, ptrs.data(), epoch++,  // lint:allow(zeroize)
+                                    tags.data());
+    benchmark::DoNotOptimize(tags.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["per_prf"] = benchmark::Counter(
+      kBatchKeys, benchmark::Counter::kIsIterationInvariantRate |
+                      benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_HmacSha1_Batch);
+
+void BM_HmacSha256_Batch(benchmark::State& state) {
+  const std::vector<sies::crypto::PrfKey> keys = BatchSchedules();
+  std::vector<uint8_t> tags(32 * kBatchKeys);
+  uint64_t epoch = 0;
+  for (auto _ : state) {
+    sies::crypto::EpochPrfSha256Batch(kBatchKeys, keys.data(), epoch++,  // lint:allow(zeroize)
+                                      tags.data());
+    benchmark::DoNotOptimize(tags.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["per_prf"] = benchmark::Counter(
+      kBatchKeys, benchmark::Counter::kIsIterationInvariantRate |
+                      benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_HmacSha256_Batch);
 
 void BM_ModAdd20_Ca20(benchmark::State& state) {
   BigUint a = F().a160;

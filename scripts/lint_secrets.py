@@ -26,12 +26,15 @@ without leaking timing) across src/. Three rules:
                same file before it can be flagged clean. The
                output-buffer derivations (the heap-free PRFs
                HmacSha*Into / EpochPrfSha*Into, raw-key or
-               schedule-keyed, their pinned-body forms HmacSha*With, and
-               the batch kernels HmacSha256Batch / HmacSha256x8 /
-               EpochPrfSha256Batch / PrfSha256Batch) are covered too: a locally declared buffer passed as their
-               output must be SecureZero'd in the same file — a stack
-               digest is a derived key, and 8-lane staging arrays hold
-               eight keys' worth at once. So is every HMAC pad: a local
+               schedule-keyed, their pinned-body forms HmacSha*With, the
+               batch kernels HmacSha256Batch / HmacSha256x8 /
+               EpochPrfSha256Batch / PrfSha256Batch / EpochPrfSha1Batch
+               and their forced hooks, and the SHA-NI lane kernels
+               HmacShaNi / EpochHmacShaNi) are covered too: a locally
+               declared buffer passed as their output must be
+               SecureZero'd in the same file — a stack digest is a
+               derived key, and batch staging arrays hold many keys'
+               worth at once. So is every HMAC pad: a local
                array filled with key bytes XOR ipad/opad (0x36 / 0x5c)
                in a PRF helper must be wiped before the frame dies.
 
@@ -93,7 +96,8 @@ SINK_START_RE = re.compile(
 DERIVATION_RE = re.compile(
     r"\b(HmacSha1|HmacSha256|EpochPrfSha1|EpochPrfSha256|DeriveMacKey|"
     r"DeriveTemporalSeed|HmacSha256Batch|HmacSha256x8|"
-    r"EpochPrfSha256Batch|PrfSha256Batch)\s*\(|\b\w+\.Generate\s*\("
+    r"EpochPrfSha256Batch|PrfSha256Batch|EpochPrfSha1Batch)\s*\(|"
+    r"\b\w+\.Generate\s*\("
 )
 
 # Output-buffer derivations (heap-free PRFs and batch kernels): the final
@@ -102,6 +106,7 @@ DERIVATION_RE = re.compile(
 BATCH_DERIVATION_RE = re.compile(
     r"\b(HmacSha256Batch|HmacSha256x8|EpochPrfSha256Batch|"
     r"HmacSha256BatchWithKernel|PrfSha256Batch|PrfSha256BatchWithKernel|"
+    r"EpochPrfSha1Batch|EpochPrfSha1BatchWith|HmacShaNi|EpochHmacShaNi|"
     r"HmacSha1Into|HmacSha256Into|HmacSha1With|HmacSha256With|"
     r"EpochPrfSha1Into|EpochPrfSha256Into)\s*\("
 )

@@ -1,5 +1,7 @@
 #include "cmt/cmt.h"
 
+#include <algorithm>
+
 #include "common/rng.h"
 #include "common/secure.h"
 #include "crypto/hmac_drbg.h"
@@ -37,15 +39,25 @@ QuerierKeys GenerateKeys(const Params& params, const Bytes& master_seed) {
   return keys;
 }
 
+namespace {
+
+// k_{i,t} from its 20-byte HM1 tag: the tag as an integer, mod n.
+crypto::BigUint KeyFromTag(const Params& params, const uint8_t tag[20]) {
+  crypto::BigUint raw = crypto::BigUint::FromBytes(tag, 20);
+  crypto::BigUint k = crypto::BigUint::Mod(raw, params.modulus).value();
+  raw.Wipe();
+  return k;
+}
+
+}  // namespace
+
 crypto::BigUint DeriveEpochKey(const Params& params,
                                const crypto::PrfKey& source_key,
                                uint64_t epoch) {
   uint8_t prf[20];
   crypto::EpochPrfSha1Into(source_key, epoch, prf);
-  crypto::BigUint raw = crypto::BigUint::FromBytes(prf, sizeof(prf));
+  crypto::BigUint k = KeyFromTag(params, prf);
   common::SecureZero(prf, sizeof(prf));
-  crypto::BigUint k = crypto::BigUint::Mod(raw, params.modulus).value();
-  raw.Wipe();
   return k;
 }
 
@@ -93,18 +105,32 @@ StatusOr<uint64_t> Querier::Decrypt(
   if (final_ciphertext.size() != params_.CiphertextBytes()) {
     return Status::InvalidArgument("ciphertext has wrong width");
   }
-  crypto::BigUint sum = crypto::BigUint::FromBytes(final_ciphertext);
-  crypto::BigUint key_sum;
   for (uint32_t index : participating) {
     if (index >= source_keys_.size()) {
       return Status::NotFound("participating index out of range");
     }
-    key_sum = crypto::BigUint::ModAdd(
-                  key_sum,
-                  DeriveEpochKey(params_, source_keys_[index], epoch),
-                  params_.modulus)
-                  .value();
   }
+  crypto::BigUint sum = crypto::BigUint::FromBytes(final_ciphertext);
+  // The participants' k_{i,t} through the HM1 batch (two lanes at a time
+  // on SHA-NI, as SIES's querier derives its shares), their keys
+  // gathered a chunk at a time.
+  constexpr size_t kChunk = 64;
+  const crypto::PrfKey* chunk[kChunk];
+  uint8_t tags[kChunk * 20];
+  crypto::BigUint key_sum;
+  for (size_t off = 0; off < participating.size(); off += kChunk) {
+    const size_t take = std::min(kChunk, participating.size() - off);
+    for (size_t j = 0; j < take; ++j) {
+      chunk[j] = &source_keys_[participating[off + j]];
+    }
+    crypto::EpochPrfSha1Batch(take, chunk, epoch, tags);
+    for (size_t j = 0; j < take; ++j) {
+      crypto::BigUint k = KeyFromTag(params_, tags + 20 * j);
+      key_sum = crypto::BigUint::ModAdd(key_sum, k, params_.modulus).value();
+      k.Wipe();
+    }
+  }
+  common::SecureZero(tags, sizeof(tags));
   auto plain = crypto::BigUint::ModSub(sum, key_sum, params_.modulus);
   if (!plain.ok()) return plain.status();
   if (!plain.value().FitsUint64()) {

@@ -1,5 +1,6 @@
 #include "crypto/hmac.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/secure.h"
@@ -45,15 +46,17 @@ void Schedule(md_internal::CompressFn compress, const uint32_t* init,
   common::SecureZero(pad, sizeof(pad));
 }
 
-// The MAC from a schedule, entirely on the stack:
+// The MAC from a schedule through any compression body, on the stack:
 //
 //   inner = H((K0 ^ ipad) || message)  from chain.inner
 //   tag   = H((K0 ^ opad) || inner)    from chain.outer, one block
 //
-// A message of at most 55 bytes (every epoch PRF input) fits its final
-// block with the padding, so it is padded in place and the whole MAC is
-// two compressions. The block (which holds the inner digest) and the
-// hash state are wiped before return; only the tag leaves.
+// The portable body's path, and every body's path for a message longer
+// than 55 bytes (a one-block message on SHA-NI runs the lane kernel,
+// MacWith). A message of at most 55 bytes fits its final block with the
+// padding, so it is padded in place and the whole MAC is two
+// compressions. The block (which holds the inner digest) and the hash
+// state are wiped before return; only the tag leaves.
 template <size_t kWords>
 void MacFrom(md_internal::CompressFn compress, const HmacChain<kWords>& chain,
              ByteView message, uint8_t* out) {
@@ -78,13 +81,64 @@ void MacFrom(md_internal::CompressFn compress, const HmacChain<kWords>& chain,
   common::SecureZero(state, sizeof(state));
 }
 
-// One-shot HMAC: schedule into a stack chain, MAC from it, wipe it.
+// Each hash's SHA-NI body and its HMAC lane kernel (crypto/sha1.h,
+// crypto/sha256.h).
 template <size_t kWords>
+constexpr md_internal::CompressFn kShaNiBody = nullptr;
+template <>
+constexpr md_internal::CompressFn kShaNiBody<5> = sha1_internal::CompressShaNi;
+template <>
+constexpr md_internal::CompressFn kShaNiBody<8> =
+    sha256_internal::CompressShaNi;
+
+void ShaNiLanes(size_t n, const HmacChain<5>* const* chains, ByteView message,
+                uint8_t* out) {
+  sha1_internal::HmacShaNi(n, chains, message.data, message.len, out);
+}
+void ShaNiLanes(size_t n, const HmacChain<8>* const* chains, ByteView message,
+                uint8_t* out) {
+  sha256_internal::HmacShaNi(n, chains, message.data, message.len, out);
+}
+void ShaNiLanes(size_t n, const HmacChain<5>* const* chains, uint64_t epoch,
+                uint8_t* out) {
+  sha1_internal::EpochHmacShaNi(n, chains, epoch, out);
+}
+void ShaNiLanes(size_t n, const HmacChain<8>* const* chains, uint64_t epoch,
+                uint8_t* out) {
+  sha256_internal::EpochHmacShaNi(n, chains, epoch, out);
+}
+
+ByteView AsMessage(ByteView message, uint8_t[8]) { return message; }
+ByteView AsMessage(uint64_t epoch, uint8_t t[8]) {
+  StoreBigEndian64(epoch, t);
+  return ByteView(t, 8);
+}
+
+// The MAC from a schedule under `compress`, where `message` is bytes or
+// an epoch t (encoded as 8 big-endian bytes). The SHA-NI body runs a
+// one-block message through its lane kernel, one lane; anything else
+// goes through MacFrom.
+template <size_t kWords, typename Message>
+void MacWith(md_internal::CompressFn compress, const HmacChain<kWords>& chain,
+             Message message, uint8_t* out) {
+  uint8_t t[8];
+  const ByteView bytes = AsMessage(message, t);
+  if (compress == kShaNiBody<kWords> &&
+      bytes.len <= md_internal::kMaxOneBlockTail) {
+    const HmacChain<kWords>* lane = &chain;
+    ShaNiLanes(1, &lane, message, out);
+    return;
+  }
+  MacFrom<kWords>(compress, chain, bytes, out);
+}
+
+// One-shot HMAC: schedule into a stack chain, MAC from it, wipe it.
+template <size_t kWords, typename Message>
 void OneShot(md_internal::CompressFn compress, const uint32_t* init,
-             ByteView key, ByteView message, uint8_t* out) {
+             ByteView key, Message message, uint8_t* out) {
   HmacChain<kWords> chain;
   Schedule<kWords>(compress, init, key, &chain);
-  MacFrom<kWords>(compress, chain, message, out);
+  MacWith<kWords>(compress, chain, message, out);
   common::SecureZero(&chain, sizeof(chain));
 }
 
@@ -146,12 +200,31 @@ void HmacSha256With(md_internal::CompressFn compress, ByteView key,
 
 void HmacSha1With(md_internal::CompressFn compress, const PrfKey& key,
                   ByteView message, uint8_t out[20]) {
-  MacFrom<5>(compress, key.sha1(), message, out);
+  MacWith<5>(compress, key.sha1(), message, out);
 }
 
 void HmacSha256With(md_internal::CompressFn compress, const PrfKey& key,
                     ByteView message, uint8_t out[32]) {
-  MacFrom<8>(compress, key.sha256(), message, out);
+  MacWith<8>(compress, key.sha256(), message, out);
+}
+
+void EpochPrfSha1BatchWith(md_internal::CompressFn compress, size_t n,
+                           const PrfKey* const* keys, uint64_t epoch,
+                           uint8_t* out) {
+  if (compress != sha1_internal::CompressShaNi) {
+    for (size_t i = 0; i < n; ++i) {
+      MacWith<5>(compress, keys[i]->sha1(), epoch, out + 20 * i);
+    }
+    return;
+  }
+  // The lane kernel takes chain pointers; gather them a chunk at a time.
+  constexpr size_t kChunk = 64;
+  const HmacChain<5>* chains[kChunk];
+  for (size_t off = 0; off < n; off += kChunk) {
+    const size_t take = std::min(kChunk, n - off);
+    for (size_t i = 0; i < take; ++i) chains[i] = &keys[off + i]->sha1();
+    sha1_internal::EpochHmacShaNi(take, chains, epoch, out + 20 * off);
+  }
 }
 
 void Sha256KeyBlock(ByteView key, uint8_t k0[md_internal::kBlockSize]) {
@@ -180,27 +253,27 @@ void HmacSha256Into(const PrfKey& key, ByteView message, uint8_t out[32]) {
 }
 
 void EpochPrfSha1Into(ByteView key, uint64_t epoch, uint8_t out[20]) {
-  uint8_t t[8];
-  StoreBigEndian64(epoch, t);
-  HmacSha1Into(key, ByteView(t, sizeof(t)), out);
+  OneShot<5>(sha1_internal::Compress(), sha1_internal::kInitState.data(), key,
+             epoch, out);
 }
 
 void EpochPrfSha1Into(const PrfKey& key, uint64_t epoch, uint8_t out[20]) {
-  uint8_t t[8];
-  StoreBigEndian64(epoch, t);
-  HmacSha1Into(key, ByteView(t, sizeof(t)), out);
+  MacWith<5>(sha1_internal::Compress(), key.sha1(), epoch, out);
 }
 
 void EpochPrfSha256Into(ByteView key, uint64_t epoch, uint8_t out[32]) {
-  uint8_t t[8];
-  StoreBigEndian64(epoch, t);
-  HmacSha256Into(key, ByteView(t, sizeof(t)), out);
+  OneShot<8>(sha256_internal::Compress(), sha256_internal::kInitState.data(),
+             key, epoch, out);
 }
 
 void EpochPrfSha256Into(const PrfKey& key, uint64_t epoch, uint8_t out[32]) {
-  uint8_t t[8];
-  StoreBigEndian64(epoch, t);
-  HmacSha256Into(key, ByteView(t, sizeof(t)), out);
+  MacWith<8>(sha256_internal::Compress(), key.sha256(), epoch, out);
+}
+
+void EpochPrfSha1Batch(size_t n, const PrfKey* const* keys, uint64_t epoch,
+                       uint8_t* out) {
+  hmac_internal::EpochPrfSha1BatchWith(sha1_internal::Compress(), n, keys,
+                                       epoch, out);
 }
 
 Bytes HmacSha1(const Bytes& key, const Bytes& message) {

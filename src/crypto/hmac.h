@@ -17,19 +17,25 @@
 // schedule", so the two cannot disagree.
 //
 // The *Into forms are the hot path every party's epoch derivation runs
-// on: they write the tag into a caller buffer, touch no heap, pad each
-// hash in place and compress through the process's dispatched SHA body
-// (SHA-NI where the CPU has it; crypto/cpu_features.h). The
-// Bytes-returning forms are thin wrappers over them — same bytes.
+// on: they write the tag into a caller buffer and touch no heap. Where
+// the process runs the SHA-NI body (crypto/cpu_features.h), a message
+// of at most 55 bytes — every epoch PRF — runs the hash's HMAC lane
+// kernel (sha1_internal / sha256_internal::HmacShaNi): the inner digest
+// goes to the outer compression in registers. Every other MAC pads each
+// hash in place on the stack and compresses through the dispatched
+// body. The Bytes-returning forms are thin wrappers — same bytes.
+// EpochPrfSha1Batch is the querier's HM1 over many keys: two lanes at a
+// time through the same kernel.
 //
 // Secret hygiene: a PrfKey is key-equivalent (its chaining values yield
 // every epoch's k_{i,t} and ss_{i,t}); it wipes itself on destruction and
-// on every move, and has no printable form. Every key-derived
-// intermediate (padded key block, inner digest, hash state) lives on the
-// stack and is zeroized before these functions return; callers own the
-// returned tag and must SecureWipe / SecureZero it (or hold it in
-// crypto::SecureBytes) when it is itself key material, e.g. K_t or
-// ss_{i,t} derivations. Enforced by scripts/lint_secrets.py.
+// on every move, and has no printable form. On the lane kernel the inner
+// digest and hash states stay in registers; every key-derived stack
+// intermediate (padded key block, inner digest, hash state, a padded
+// message) is zeroized before these functions return, once per call for
+// a batch. Callers own the returned tag and must SecureWipe / SecureZero
+// it (or hold it in crypto::SecureBytes) when it is itself key material,
+// e.g. K_t or ss_{i,t} derivations. Enforced by scripts/lint_secrets.py.
 #ifndef SIES_CRYPTO_HMAC_H_
 #define SIES_CRYPTO_HMAC_H_
 
@@ -134,12 +140,21 @@ void EpochPrfSha1Into(const PrfKey& key, uint64_t epoch, uint8_t out[20]);
 void EpochPrfSha256Into(ByteView key, uint64_t epoch, uint8_t out[32]);
 void EpochPrfSha256Into(const PrfKey& key, uint64_t epoch, uint8_t out[32]);
 
+/// HM1(*keys[i], t) for `n` scheduled keys sharing one epoch `t` — the
+/// batched form of EpochPrfSha1Into: two lanes at a time on SHA-NI, one
+/// PRF at a time on the portable body. Takes key pointers, so a caller
+/// can batch any subset of its keys. Tag i at `out + 20 * i`.
+void EpochPrfSha1Batch(size_t n, const PrfKey* const* keys, uint64_t epoch,
+                       uint8_t* out);
+
 namespace hmac_internal {
 
 /// HMAC with the compression body pinned (sha1_internal /
 /// sha256_internal::CompressPortable or CompressShaNi): the forced-kernel
-/// test hooks and the batch kernel's per-lane path. The ByteView-key
-/// forms schedule the key with the same body first.
+/// test hooks and the batch kernel's per-lane path. CompressShaNi runs a
+/// message of at most 55 bytes on the lane kernel, as the dispatched
+/// forms do. The ByteView-key forms schedule the key with the same body
+/// first.
 void HmacSha1With(md_internal::CompressFn compress, ByteView key,
                   ByteView message, uint8_t out[20]);
 void HmacSha256With(md_internal::CompressFn compress, ByteView key,
@@ -148,6 +163,12 @@ void HmacSha1With(md_internal::CompressFn compress, const PrfKey& key,
                   ByteView message, uint8_t out[20]);
 void HmacSha256With(md_internal::CompressFn compress, const PrfKey& key,
                     ByteView message, uint8_t out[32]);
+
+/// EpochPrfSha1Batch with the body pinned: two lanes at a time for
+/// CompressShaNi, a loop of single PRFs for any other body.
+void EpochPrfSha1BatchWith(md_internal::CompressFn compress, size_t n,
+                           const PrfKey* const* keys, uint64_t epoch,
+                           uint8_t* out);
 
 /// K0 of RFC 2104 for SHA-256: `key` zero-padded to a block, or its
 /// SHA-256 digest zero-padded when it is longer than a block. The batch

@@ -7,6 +7,7 @@
 
 #include "common/secure.h"
 #include "crypto/cpu_features.h"
+#include "crypto/hmac.h"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define SIES_SHA1_NI 1
@@ -97,44 +98,176 @@ SIES_SHA_NI_INLINE void Sha1NiGroup(__m128i& abcd, __m128i& e_in,
   }
 }
 
-template <int... G>
-SIES_SHA_NI_INLINE void Sha1NiRounds(std::integer_sequence<int, G...>,
-                                     __m128i& abcd, __m128i& e0, __m128i& e1,
-                                     __m128i msg[4]) {
-  // Even groups feed E from e0 and leave A in e1; odd groups the reverse.
-  (Sha1NiGroup<G>(abcd, G % 2 == 0 ? e0 : e1, G % 2 == 0 ? e1 : e0, msg),
+// Group G of every lane before group G + 1 of any: the lanes' round
+// chains are independent, so their SHA1RNDS4 latencies overlap. Even
+// groups feed E from e0 and leave A in e1; odd groups the reverse.
+template <int G, size_t... Lane>
+SIES_SHA_NI_INLINE void Sha1NiGroupLanes(std::index_sequence<Lane...>,
+                                         __m128i* abcd, __m128i* e0,
+                                         __m128i* e1, __m128i (*msg)[4]) {
+  (Sha1NiGroup<G>(abcd[Lane], G % 2 == 0 ? e0[Lane] : e1[Lane],
+                  G % 2 == 0 ? e1[Lane] : e0[Lane], msg[Lane]),
    ...);
+}
+
+template <size_t L, int... G>
+SIES_SHA_NI_INLINE void Sha1NiRounds(std::integer_sequence<int, G...>,
+                                     __m128i* abcd, __m128i* e0, __m128i* e1,
+                                     __m128i (*msg)[4]) {
+  (Sha1NiGroupLanes<G>(std::make_index_sequence<L>{}, abcd, e0, e1, msg),
+   ...);
+}
+
+// Whole-block byte reversal: big-endian words, W0 in the top lane (and
+// back: ABCD to digest bytes).
+SIES_SHA_NI_INLINE __m128i BlockBswap() {
+  return _mm_set_epi64x(0x0001020304050607LL, 0x08090a0b0c0d0e0fLL);
+}
+
+SIES_SHA_NI_INLINE void LoadState(const uint32_t state[5], __m128i& abcd,
+                                  __m128i& e) {
+  abcd = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state)), 0x1B);
+  e = _mm_set_epi32(static_cast<int>(state[4]), 0, 0, 0);
 }
 
 SIES_SHA_NI_TARGET void CompressShaNiImpl(uint32_t state[5],
                                           const uint8_t* blocks,
                                           size_t nblocks) {
-  // Whole-block byte reversal: big-endian words, W0 in the top lane.
-  const __m128i bswap =
-      _mm_set_epi64x(0x0001020304050607LL, 0x08090a0b0c0d0e0fLL);
-  __m128i abcd = _mm_shuffle_epi32(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state)), 0x1B);
-  __m128i e0 = _mm_set_epi32(static_cast<int>(state[4]), 0, 0, 0);
+  const __m128i bswap = BlockBswap();
+  __m128i abcd, e;
+  LoadState(state, abcd, e);
   __m128i e1 = _mm_setzero_si128();
-
-  __m128i msg[4];
+  __m128i msg[1][4];
   for (size_t b = 0; b < nblocks; ++b, blocks += 64) {
     const __m128i abcd_save = abcd;
-    const __m128i e_save = e0;
+    const __m128i e_save = e;
     for (int i = 0; i < 4; ++i) {
-      msg[i] = _mm_shuffle_epi8(
+      msg[0][i] = _mm_shuffle_epi8(
           _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks + 16 * i)),
           bswap);
     }
-    Sha1NiRounds(std::make_integer_sequence<int, 20>{}, abcd, e0, e1, msg);
-    // After the last (odd) group e0 holds that group's input A.
-    e0 = _mm_sha1nexte_epu32(e0, e_save);
+    Sha1NiRounds<1>(std::make_integer_sequence<int, 20>{}, &abcd, &e, &e1,
+                    msg);
+    // After the last (odd) group e holds that group's input A.
+    e = _mm_sha1nexte_epu32(e, e_save);
     abcd = _mm_add_epi32(abcd, abcd_save);
   }
-
   _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
                    _mm_shuffle_epi32(abcd, 0x1B));
-  state[4] = static_cast<uint32_t>(_mm_extract_epi32(e0, 3));
+  state[4] = static_cast<uint32_t>(_mm_extract_epi32(e, 3));
+}
+
+// One block per lane from the key-schedule chaining value `start(l)`
+// (ABCD, and E in the top word of `e`). The feed-forward re-reads it
+// after a compiler barrier rather than keep a copy live across the
+// rounds, where it would spill to the stack.
+template <size_t L, typename Start>
+SIES_SHA_NI_INLINE void Sha1NiBlockFrom(Start start, __m128i* abcd,
+                                        __m128i* e, __m128i (*msg)[4]) {
+  __m128i e1[L] = {};
+#pragma GCC unroll 2
+  for (size_t l = 0; l < L; ++l) LoadState(start(l), abcd[l], e[l]);
+  Sha1NiRounds<L>(std::make_integer_sequence<int, 20>{}, abcd, e, e1, msg);
+  __asm__ volatile("" ::: "memory");
+#pragma GCC unroll 2
+  for (size_t l = 0; l < L; ++l) {
+    __m128i abcd_start, e_start;
+    LoadState(start(l), abcd_start, e_start);
+    e[l] = _mm_sha1nexte_epu32(e[l], e_start);
+    abcd[l] = _mm_add_epi32(abcd[l], abcd_start);
+  }
+}
+
+// The HMAC lane kernel: L MACs of one shared padded inner block (`block`,
+// message words) from L key schedules. The inner digest becomes W0..W4
+// of the outer block in registers, its padding words are constants, and
+// only the tags are stored.
+template <size_t L>
+SIES_SHA_NI_INLINE void MacLanes(const HmacChain<5>* const* chains,
+                                 const __m128i block[4], uint8_t* out) {
+  __m128i abcd[L], e[L], msg[L][4];
+#pragma GCC unroll 2
+  for (size_t l = 0; l < L; ++l) {
+    for (int i = 0; i < 4; ++i) msg[l][i] = block[i];
+  }
+  Sha1NiBlockFrom<L>([chains](size_t l) { return chains[l]->inner; }, abcd,
+                     e, msg);
+  // W4 = H4 (the top word of e), W5 = the 0x80 pad byte, W15 = the bit
+  // length of K0 ^ opad || inner digest.
+  const __m128i pad = _mm_set_epi32(0, static_cast<int>(0x80000000u), 0, 0);
+#pragma GCC unroll 2
+  for (size_t l = 0; l < L; ++l) {
+    msg[l][0] = abcd[l];
+    msg[l][1] = _mm_blend_epi16(e[l], pad, 0x3F);
+    msg[l][2] = _mm_setzero_si128();
+    msg[l][3] = _mm_set_epi32(0, 0, 0, (64 + 20) * 8);
+  }
+  Sha1NiBlockFrom<L>([chains](size_t l) { return chains[l]->outer; }, abcd,
+                     e, msg);
+  const __m128i bswap = BlockBswap();
+#pragma GCC unroll 2
+  for (size_t l = 0; l < L; ++l) {
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + 20 * l),
+                     _mm_shuffle_epi8(abcd[l], bswap));
+    StoreBigEndian32(static_cast<uint32_t>(_mm_extract_epi32(e[l], 3)),
+                     out + 20 * l + 16);
+  }
+}
+
+// One lane: a single PRF, or the last of an odd batch. Out of line, so
+// the values the pair loop keeps live cannot crowd its registers into
+// spilling a key-derived one.
+SIES_SHA_NI_TARGET __attribute__((noinline)) void MacOne(
+    const HmacChain<5>* chain, const __m128i block[4], uint8_t* out) {
+  MacLanes<1>(&chain, block, out);
+}
+
+// n MACs of one block, two lanes at a time. The pair loop reads a copy
+// of the block whose address never escapes (MacOne's does), so no tag
+// store can alias it and the compiler hoists the shared block's message
+// schedule out of the loop.
+SIES_SHA_NI_INLINE void MacAll(size_t n, const HmacChain<5>* const* chains,
+                               const __m128i block[4], uint8_t* out) {
+  const __m128i shared[4] = {block[0], block[1], block[2], block[3]};
+  size_t i = 0;
+  for (; i + 2 <= n; i += 2) MacLanes<2>(chains + i, shared, out + 20 * i);
+  if (i < n) MacOne(chains[i], block, out + 20 * i);
+}
+
+SIES_SHA_NI_TARGET void HmacShaNiImpl(size_t n,
+                                      const HmacChain<5>* const* chains,
+                                      const uint8_t* msg, size_t len,
+                                      uint8_t* out) {
+  // The second block of every inner hash: the message padded after the
+  // 64-byte K0 ^ ipad block. The caller's bytes may be secret.
+  uint8_t padded[md_internal::kBlockSize];
+  if (len > 0) std::memcpy(padded, msg, len);
+  md_internal::PadOneBlock(padded, len, md_internal::kBlockSize + len);
+  const __m128i bswap = BlockBswap();
+  __m128i block[4];
+  for (int i = 0; i < 4; ++i) {
+    block[i] = _mm_shuffle_epi8(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(padded + 16 * i)),
+        bswap);
+  }
+  MacAll(n, chains, block, out);
+  common::SecureZero(padded, sizeof(padded));
+  common::SecureZero(block, sizeof(block));
+}
+
+SIES_SHA_NI_TARGET void EpochHmacShaNiImpl(size_t n,
+                                           const HmacChain<5>* const* chains,
+                                           uint64_t epoch, uint8_t* out) {
+  // W0..W1 = t, W2 = the 0x80 pad byte, W15 = the bit length of
+  // K0 ^ ipad || t.
+  const __m128i block[4] = {
+      _mm_set_epi32(static_cast<int>(static_cast<uint32_t>(epoch >> 32)),
+                    static_cast<int>(static_cast<uint32_t>(epoch)),
+                    static_cast<int>(0x80000000u), 0),
+      _mm_setzero_si128(), _mm_setzero_si128(),
+      _mm_set_epi32(0, 0, 0, (64 + 8) * 8)};
+  MacAll(n, chains, block, out);
 }
 
 #undef SIES_SHA_NI_INLINE
@@ -156,6 +289,33 @@ void CompressShaNi(uint32_t state[5], const uint8_t* blocks, size_t nblocks) {
   (void)state;
   (void)blocks;
   (void)nblocks;
+  std::abort();  // no SHA-NI body on this architecture
+#endif
+}
+
+void HmacShaNi(size_t n, const HmacChain<5>* const* chains,
+               const uint8_t* msg, size_t len, uint8_t* out) {
+#if SIES_SHA1_NI
+  HmacShaNiImpl(n, chains, msg, len, out);
+#else
+  (void)n;
+  (void)chains;
+  (void)msg;
+  (void)len;
+  (void)out;
+  std::abort();  // no SHA-NI body on this architecture
+#endif
+}
+
+void EpochHmacShaNi(size_t n, const HmacChain<5>* const* chains,
+                    uint64_t epoch, uint8_t* out) {
+#if SIES_SHA1_NI
+  EpochHmacShaNiImpl(n, chains, epoch, out);
+#else
+  (void)n;
+  (void)chains;
+  (void)epoch;
+  (void)out;
   std::abort();  // no SHA-NI body on this architecture
 #endif
 }

@@ -16,6 +16,9 @@
 
 namespace sies::crypto {
 
+template <size_t kWords>
+struct HmacChain;  // crypto/hmac.h
+
 namespace sha1_internal {
 
 /// Initial hash value H(0) (FIPS 180-4 §5.3.1).
@@ -33,6 +36,18 @@ void CompressShaNi(uint32_t state[5], const uint8_t* blocks, size_t nblocks);
 /// The body this process runs, chosen once from crypto::Cpu(): SHA-NI
 /// where the CPU has it and SIES_NATIVE allows it, portable otherwise.
 md_internal::CompressFn Compress();
+
+/// The SHA-NI HMAC lane kernel (only callable when
+/// crypto::CpuDetected().sha): tag i = HMAC-SHA1 of one message of at
+/// most md_internal::kMaxOneBlockTail bytes from the key schedule
+/// `*chains[i]`, written at `out + 20 * i`, for i < n. Same shape as
+/// sha256_internal::HmacShaNi: two lanes at a time over one shared
+/// padded inner block, inner digests handed to the outer compressions in
+/// registers; EpochHmacShaNi builds the epoch's block in registers.
+void HmacShaNi(size_t n, const HmacChain<5>* const* chains,
+               const uint8_t* msg, size_t len, uint8_t* out);
+void EpochHmacShaNi(size_t n, const HmacChain<5>* const* chains,
+                    uint64_t epoch, uint8_t* out);
 
 }  // namespace sha1_internal
 

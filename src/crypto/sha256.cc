@@ -7,6 +7,7 @@
 
 #include "common/secure.h"
 #include "crypto/cpu_features.h"
+#include "crypto/hmac.h"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define SIES_SHA256_NI 1
@@ -109,46 +110,182 @@ SIES_SHA_NI_INLINE void Sha256NiGroup(__m128i& abef, __m128i& cdgh,
   }
 }
 
-template <int... G>
+// Group G of every lane before group G + 1 of any: the lanes' round
+// chains are independent, so their SHA256RNDS2 latencies overlap.
+template <int G, size_t... Lane>
+SIES_SHA_NI_INLINE void Sha256NiGroupLanes(std::index_sequence<Lane...>,
+                                           __m128i* abef, __m128i* cdgh,
+                                           __m128i (*msg)[4]) {
+  (Sha256NiGroup<G>(abef[Lane], cdgh[Lane], msg[Lane]), ...);
+}
+
+template <size_t L, int... G>
 SIES_SHA_NI_INLINE void Sha256NiRounds(std::integer_sequence<int, G...>,
-                                       __m128i& abef, __m128i& cdgh,
-                                       __m128i msg[4]) {
-  (Sha256NiGroup<G>(abef, cdgh, msg), ...);
+                                       __m128i* abef, __m128i* cdgh,
+                                       __m128i (*msg)[4]) {
+  (Sha256NiGroupLanes<G>(std::make_index_sequence<L>{}, abef, cdgh, msg),
+   ...);
+}
+
+// Byte order of each 32-bit word reversed: big-endian block bytes to
+// message words, and state words to digest bytes.
+SIES_SHA_NI_INLINE __m128i WordBswap() {
+  return _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+}
+
+// The SHA-NI round instructions keep the state as ABEF / CDGH.
+SIES_SHA_NI_INLINE void LoadState(const uint32_t state[8], __m128i& abef,
+                                  __m128i& cdgh) {
+  const __m128i tmp = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state)), 0xB1);
+  cdgh = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4)), 0x1B);
+  abef = _mm_alignr_epi8(tmp, cdgh, 8);
+  cdgh = _mm_blend_epi16(cdgh, tmp, 0xF0);
+}
+
+// ABEF / CDGH back to words H0..H3 (`lo`) and H4..H7 (`hi`).
+SIES_SHA_NI_INLINE void StateWords(__m128i abef, __m128i cdgh, __m128i& lo,
+                                   __m128i& hi) {
+  const __m128i tmp = _mm_shuffle_epi32(abef, 0x1B);
+  cdgh = _mm_shuffle_epi32(cdgh, 0xB1);
+  lo = _mm_blend_epi16(tmp, cdgh, 0xF0);
+  hi = _mm_alignr_epi8(cdgh, tmp, 8);
 }
 
 SIES_SHA_NI_TARGET void CompressShaNiImpl(uint32_t state[8],
                                           const uint8_t* blocks,
                                           size_t nblocks) {
-  const __m128i bswap =
-      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
-  // The SHA-NI round instructions keep the state as ABEF / CDGH.
-  __m128i tmp = _mm_shuffle_epi32(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state)), 0xB1);
-  __m128i cdgh = _mm_shuffle_epi32(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4)), 0x1B);
-  __m128i abef = _mm_alignr_epi8(tmp, cdgh, 8);
-  cdgh = _mm_blend_epi16(cdgh, tmp, 0xF0);
-
-  __m128i msg[4];
+  const __m128i bswap = WordBswap();
+  __m128i abef, cdgh;
+  LoadState(state, abef, cdgh);
+  __m128i msg[1][4];
   for (size_t b = 0; b < nblocks; ++b, blocks += 64) {
     const __m128i abef_save = abef;
     const __m128i cdgh_save = cdgh;
     for (int i = 0; i < 4; ++i) {
-      msg[i] = _mm_shuffle_epi8(
+      msg[0][i] = _mm_shuffle_epi8(
           _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks + 16 * i)),
           bswap);
     }
-    Sha256NiRounds(std::make_integer_sequence<int, 16>{}, abef, cdgh, msg);
+    Sha256NiRounds<1>(std::make_integer_sequence<int, 16>{}, &abef, &cdgh,
+                      msg);
     abef = _mm_add_epi32(abef, abef_save);
     cdgh = _mm_add_epi32(cdgh, cdgh_save);
   }
+  __m128i lo, hi;
+  StateWords(abef, cdgh, lo, hi);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), lo);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), hi);
+}
 
-  tmp = _mm_shuffle_epi32(abef, 0x1B);
-  cdgh = _mm_shuffle_epi32(cdgh, 0xB1);
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
-                   _mm_blend_epi16(tmp, cdgh, 0xF0));
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
-                   _mm_alignr_epi8(cdgh, tmp, 8));
+// One block per lane from the key-schedule chaining value `start(l)`.
+// The feed-forward re-reads it after a compiler barrier rather than
+// keep a copy live across the rounds, where it would spill to the
+// stack.
+template <size_t L, typename Start>
+SIES_SHA_NI_INLINE void Sha256NiBlockFrom(Start start, __m128i* abef,
+                                          __m128i* cdgh, __m128i (*msg)[4]) {
+#pragma GCC unroll 2
+  for (size_t l = 0; l < L; ++l) LoadState(start(l), abef[l], cdgh[l]);
+  Sha256NiRounds<L>(std::make_integer_sequence<int, 16>{}, abef, cdgh, msg);
+  __asm__ volatile("" ::: "memory");
+#pragma GCC unroll 2
+  for (size_t l = 0; l < L; ++l) {
+    __m128i abef_start, cdgh_start;
+    LoadState(start(l), abef_start, cdgh_start);
+    abef[l] = _mm_add_epi32(abef[l], abef_start);
+    cdgh[l] = _mm_add_epi32(cdgh[l], cdgh_start);
+  }
+}
+
+// The HMAC lane kernel: L MACs of one shared padded inner block (`block`,
+// message words) from L key schedules. The inner digest becomes W0..W7
+// of the outer block in registers, its padding words are constants, and
+// only the tags are stored.
+template <size_t L>
+SIES_SHA_NI_INLINE void MacLanes(const HmacChain<8>* const* chains,
+                                 const __m128i block[4], uint8_t* out) {
+  __m128i abef[L], cdgh[L], msg[L][4];
+#pragma GCC unroll 2
+  for (size_t l = 0; l < L; ++l) {
+    for (int i = 0; i < 4; ++i) msg[l][i] = block[i];
+  }
+  Sha256NiBlockFrom<L>([chains](size_t l) { return chains[l]->inner; },
+                       abef, cdgh, msg);
+#pragma GCC unroll 2
+  for (size_t l = 0; l < L; ++l) {
+    StateWords(abef[l], cdgh[l], msg[l][0], msg[l][1]);
+    msg[l][2] = _mm_set_epi32(0, 0, 0, static_cast<int>(0x80000000u));
+    msg[l][3] = _mm_set_epi32((64 + 32) * 8, 0, 0, 0);
+  }
+  Sha256NiBlockFrom<L>([chains](size_t l) { return chains[l]->outer; },
+                       abef, cdgh, msg);
+  const __m128i bswap = WordBswap();
+#pragma GCC unroll 2
+  for (size_t l = 0; l < L; ++l) {
+    __m128i lo, hi;
+    StateWords(abef[l], cdgh[l], lo, hi);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + 32 * l),
+                     _mm_shuffle_epi8(lo, bswap));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + 32 * l + 16),
+                     _mm_shuffle_epi8(hi, bswap));
+  }
+}
+
+// One lane: a single PRF, or the last of an odd batch. Out of line, so
+// the values the pair loop keeps live cannot crowd its registers into
+// spilling a key-derived one.
+SIES_SHA_NI_TARGET __attribute__((noinline)) void MacOne(
+    const HmacChain<8>* chain, const __m128i block[4], uint8_t* out) {
+  MacLanes<1>(&chain, block, out);
+}
+
+// n MACs of one block, two lanes at a time. The pair loop reads a copy
+// of the block whose address never escapes (MacOne's does), so no tag
+// store can alias it and the compiler hoists the shared block's message
+// schedule out of the loop.
+SIES_SHA_NI_INLINE void MacAll(size_t n, const HmacChain<8>* const* chains,
+                               const __m128i block[4], uint8_t* out) {
+  const __m128i shared[4] = {block[0], block[1], block[2], block[3]};
+  size_t i = 0;
+  for (; i + 2 <= n; i += 2) MacLanes<2>(chains + i, shared, out + 32 * i);
+  if (i < n) MacOne(chains[i], block, out + 32 * i);
+}
+
+SIES_SHA_NI_TARGET void HmacShaNiImpl(size_t n,
+                                      const HmacChain<8>* const* chains,
+                                      const uint8_t* msg, size_t len,
+                                      uint8_t* out) {
+  // The second block of every inner hash: the message padded after the
+  // 64-byte K0 ^ ipad block. The caller's bytes may be secret.
+  uint8_t padded[md_internal::kBlockSize];
+  if (len > 0) std::memcpy(padded, msg, len);
+  md_internal::PadOneBlock(padded, len, md_internal::kBlockSize + len);
+  const __m128i bswap = WordBswap();
+  __m128i block[4];
+  for (int i = 0; i < 4; ++i) {
+    block[i] = _mm_shuffle_epi8(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(padded + 16 * i)),
+        bswap);
+  }
+  MacAll(n, chains, block, out);
+  common::SecureZero(padded, sizeof(padded));
+  common::SecureZero(block, sizeof(block));
+}
+
+SIES_SHA_NI_TARGET void EpochHmacShaNiImpl(size_t n,
+                                           const HmacChain<8>* const* chains,
+                                           uint64_t epoch, uint8_t* out) {
+  // W0..W1 = t, W2 = the 0x80 pad byte, W15 = the bit length of
+  // K0 ^ ipad || t.
+  const __m128i block[4] = {
+      _mm_set_epi32(0, static_cast<int>(0x80000000u),
+                    static_cast<int>(static_cast<uint32_t>(epoch)),
+                    static_cast<int>(static_cast<uint32_t>(epoch >> 32))),
+      _mm_setzero_si128(), _mm_setzero_si128(),
+      _mm_set_epi32((64 + 8) * 8, 0, 0, 0)};
+  MacAll(n, chains, block, out);
 }
 
 #undef SIES_SHA_NI_INLINE
@@ -170,6 +307,33 @@ void CompressShaNi(uint32_t state[8], const uint8_t* blocks, size_t nblocks) {
   (void)state;
   (void)blocks;
   (void)nblocks;
+  std::abort();  // no SHA-NI body on this architecture
+#endif
+}
+
+void HmacShaNi(size_t n, const HmacChain<8>* const* chains,
+               const uint8_t* msg, size_t len, uint8_t* out) {
+#if SIES_SHA256_NI
+  HmacShaNiImpl(n, chains, msg, len, out);
+#else
+  (void)n;
+  (void)chains;
+  (void)msg;
+  (void)len;
+  (void)out;
+  std::abort();  // no SHA-NI body on this architecture
+#endif
+}
+
+void EpochHmacShaNi(size_t n, const HmacChain<8>* const* chains,
+                    uint64_t epoch, uint8_t* out) {
+#if SIES_SHA256_NI
+  EpochHmacShaNiImpl(n, chains, epoch, out);
+#else
+  (void)n;
+  (void)chains;
+  (void)epoch;
+  (void)out;
   std::abort();  // no SHA-NI body on this architecture
 #endif
 }

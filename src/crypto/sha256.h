@@ -14,6 +14,9 @@
 
 namespace sies::crypto {
 
+template <size_t kWords>
+struct HmacChain;  // crypto/hmac.h
+
 namespace sha256_internal {
 
 /// Initial hash value H(0) (FIPS 180-4 §5.3.3).
@@ -36,6 +39,21 @@ void CompressShaNi(uint32_t state[8], const uint8_t* blocks, size_t nblocks);
 /// Every SHA-256 in the library — streaming, HMAC, the batch kernel's
 /// per-lane path — compresses through it.
 md_internal::CompressFn Compress();
+
+/// The SHA-NI HMAC lane kernel (only callable when
+/// crypto::CpuDetected().sha): tag i = HMAC-SHA256 of one message of at
+/// most md_internal::kMaxOneBlockTail bytes from the key schedule
+/// `*chains[i]`, written at `out + 32 * i`, for i < n. Two lanes run at
+/// a time (the last alone when n is odd) over one shared padded inner
+/// block; each inner digest reaches its outer compression in registers,
+/// so only the tags leave them. EpochHmacShaNi's message is the 8-byte
+/// big-endian epoch t, built as message words in registers. The library
+/// runs it wherever it runs the SHA-NI body on such a message
+/// (crypto/hmac.h, crypto/sha256x8.h).
+void HmacShaNi(size_t n, const HmacChain<8>* const* chains,
+               const uint8_t* msg, size_t len, uint8_t* out);
+void EpochHmacShaNi(size_t n, const HmacChain<8>* const* chains,
+                    uint64_t epoch, uint8_t* out);
 
 }  // namespace sha256_internal
 

@@ -376,6 +376,20 @@ void HmacBatchImpl(Sha256Kernel kernel, size_t n, const ByteView* keys,
 void PrfBatchImpl(Sha256Kernel kernel, size_t n, const PrfKey* keys,
                   ByteView msg, uint8_t* out) {
   kernel = Resolve(kernel);
+  if (kernel == Sha256Kernel::kShaNi &&
+      msg.len <= md_internal::kMaxOneBlockTail) {
+    // Two lanes at a time through the SHA-NI lane kernel, which takes
+    // chain pointers: gather them a chunk at a time.
+    constexpr size_t kChunk = 64;
+    const HmacChain<8>* chains[kChunk];
+    for (size_t off = 0; off < n; off += kChunk) {
+      const size_t take = std::min(kChunk, n - off);
+      for (size_t i = 0; i < take; ++i) chains[i] = &keys[off + i].sha256();
+      sha256_internal::HmacShaNi(take, chains, msg.data, msg.len,
+                                 out + 32 * off);
+    }
+    return;
+  }
   if (kernel != Sha256Kernel::kAvx2) {
     const md_internal::CompressFn body = LaneBody(kernel);
     for (size_t i = 0; i < n; ++i) {

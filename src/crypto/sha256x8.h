@@ -4,17 +4,20 @@
 // HMAC-SHA256(k_i, t)), so a cold start at N sources is N independent
 // short HMACs. Three transforms run a batch, all bit-identical:
 //
-//   kShaNi   one lane at a time through the SHA-NI compression body —
-//            the fastest per HMAC wherever the CPU has SHA extensions
+//   kShaNi   the PRF batches run the SHA-NI HMAC lane kernel
+//            (sha256_internal::HmacShaNi): two PRFs at a time over the
+//            batch's shared one-block message; the raw-key HMAC batch
+//            runs the scalar HMAC per lane on the SHA-NI body. The
+//            fastest per HMAC wherever the CPU has SHA extensions
 //   kAvx2    8 lanes in lockstep: each __m256i holds one SHA-256 word
 //            per lane, so eight compressions run for the price of one
 //            sequential pass (for AVX2 hosts without SHA-NI)
 //   kScalar  one lane at a time through the portable compression body
 //
-// kShaNi and kScalar are the scalar HMAC (crypto/hmac.h) per lane;
-// the AVX2 transform performs the same FIPS 180-4 round schedule with
-// the lanes transposed. They are pinned against each other by
-// differential tests (tests/crypto/sha256x8_test.cc).
+// kScalar is the scalar HMAC (crypto/hmac.h) per lane; the AVX2
+// transform performs the same FIPS 180-4 round schedule with the lanes
+// transposed. They are pinned against each other by differential tests
+// (tests/crypto/sha256x8_test.cc).
 //
 // The PRF batches take scheduled keys (crypto::PrfKey): every transform
 // starts each lane from the key's HMAC-SHA256 chaining values, so an

@@ -140,13 +140,13 @@ std::shared_ptr<const EpochKeyCache::SourceEntry> EpochKeyCache::Sources(
     entry->keys.resize(n);
     entry->shares.resize(n);
   }
-  // Sources are derived in groups so the batch HMAC kernel (8-lane on
-  // AVX2-only hosts) always sees full batches, and the pool fans out
-  // over *groups* in one flat ParallelFor — never a nested dispatch per
-  // index. (When Sources is itself reached from inside a pool lane —
-  // e.g. the engine's per-channel Evaluate fan-out — ThreadPool runs
-  // this loop inline on that lane; lane batching keeps even that path
-  // on the fast kernel.)
+  // Sources are derived in groups so the batch HMAC kernels (two lanes
+  // on SHA-NI, 8 on AVX2-only hosts) always see full batches, and the
+  // pool fans out over *groups* in one flat ParallelFor — never a nested
+  // dispatch per index. (When Sources is itself reached from inside a
+  // pool lane — e.g. the engine's per-channel Evaluate fan-out —
+  // ThreadPool runs this loop inline on that lane; lane batching keeps
+  // even that path on the fast kernel.)
   constexpr size_t kGroup = 256;
   const size_t num_groups = (n + kGroup - 1) / kGroup;
   auto derive_group = [&](size_t g) {
@@ -155,10 +155,8 @@ std::shared_ptr<const EpochKeyCache::SourceEntry> EpochKeyCache::Sources(
     if (fp != nullptr) {
       DeriveEpochSourceKeysFpBatch(*fp, keys.data() + begin, count, epoch,
                                    entry->keys_fp.data() + begin);
-      // HM1 shares are SHA-1: one heap-free HMAC each, no batch form.
-      for (size_t i = begin; i < begin + count; ++i) {
-        entry->shares_fp[i] = DeriveEpochShareFp(keys[i], epoch);
-      }
+      DeriveEpochSharesFpBatch(keys.data() + begin, count, epoch,
+                               entry->shares_fp.data() + begin);
     } else {
       DeriveEpochSourceKeysBatch(params, keys.data() + begin, count, epoch,
                                  entry->keys.data() + begin);
@@ -166,9 +164,8 @@ std::shared_ptr<const EpochKeyCache::SourceEntry> EpochKeyCache::Sources(
         DeriveEpochSharesHm256Batch(keys.data() + begin, count, epoch,
                                     entry->shares.data() + begin);
       } else {
-        for (size_t i = begin; i < begin + count; ++i) {
-          entry->shares[i] = DeriveEpochShare(params, keys[i], epoch);
-        }
+        DeriveEpochSharesHm1Batch(keys.data() + begin, count, epoch,
+                                  entry->shares.data() + begin);
       }
     }
   };

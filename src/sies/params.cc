@@ -236,6 +236,43 @@ void DeriveEpochSourceKeysBatch(const Params& params,
   common::SecureZero(digests, sizeof(digests));
 }
 
+namespace {
+
+// HM1(k_i, t) of the `count` keys at `keys`, a chunk at a time through
+// the HM1 batch (which takes key pointers); `emit(i, digest)` converts
+// tag i. The digest scratch is wiped once, after the last chunk.
+template <typename Emit>
+void EpochSharesHm1Batch(const crypto::PrfKey* keys, size_t count,
+                         uint64_t epoch, Emit emit) {
+  const crypto::PrfKey* chunk[kDeriveChunk];
+  uint8_t digests[kDeriveChunk * 20];
+  for (size_t off = 0; off < count; off += kDeriveChunk) {
+    const size_t take = std::min(kDeriveChunk, count - off);
+    for (size_t j = 0; j < take; ++j) chunk[j] = &keys[off + j];
+    crypto::EpochPrfSha1Batch(take, chunk, epoch, digests);
+    for (size_t j = 0; j < take; ++j) emit(off + j, digests + 20 * j);
+  }
+  common::SecureZero(digests, sizeof(digests));
+}
+
+}  // namespace
+
+void DeriveEpochSharesFpBatch(const crypto::PrfKey* keys, size_t count,
+                              uint64_t epoch, crypto::U256* out) {
+  EpochSharesHm1Batch(keys, count, epoch,
+                      [out](size_t i, const uint8_t* digest) {
+                        out[i] = crypto::U256::FromBytesBE(digest, 20);
+                      });
+}
+
+void DeriveEpochSharesHm1Batch(const crypto::PrfKey* keys, size_t count,
+                               uint64_t epoch, crypto::BigUint* out) {
+  EpochSharesHm1Batch(keys, count, epoch,
+                      [out](size_t i, const uint8_t* digest) {
+                        out[i] = crypto::BigUint::FromBytes(digest, 20);
+                      });
+}
+
 void DeriveEpochSharesHm256Batch(const crypto::PrfKey* keys, size_t count,
                                  uint64_t epoch, crypto::BigUint* out) {
   // Same domain-separated input as DeriveEpochShare's HM256 branch,

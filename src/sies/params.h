@@ -159,12 +159,12 @@ crypto::U256 DeriveEpochShareFp(const crypto::PrfKey& source_key,
 
 // --- Batched derivation (the multi-buffer fast path). Each function is
 // --- bit-identical to calling its scalar counterpart above once per
-// --- key — same PRF bytes (crypto::EpochPrfSha256Batch runs the HMACs
-// --- per lane on SHA-NI, or in 8-wide AVX2 lanes), same reduction — so
-// --- cache contents never depend on whether the batch path ran. Pinned
-// --- by tests/sies/epoch_key_cache_test.cc and
-// --- tests/crypto/sha256x8_test. The HM1 share derivation (SHA-1) has
-// --- no batch form: each share is one heap-free DeriveEpochShareFp.
+// --- key — same PRF bytes (crypto::EpochPrfSha256Batch and
+// --- crypto::EpochPrfSha1Batch run the HMACs two lanes at a time on
+// --- SHA-NI; the HM256 batch runs 8-wide AVX2 lanes on AVX2-only
+// --- hosts), same reduction — so cache contents never depend on whether
+// --- the batch path ran. Pinned by tests/sies/epoch_key_cache_test.cc,
+// --- tests/crypto/sha256x8_test and tests/crypto/hmac_lanes_test.
 
 /// k_{i,t} of the `count` keys at `keys` into out[0..count), as U256
 /// reduced into [0, p). Equals DeriveEpochSourceKeyFp per key.
@@ -177,6 +177,17 @@ void DeriveEpochSourceKeysFpBatch(const crypto::Fp256& fp,
 void DeriveEpochSourceKeysBatch(const Params& params,
                                 const crypto::PrfKey* keys, size_t count,
                                 uint64_t epoch, crypto::BigUint* out);
+
+/// ss_{i,t} of the HM1 profile as U256, the `count` keys at `keys` into
+/// out[0..count). Equals DeriveEpochShareFp per key.
+void DeriveEpochSharesFpBatch(const crypto::PrfKey* keys, size_t count,
+                              uint64_t epoch, crypto::U256* out);
+
+/// ss_{i,t} of the HM1 profile as BigUint, the `count` keys at `keys`
+/// into out[0..count). Equals DeriveEpochShare per key (only call when
+/// params.share_prf == SharePrf::kHmacSha1).
+void DeriveEpochSharesHm1Batch(const crypto::PrfKey* keys, size_t count,
+                               uint64_t epoch, crypto::BigUint* out);
 
 /// ss_{i,t} for the hardened HM256 profile, the `count` keys at `keys`
 /// into out[0..count). Equals DeriveEpochShare per key (only call when

@@ -180,6 +180,28 @@ TEST(EpochKeyCacheTest, BatchedDerivationMatchesScalarHardenedProfile) {
   }
 }
 
+TEST(EpochKeyCacheTest, BatchedDerivationMatchesScalarGeneric320Profile) {
+  // HM1 shares under a 320-bit prime run the BigUint tier's HM1 batch
+  // (DeriveEpochSharesHm1Batch); over several 256-wide groups and a
+  // ragged final pair every share equals the scalar DeriveEpochShare,
+  // with and without a pool.
+  Params params = MakeParams(301, 42, 4, 320).value();
+  ScheduledKeys keys(params);
+  common::ThreadPool pool(3);
+  EpochKeyCache pooled, serial;
+  auto a = pooled.Sources(params, keys.source_keys, 9, &pool);
+  auto b = serial.Sources(params, keys.source_keys, 9, nullptr);
+  ASSERT_FALSE(a->fast);
+  ASSERT_EQ(a->shares.size(), 301u);
+  for (size_t i = 0; i < 301; ++i) {
+    EXPECT_EQ(a->shares[i], DeriveEpochShare(params, keys.source_keys[i], 9))
+        << "i=" << i;
+    EXPECT_EQ(a->shares[i], b->shares[i]) << "i=" << i;
+    EXPECT_EQ(a->keys[i], DeriveEpochSourceKey(params, keys.source_keys[i], 9))
+        << "i=" << i;
+  }
+}
+
 TEST(EpochKeyCacheTest, GenericPathForNon256BitPrime) {
   // A 384-bit prime keeps every party on the BigUint path.
   Params params = MakeParams(8, 42, 4, 384).value();
