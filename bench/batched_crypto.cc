@@ -9,21 +9,20 @@
 //                     key (EpochPrfSha256Into(ByteView)), the same PRF
 //                     from each key's schedule (`scheduled_ms`,
 //                     EpochPrfSha256Into(PrfKey)), the dispatched
-//                     schedule-keyed batch kernel (EpochPrfSha256Batch,
-//                     `batched_ms`: two lanes at a time on SHA-NI)
-//                     and, where the CPU has AVX2, that batch with the
-//                     8-lane AVX2 transform forced (`avx2_batched_ms`:
-//                     the number an AVX2-only host runs).
+//                     schedule-keyed batch (EpochPrfSha256Batch,
+//                     `batched_ms`: two lanes at a time on SHA-NI, one
+//                     PRF at a time on the portable body).
 //                     `schedule_ms` is the one-time cost of building the
 //                     pairs' schedules. `speedup` is portable over the
 //                     fastest accelerated path; the standing target is
-//                     >= 4x wherever SHA-NI or AVX2 exists.
+//                     >= 4x where SHA-NI exists.
 //   kind=hm1_micro    HM1 epoch derivation (the share PRF), portable
 //                     (forced) vs the dispatched one-shot vs from the
 //                     schedule vs the dispatched HM1 batch
 //                     (EpochPrfSha1Batch, `batched_ms`: two lanes at a
 //                     time on SHA-NI). Same >= 4x target on SHA-NI
-//                     hardware.
+//                     hardware. Both rows' `kernel` is the body every
+//                     HMAC runs on: `sha_ni` or `scalar`.
 //   kind=cold_start   the fig6a querier cold start at N = 10^6 (smoke:
 //                     4096): one full epoch — per-source PSR creation
 //                     into one contiguous buffer, its aggregation, then a
@@ -57,7 +56,6 @@
 #include "crypto/hmac.h"
 #include "crypto/sha1.h"
 #include "crypto/sha256.h"
-#include "crypto/sha256x8.h"
 #include "sies/aggregator.h"
 #include "sies/querier.h"
 #include "sies/source.h"
@@ -85,15 +83,12 @@ int main(int argc, char** argv) {
   }
 
   const crypto::CpuFeatures& cpu = crypto::Cpu();
-  // The batch kernel kAuto resolves to (SHA-NI > AVX2 > portable), and
-  // the body every one-shot HMAC compresses through.
-  const char* kernel = cpu.sha ? "sha_ni" : cpu.avx2 ? "avx2" : "scalar";
-  const char* oneshot_kernel = cpu.sha ? "sha_ni" : "scalar";
+  // The body every HMAC, one-shot or batched, compresses through.
+  const char* kernel = cpu.sha ? "sha_ni" : "scalar";
   bench::BenchReport report("batched_crypto");
   report.config().Add("seed", kSeed);
   report.config().Add("smoke", smoke);
   report.config().Add("kernel", kernel);
-  report.config().Add("avx2", cpu.avx2);
   report.config().Add("sha", cpu.sha);
   report.config().Add("hw_threads",
                       static_cast<uint64_t>(common::HardwareConcurrency()));
@@ -171,31 +166,16 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "batched HM256 digest mismatch!\n");
       return 1;
     }
-    const bool has_avx2 = crypto::sha256x8_internal::KernelAvailable(
-        crypto::Sha256Kernel::kAvx2);
-    double hm256_avx2_ms = 0;
-    if (has_avx2) {
-      hm256_avx2_ms = time_ms([&] {
-        crypto::sha256x8_internal::PrfSha256BatchWithKernel(  // lint:allow(zeroize)
-            crypto::Sha256Kernel::kAvx2, pairs, scheduled.data(), epoch_view,
-            out.data());
-      });
-      if (!agree(ref.data(), out.data(), 32)) {
-        std::fprintf(stderr, "AVX2 batched HM256 digest mismatch!\n");
-        return 1;
-      }
-    }
     const double hm256_best_ms = std::min(
         {hm256_oneshot_ms, hm256_scheduled_ms, hm256_batched_ms});
     const double hm256_speedup =
         hm256_best_ms > 0 ? hm256_portable_ms / hm256_best_ms : 0;
-    std::printf("hmac_micro  %zu HM256: portable %.2f ms, one-shot %.2f ms "
-                "(%s), scheduled %.2f ms, batched %.2f ms (%s), AVX2 "
-                "batched %.2f ms; %zu schedules built in %.2f ms: %.2fx "
-                "accelerated over portable (target >= 4x: %s)\n",
-                pairs, hm256_portable_ms, hm256_oneshot_ms, oneshot_kernel,
-                hm256_scheduled_ms, hm256_batched_ms, kernel, hm256_avx2_ms,
-                pairs, schedule_ms, hm256_speedup,
+    std::printf("hmac_micro  %zu HM256: portable %.2f ms, one-shot %.2f ms, "
+                "scheduled %.2f ms, batched %.2f ms (%s); %zu schedules "
+                "built in %.2f ms: %.2fx accelerated over portable (target "
+                ">= 4x: %s)\n",
+                pairs, hm256_portable_ms, hm256_oneshot_ms, hm256_scheduled_ms,
+                hm256_batched_ms, kernel, pairs, schedule_ms, hm256_speedup,
                 hm256_speedup >= 4.0 ? "met" : "NOT met");
     {
       bench::JsonObject row;
@@ -203,12 +183,10 @@ int main(int argc, char** argv) {
       row.Add("pairs", static_cast<uint64_t>(pairs));
       row.Add("reps", reps);
       row.Add("kernel", kernel);
-      row.Add("oneshot_kernel", oneshot_kernel);
       row.Add("portable_ms", hm256_portable_ms);
       row.Add("oneshot_ms", hm256_oneshot_ms);
       row.Add("scheduled_ms", hm256_scheduled_ms);
       row.Add("batched_ms", hm256_batched_ms);
-      if (has_avx2) row.Add("avx2_batched_ms", hm256_avx2_ms);
       row.Add("schedule_ms", schedule_ms);
       row.Add("oneshot_speedup", hm256_oneshot_ms > 0
                                      ? hm256_portable_ms / hm256_oneshot_ms
@@ -259,17 +237,17 @@ int main(int argc, char** argv) {
         std::min({hm1_oneshot_ms, hm1_scheduled_ms, hm1_batched_ms});
     const double hm1_speedup =
         hm1_best_ms > 0 ? hm1_portable_ms / hm1_best_ms : 0;
-    std::printf("hm1_micro   %zu HM1: portable %.2f ms, one-shot %.2f ms "
-                "(%s), scheduled %.2f ms, batched %.2f ms: %.2fx "
+    std::printf("hm1_micro   %zu HM1: portable %.2f ms, one-shot %.2f ms, "
+                "scheduled %.2f ms, batched %.2f ms (%s): %.2fx "
                 "accelerated over portable (target >= 4x: %s)\n",
-                pairs, hm1_portable_ms, hm1_oneshot_ms, oneshot_kernel,
-                hm1_scheduled_ms, hm1_batched_ms, hm1_speedup,
+                pairs, hm1_portable_ms, hm1_oneshot_ms, hm1_scheduled_ms,
+                hm1_batched_ms, kernel, hm1_speedup,
                 hm1_speedup >= 4.0 ? "met" : "NOT met");
     bench::JsonObject row;
     row.Add("kind", "hm1_micro");
     row.Add("pairs", static_cast<uint64_t>(pairs));
     row.Add("reps", reps);
-    row.Add("oneshot_kernel", oneshot_kernel);
+    row.Add("kernel", kernel);
     row.Add("portable_ms", hm1_portable_ms);
     row.Add("oneshot_ms", hm1_oneshot_ms);
     row.Add("scheduled_ms", hm1_scheduled_ms);

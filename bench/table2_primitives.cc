@@ -13,7 +13,6 @@
 #include "crypto/hmac.h"
 #include "crypto/prime.h"
 #include "crypto/rsa.h"
-#include "crypto/sha256x8.h"
 #include "sketch/ams_sketch.h"
 
 namespace {

@@ -6,7 +6,7 @@
 # the same machine are comparable and later PRs can diff the numbers.
 # Timings are machine-dependent — a baseline is a reference point for
 # the machine that produced it, not a portable truth; the config block
-# of each JSON records the dispatch kernel (avx2/scalar) and thread
+# of each JSON records the dispatch kernel (sha_ni/scalar) and thread
 # count that produced it (see docs/PERFORMANCE.md).
 #
 # Usage: scripts/bench.sh [--smoke] [--out DIR]

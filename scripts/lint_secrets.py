@@ -27,11 +27,12 @@ without leaking timing) across src/. Three rules:
                output-buffer derivations (the heap-free PRFs
                HmacSha*Into / EpochPrfSha*Into, raw-key or
                schedule-keyed, their pinned-body forms HmacSha*With, the
-               batch kernels HmacSha256Batch / HmacSha256x8 /
-               EpochPrfSha256Batch / PrfSha256Batch / EpochPrfSha1Batch
-               and their forced hooks, and the SHA-NI lane kernels
-               HmacShaNi / EpochHmacShaNi) are covered too: a locally
-               declared buffer passed as their output must be
+               batches HmacSha256Batch / EpochPrfSha256Batch /
+               PrfSha256Batch / EpochPrfSha1Batch and their forced hooks
+               PrfSha256BatchWith / EpochPrfSha1BatchWith, and the
+               SHA-NI lane kernels HmacShaNi / EpochHmacShaNi) are
+               covered too: a locally declared buffer passed as their
+               output must be
                SecureZero'd in the same file — a stack digest is a
                derived key, and batch staging arrays hold many keys'
                worth at once. So is every HMAC pad: a local
@@ -95,8 +96,8 @@ SINK_START_RE = re.compile(
 # Key-derivation calls whose result IS key material.
 DERIVATION_RE = re.compile(
     r"\b(HmacSha1|HmacSha256|EpochPrfSha1|EpochPrfSha256|DeriveMacKey|"
-    r"DeriveTemporalSeed|HmacSha256Batch|HmacSha256x8|"
-    r"EpochPrfSha256Batch|PrfSha256Batch|EpochPrfSha1Batch)\s*\(|"
+    r"DeriveTemporalSeed|HmacSha256Batch|EpochPrfSha256Batch|"
+    r"PrfSha256Batch|PrfSha256BatchWith|EpochPrfSha1Batch)\s*\(|"
     r"\b\w+\.Generate\s*\("
 )
 
@@ -104,9 +105,9 @@ DERIVATION_RE = re.compile(
 # argument receives the digests (one derived key per call or lane). A
 # local staging buffer passed there must be wiped in the same file.
 BATCH_DERIVATION_RE = re.compile(
-    r"\b(HmacSha256Batch|HmacSha256x8|EpochPrfSha256Batch|"
-    r"HmacSha256BatchWithKernel|PrfSha256Batch|PrfSha256BatchWithKernel|"
-    r"EpochPrfSha1Batch|EpochPrfSha1BatchWith|HmacShaNi|EpochHmacShaNi|"
+    r"\b(HmacSha256Batch|EpochPrfSha256Batch|PrfSha256Batch|"
+    r"PrfSha256BatchWith|EpochPrfSha1Batch|EpochPrfSha1BatchWith|"
+    r"HmacShaNi|EpochHmacShaNi|"
     r"HmacSha1Into|HmacSha256Into|HmacSha1With|HmacSha256With|"
     r"EpochPrfSha1Into|EpochPrfSha256Into)\s*\("
 )

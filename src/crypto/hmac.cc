@@ -132,6 +132,33 @@ void MacWith(md_internal::CompressFn compress, const HmacChain<kWords>& chain,
   MacFrom<kWords>(compress, chain, bytes, out);
 }
 
+// `n` MACs of one shared message (bytes, or an epoch t) under the
+// schedules `chain_at(0)` .. `chain_at(n - 1)`, tag i at
+// `out + 4 * kWords * i`: the PRF batches. The SHA-NI body runs a
+// one-block message two lanes at a time through its lane kernel, which
+// takes chain pointers, gathered a chunk at a time; anything else is one
+// MacWith per key.
+template <size_t kWords, typename ChainAt, typename Message>
+void BatchWith(md_internal::CompressFn compress, size_t n, ChainAt chain_at,
+               Message message, uint8_t* out) {
+  constexpr size_t kDigest = 4 * kWords;
+  uint8_t t[8];
+  if (compress != kShaNiBody<kWords> ||
+      AsMessage(message, t).len > md_internal::kMaxOneBlockTail) {
+    for (size_t i = 0; i < n; ++i) {
+      MacWith<kWords>(compress, chain_at(i), message, out + kDigest * i);
+    }
+    return;
+  }
+  constexpr size_t kChunk = 64;
+  const HmacChain<kWords>* chains[kChunk];
+  for (size_t off = 0; off < n; off += kChunk) {
+    const size_t take = std::min(kChunk, n - off);
+    for (size_t i = 0; i < take; ++i) chains[i] = &chain_at(off + i);
+    ShaNiLanes(take, chains, message, out + kDigest * off);
+  }
+}
+
 // One-shot HMAC: schedule into a stack chain, MAC from it, wipe it.
 template <size_t kWords, typename Message>
 void OneShot(md_internal::CompressFn compress, const uint32_t* init,
@@ -211,25 +238,18 @@ void HmacSha256With(md_internal::CompressFn compress, const PrfKey& key,
 void EpochPrfSha1BatchWith(md_internal::CompressFn compress, size_t n,
                            const PrfKey* const* keys, uint64_t epoch,
                            uint8_t* out) {
-  if (compress != sha1_internal::CompressShaNi) {
-    for (size_t i = 0; i < n; ++i) {
-      MacWith<5>(compress, keys[i]->sha1(), epoch, out + 20 * i);
-    }
-    return;
-  }
-  // The lane kernel takes chain pointers; gather them a chunk at a time.
-  constexpr size_t kChunk = 64;
-  const HmacChain<5>* chains[kChunk];
-  for (size_t off = 0; off < n; off += kChunk) {
-    const size_t take = std::min(kChunk, n - off);
-    for (size_t i = 0; i < take; ++i) chains[i] = &keys[off + i]->sha1();
-    sha1_internal::EpochHmacShaNi(take, chains, epoch, out + 20 * off);
-  }
+  BatchWith<5>(
+      compress, n,
+      [keys](size_t i) -> const HmacChain<5>& { return keys[i]->sha1(); },
+      epoch, out);
 }
 
-void Sha256KeyBlock(ByteView key, uint8_t k0[md_internal::kBlockSize]) {
-  KeyBlock<8>(sha256_internal::Compress(),
-              sha256_internal::kInitState.data(), key, k0);
+void PrfSha256BatchWith(md_internal::CompressFn compress, size_t n,
+                        const PrfKey* keys, ByteView msg, uint8_t* out) {
+  BatchWith<8>(
+      compress, n,
+      [keys](size_t i) -> const HmacChain<8>& { return keys[i].sha256(); },
+      msg, out);
 }
 
 }  // namespace hmac_internal
@@ -274,6 +294,28 @@ void EpochPrfSha1Batch(size_t n, const PrfKey* const* keys, uint64_t epoch,
                        uint8_t* out) {
   hmac_internal::EpochPrfSha1BatchWith(sha1_internal::Compress(), n, keys,
                                        epoch, out);
+}
+
+void PrfSha256Batch(size_t n, const PrfKey* keys, ByteView msg,
+                    uint8_t* out) {
+  hmac_internal::PrfSha256BatchWith(sha256_internal::Compress(), n, keys, msg,
+                                    out);
+}
+
+void EpochPrfSha256Batch(size_t n, const PrfKey* keys, uint64_t epoch,
+                         uint8_t* out) {
+  // t's 8-byte encoding through the shared-message lane kernel
+  // (HmacShaNi). The single PRF builds t in registers (EpochHmacShaNi);
+  // moving the batch onto that kernel is a change of its own, to be
+  // measured on its own.
+  uint8_t t[8];
+  StoreBigEndian64(epoch, t);
+  PrfSha256Batch(n, keys, ByteView(t, sizeof(t)), out);
+}
+
+void HmacSha256Batch(size_t n, const ByteView* keys, const ByteView* msgs,
+                     uint8_t* out) {
+  for (size_t i = 0; i < n; ++i) HmacSha256Into(keys[i], msgs[i], out + 32 * i);
 }
 
 Bytes HmacSha1(const Bytes& key, const Bytes& message) {

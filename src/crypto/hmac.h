@@ -24,8 +24,13 @@
 // goes to the outer compression in registers. Every other MAC pads each
 // hash in place on the stack and compresses through the dispatched
 // body. The Bytes-returning forms are thin wrappers — same bytes.
-// EpochPrfSha1Batch is the querier's HM1 over many keys: two lanes at a
-// time through the same kernel.
+//
+// The PRF batches (EpochPrfSha1Batch, PrfSha256Batch,
+// EpochPrfSha256Batch) are the querier's N PRFs of one epoch: many keys,
+// one shared message. On the SHA-NI body a one-block message runs two
+// lanes at a time through the same lane kernel; anything else runs one
+// PRF at a time on the dispatched body. HmacSha256Batch is a per-pair
+// loop of HmacSha256Into.
 //
 // Secret hygiene: a PrfKey is key-equivalent (its chaining values yield
 // every epoch's k_{i,t} and ss_{i,t}); it wipes itself on destruction and
@@ -147,14 +152,31 @@ void EpochPrfSha256Into(const PrfKey& key, uint64_t epoch, uint8_t out[32]);
 void EpochPrfSha1Batch(size_t n, const PrfKey* const* keys, uint64_t epoch,
                        uint8_t* out);
 
+/// HM256(keys[i], msg) for `n` scheduled keys sharing one message — the
+/// batched form of HmacSha256Into(const PrfKey&, ...): two lanes at a
+/// time on SHA-NI when `msg` fits one block, one PRF at a time
+/// otherwise. Tag i at `out + 32 * i`.
+void PrfSha256Batch(size_t n, const PrfKey* keys, ByteView msg,
+                    uint8_t* out);
+
+/// HM256(keys[i], t) for `n` scheduled keys sharing one epoch `t` — the
+/// batched form of EpochPrfSha256Into: PrfSha256Batch over the 8-byte
+/// encoding of t. Tag i at `out + 32 * i`.
+void EpochPrfSha256Batch(size_t n, const PrfKey* keys, uint64_t epoch,
+                         uint8_t* out);
+
+/// HMAC-SHA256 over `n` raw (key, message) pairs, one HmacSha256Into per
+/// pair: tag i = HMAC-SHA256(keys[i], msgs[i]) at `out + 32 * i`.
+void HmacSha256Batch(size_t n, const ByteView* keys, const ByteView* msgs,
+                     uint8_t* out);
+
 namespace hmac_internal {
 
 /// HMAC with the compression body pinned (sha1_internal /
 /// sha256_internal::CompressPortable or CompressShaNi): the forced-kernel
-/// test hooks and the batch kernel's per-lane path. CompressShaNi runs a
-/// message of at most 55 bytes on the lane kernel, as the dispatched
-/// forms do. The ByteView-key forms schedule the key with the same body
-/// first.
+/// test hooks. CompressShaNi runs a message of at most 55 bytes on the
+/// lane kernel, as the dispatched forms do. The ByteView-key forms
+/// schedule the key with the same body first.
 void HmacSha1With(md_internal::CompressFn compress, ByteView key,
                   ByteView message, uint8_t out[20]);
 void HmacSha256With(md_internal::CompressFn compress, ByteView key,
@@ -164,16 +186,14 @@ void HmacSha1With(md_internal::CompressFn compress, const PrfKey& key,
 void HmacSha256With(md_internal::CompressFn compress, const PrfKey& key,
                     ByteView message, uint8_t out[32]);
 
-/// EpochPrfSha1Batch with the body pinned: two lanes at a time for
-/// CompressShaNi, a loop of single PRFs for any other body.
+/// The PRF batches with the body pinned: two lanes at a time for
+/// CompressShaNi over a one-block message, a loop of single PRFs for any
+/// other body or a longer message.
 void EpochPrfSha1BatchWith(md_internal::CompressFn compress, size_t n,
                            const PrfKey* const* keys, uint64_t epoch,
                            uint8_t* out);
-
-/// K0 of RFC 2104 for SHA-256: `key` zero-padded to a block, or its
-/// SHA-256 digest zero-padded when it is longer than a block. The batch
-/// kernel builds its lanes' pad blocks from it.
-void Sha256KeyBlock(ByteView key, uint8_t k0[md_internal::kBlockSize]);
+void PrfSha256BatchWith(md_internal::CompressFn compress, size_t n,
+                        const PrfKey* keys, ByteView msg, uint8_t* out);
 
 }  // namespace hmac_internal
 

@@ -2,8 +2,8 @@
 // both hash 64-byte blocks of big-endian 32-bit words and end with the
 // same padding (0x80, zeros, 64-bit big-endian bit length). Internal to
 // crypto/; the streaming hashers and the heap-free HMACs (crypto/hmac.*,
-// also the batch kernel's per-lane path) all pad through here, so they
-// cannot disagree on a length boundary.
+// single or batched) all pad through here, so they cannot disagree on a
+// length boundary.
 #ifndef SIES_CRYPTO_MD_INTERNAL_H_
 #define SIES_CRYPTO_MD_INTERNAL_H_
 

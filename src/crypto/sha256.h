@@ -22,9 +22,6 @@ namespace sha256_internal {
 /// Initial hash value H(0) (FIPS 180-4 §5.3.3).
 extern const std::array<uint32_t, 8> kInitState;
 
-/// Round constants K (FIPS 180-4 §4.2.2).
-extern const uint32_t kRoundConstants[64];
-
 /// The SHA-256 compression function over `nblocks` consecutive 64-byte
 /// blocks. Two bodies compute it bit-identically: the portable C++
 /// reference, and the SHA-NI body (x86 SHA extensions; only callable
@@ -36,8 +33,8 @@ void CompressShaNi(uint32_t state[8], const uint8_t* blocks, size_t nblocks);
 
 /// The body this process runs, chosen once from crypto::Cpu(): SHA-NI
 /// where the CPU has it and SIES_NATIVE allows it, portable otherwise.
-/// Every SHA-256 in the library — streaming, HMAC, the batch kernel's
-/// per-lane path — compresses through it.
+/// Every SHA-256 in the library — streaming, and every HMAC, single or
+/// batched — compresses through it.
 md_internal::CompressFn Compress();
 
 /// The SHA-NI HMAC lane kernel (only callable when
@@ -49,7 +46,7 @@ md_internal::CompressFn Compress();
 /// so only the tags leave them. EpochHmacShaNi's message is the 8-byte
 /// big-endian epoch t, built as message words in registers. The library
 /// runs it wherever it runs the SHA-NI body on such a message
-/// (crypto/hmac.h, crypto/sha256x8.h).
+/// (crypto/hmac.h).
 void HmacShaNi(size_t n, const HmacChain<8>* const* chains,
                const uint8_t* msg, size_t len, uint8_t* out);
 void EpochHmacShaNi(size_t n, const HmacChain<8>* const* chains,

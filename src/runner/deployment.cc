@@ -86,14 +86,6 @@ Status ContinuousDeployment::RegisterQuery(const core::Query& query) {
   return Status::OK();
 }
 
-Status ContinuousDeployment::SetRadioLoss(double loss_rate,
-                                          uint32_t max_retries,
-                                          uint64_t seed) {
-  SIES_RETURN_IF_ERROR(network_->SetLossRate(loss_rate, seed));
-  network_->SetMaxRetries(max_retries);
-  return Status::OK();
-}
-
 StatusOr<DeploymentEpoch> ContinuousDeployment::RunEpoch(uint64_t epoch) {
   if (!active_query_.has_value()) {
     return Status::FailedPrecondition("no query registered");

@@ -56,10 +56,6 @@ class ContinuousDeployment {
   /// query then stays as it was.
   Status RegisterQuery(const core::Query& query);
 
-  /// Configures the lossy radio and its link-layer retransmission
-  /// budget (see Network::SetLossRate / SetMaxRetries).
-  Status SetRadioLoss(double loss_rate, uint32_t max_retries, uint64_t seed);
-
   /// Runs one epoch of the active query. Fails if no query is active.
   /// An epoch whose final payload is lost outright is NOT an error: it
   /// returns `answered == false` and is logged as unanswered.

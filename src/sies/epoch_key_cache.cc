@@ -141,12 +141,12 @@ std::shared_ptr<const EpochKeyCache::SourceEntry> EpochKeyCache::Sources(
     entry->shares.resize(n);
   }
   // Sources are derived in groups so the batch HMAC kernels (two lanes
-  // on SHA-NI, 8 on AVX2-only hosts) always see full batches, and the
-  // pool fans out over *groups* in one flat ParallelFor — never a nested
-  // dispatch per index. (When Sources is itself reached from inside a
-  // pool lane — e.g. the engine's per-channel Evaluate fan-out —
-  // ThreadPool runs this loop inline on that lane; lane batching keeps
-  // even that path on the fast kernel.)
+  // on SHA-NI) always see full batches, and the pool fans out over
+  // *groups* in one flat ParallelFor — never a nested dispatch per
+  // index. (When Sources is itself reached from inside a pool lane —
+  // e.g. the engine's per-channel Evaluate fan-out — ThreadPool runs this
+  // loop inline on that lane; lane batching keeps even that path on the
+  // fast kernel.)
   constexpr size_t kGroup = 256;
   const size_t num_groups = (n + kGroup - 1) / kGroup;
   auto derive_group = [&](size_t g) {

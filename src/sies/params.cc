@@ -8,7 +8,6 @@
 #include "crypto/hmac.h"
 #include "crypto/hmac_drbg.h"
 #include "crypto/prime.h"
-#include "crypto/sha256x8.h"
 
 namespace sies::core {
 
@@ -197,10 +196,10 @@ crypto::U256 DeriveEpochShareFp(const crypto::PrfKey& source_key,
 
 namespace {
 
-// Chunk width for the batch derivations: a multiple of the kernel's 8
-// lanes, small enough that the per-chunk digest scratch (kChunk x 32 B)
-// stays on the stack. The chunking is invisible in the output — each
-// digest is an independent HMAC.
+// Chunk width for the batch derivations: even, so the two-lane kernel
+// pairs every key of a full chunk, and small enough that the per-chunk
+// digest scratch (kDeriveChunk x 32 B) stays on the stack. The chunking
+// is invisible in the output — each digest is an independent HMAC.
 constexpr size_t kDeriveChunk = 64;
 
 }  // namespace

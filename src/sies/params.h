@@ -161,10 +161,10 @@ crypto::U256 DeriveEpochShareFp(const crypto::PrfKey& source_key,
 // --- bit-identical to calling its scalar counterpart above once per
 // --- key — same PRF bytes (crypto::EpochPrfSha256Batch and
 // --- crypto::EpochPrfSha1Batch run the HMACs two lanes at a time on
-// --- SHA-NI; the HM256 batch runs 8-wide AVX2 lanes on AVX2-only
-// --- hosts), same reduction — so cache contents never depend on whether
-// --- the batch path ran. Pinned by tests/sies/epoch_key_cache_test.cc,
-// --- tests/crypto/sha256x8_test and tests/crypto/hmac_lanes_test.
+// --- SHA-NI, one at a time on the portable body), same reduction — so
+// --- cache contents never depend on whether the batch path ran. Pinned
+// --- by tests/sies/epoch_key_cache_test.cc, tests/crypto/sha256x8_test
+// --- and tests/crypto/hmac_lanes_test.
 
 /// k_{i,t} of the `count` keys at `keys` into out[0..count), as U256
 /// reduced into [0, p). Equals DeriveEpochSourceKeyFp per key.

@@ -219,10 +219,6 @@ uint64_t SaltedEpoch(uint64_t epoch, uint32_t query_id, Channel channel) {
          static_cast<uint64_t>(channel);
 }
 
-uint64_t ChannelEpoch(uint64_t epoch, Channel channel) {
-  return SaltedEpoch(epoch, 0, channel);
-}
-
 StatusOr<QueryResult> CombineChannels(const Query& query, uint64_t sum,
                                       uint64_t sum_squares, uint64_t count) {
   const double scale = std::pow(10.0, query.scale_pow10);

@@ -138,9 +138,6 @@ StatusOr<uint64_t> ChannelValue(const Query& query, Channel channel,
 /// long-term keys. Injective for epoch < 2^48 and query_id < 2^14.
 uint64_t SaltedEpoch(uint64_t epoch, uint32_t query_id, Channel channel);
 
-/// Single-query convenience: SaltedEpoch(epoch, 0, channel).
-uint64_t ChannelEpoch(uint64_t epoch, Channel channel);
-
 /// Final numeric answer assembled from the verified channel sums.
 struct QueryResult {
   double value = 0.0;

@@ -20,29 +20,11 @@
 
 namespace sies::telemetry {
 
-/// Turns span tracing, audit recording, and the epoch timeline on
-/// (metrics are always on).
-inline void EnableAll() {
-  Tracer::Global().Enable();
-  AuditTrail::Global().Enable();
-  EpochTimeline::Global().Enable();
-}
-
 /// Turns span tracing, audit recording, and the epoch timeline off.
 inline void DisableAll() {
   Tracer::Global().Disable();
   AuditTrail::Global().Disable();
   EpochTimeline::Global().Disable();
-}
-
-/// Zeroes all global metrics and drops all spans, audit events, and
-/// timeline records. Pointers previously returned by the registry
-/// remain valid.
-inline void ResetAll() {
-  MetricsRegistry::Global().Reset();
-  Tracer::Global().Reset();
-  AuditTrail::Global().Reset();
-  EpochTimeline::Global().Reset();
 }
 
 }  // namespace sies::telemetry

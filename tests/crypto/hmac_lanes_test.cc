@@ -11,7 +11,7 @@
 //     path through the same hooks.
 //   - PrfSha256Batch, EpochPrfSha256Batch and EpochPrfSha1Batch for
 //     n in {0, 1, 2, 3, 64, 255, 256, 257}, dispatched and under every
-//     forced kernel, writing nothing past the n-th tag.
+//     pinned body, writing nothing past the n-th tag.
 //
 // Also registered as a `_portable` twin under SIES_NATIVE=scalar: the
 // dispatched entry points then run the portable body, and the forced
@@ -27,7 +27,6 @@
 #include "crypto/hmac.h"
 #include "crypto/sha1.h"
 #include "crypto/sha256.h"
-#include "crypto/sha256x8.h"
 
 namespace sies::crypto {
 namespace {
@@ -225,16 +224,10 @@ Bytes Reference(size_t tag_len, const BatchKeys& keys, const Bytes& msg) {
   return ref;
 }
 
-std::vector<Sha256Kernel> Sha256Kernels() {
-  std::vector<Sha256Kernel> kernels = {Sha256Kernel::kAuto,
-                                       Sha256Kernel::kScalar};
-  for (Sha256Kernel k : {Sha256Kernel::kAvx2, Sha256Kernel::kShaNi}) {
-    if (sha256x8_internal::KernelAvailable(k)) kernels.push_back(k);
-  }
-  return kernels;
-}
-
-TEST(PrfBatches, Sha256BatchesMatchPortableUnderEveryKernel) {
+TEST(PrfBatches, Sha256BatchesMatchPortableUnderEveryBody) {
+  std::vector<md_internal::CompressFn> bodies = {
+      sha256_internal::CompressPortable};
+  if (CpuDetected().sha) bodies.push_back(sha256_internal::CompressShaNi);
   Xoshiro256 rng(0x1a9e'0004);
   for (size_t n : kBatchSizes) {
     const BatchKeys keys(n, rng);
@@ -250,17 +243,17 @@ TEST(PrfBatches, Sha256BatchesMatchPortableUnderEveryKernel) {
     std::fill(out.begin(), out.end(), 0xEE);
     PrfSha256Batch(n, keys.scheduled.data(), msg, out.data());
     EXPECT_EQ(out, ref_msg) << "n=" << n << " dispatched message";
-    for (Sha256Kernel kernel : Sha256Kernels()) {
+    for (md_internal::CompressFn body : bodies) {
+      const char* name =
+          body == sha256_internal::CompressShaNi ? "sha_ni" : "portable";
       std::fill(out.begin(), out.end(), 0xEE);
-      sha256x8_internal::PrfSha256BatchWithKernel(
-          kernel, n, keys.scheduled.data(), t, out.data());
-      EXPECT_EQ(out, ref_epoch)
-          << "n=" << n << " kernel=" << static_cast<int>(kernel);
+      hmac_internal::PrfSha256BatchWith(body, n, keys.scheduled.data(), t,
+                                        out.data());
+      EXPECT_EQ(out, ref_epoch) << "n=" << n << " body=" << name;
       std::fill(out.begin(), out.end(), 0xEE);
-      sha256x8_internal::PrfSha256BatchWithKernel(
-          kernel, n, keys.scheduled.data(), msg, out.data());
-      EXPECT_EQ(out, ref_msg)
-          << "n=" << n << " kernel=" << static_cast<int>(kernel);
+      hmac_internal::PrfSha256BatchWith(body, n, keys.scheduled.data(), msg,
+                                        out.data());
+      EXPECT_EQ(out, ref_msg) << "n=" << n << " body=" << name;
     }
   }
 }

@@ -3,7 +3,8 @@
 //     one million 'a's).
 //   - HMAC-SHA1: RFC 2202 test cases (short key, "Jefe", 0xaa/0xdd blocks,
 //     larger-than-block-size key).
-//   - HMAC-SHA256: RFC 4231 test cases 1-3, 6, 7.
+//   - HMAC-SHA256: RFC 4231 test cases 1-3, 6, 7, and a ragged eight-pair
+//     HmacSha256Batch pinned to Python hmac/hashlib digests.
 //   - HMAC_DRBG(SHA-256): SP 800-90A process vectors cross-checked against
 //     an independent reference implementation (Python hashlib/hmac; see
 //     the generation recipe in docs/DEVELOPING.md).
@@ -12,15 +13,16 @@
 // keys K_t / k_{i,t}, shares, and µTESLA MACs all derive from these
 // primitives.
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/bytes.h"
+#include "crypto/cpu_features.h"
 #include "crypto/hmac.h"
 #include "crypto/hmac_drbg.h"
 #include "crypto/sha1.h"
 #include "crypto/sha256.h"
-#include "crypto/sha256x8.h"
 
 namespace sies::crypto {
 namespace {
@@ -155,37 +157,13 @@ TEST(KatHmacSha256, Rfc4231LongKey) {
       "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2");
 }
 
-// --- Batch kernel KATs (crypto/sha256x8.h) ---
+// --- HMAC-SHA256 batch KAT (crypto/hmac.h) ---
 //
-// All 8 lanes carry different key and message lengths (the ragged case),
-// pinned to independently generated digests (Python hmac/hashlib) AND to
-// the scalar one-shot implementation, on every kernel this machine can
-// run (scalar, AVX2, SHA-NI). A transpose or lane-masking bug in the
-// AVX2 transform cannot pass this and the FIPS/RFC single-lane vectors
-// simultaneously.
-
-TEST(KatSha256x8, RaggedLanesAllKernels) {
-  const size_t lens[8] = {0, 1, 55, 56, 63, 64, 65, 200};
-  Bytes msgs[8];
-  ByteView views[8];
-  for (int i = 0; i < 8; ++i) {
-    msgs[i].resize(lens[i]);
-    for (size_t j = 0; j < lens[i]; ++j) {
-      msgs[i][j] = static_cast<uint8_t>(i * 31 + j);
-    }
-    views[i] = ByteView(msgs[i]);
-  }
-  for (Sha256Kernel kernel : {Sha256Kernel::kScalar, Sha256Kernel::kAvx2,
-                               Sha256Kernel::kShaNi}) {
-    if (!sha256x8_internal::KernelAvailable(kernel)) continue;
-    uint8_t out[8][32];
-    sha256x8_internal::Sha256x8WithKernel(kernel, views, out);
-    for (int i = 0; i < 8; ++i) {
-      EXPECT_EQ(Hex(Bytes(out[i], out[i] + 32)), Hex(Sha256::Hash(msgs[i])))
-          << "kernel=" << static_cast<int>(kernel) << " lane=" << i;
-    }
-  }
-}
+// Eight (key, message) pairs of different key and message lengths (the
+// ragged case), pinned to independently generated digests (Python
+// hmac/hashlib) AND to the scalar one-shot implementation: through
+// HmacSha256Batch, and pair by pair through every compression body this
+// machine can run.
 
 TEST(KatHmacSha256x8, RaggedLanesPinnedDigests) {
   // Key lengths cross the hash-the-key branch (> 64) and the exact-block
@@ -216,18 +194,25 @@ TEST(KatHmacSha256x8, RaggedLanesPinnedDigests) {
     kviews[i] = ByteView(keys[i]);
     mviews[i] = ByteView(msgs[i]);
   }
-  for (Sha256Kernel kernel : {Sha256Kernel::kScalar, Sha256Kernel::kAvx2,
-                               Sha256Kernel::kShaNi}) {
-    if (!sha256x8_internal::KernelAvailable(kernel)) continue;
-    uint8_t out[8 * 32];
-    sha256x8_internal::HmacSha256BatchWithKernel(kernel, 8, kviews, mviews,
-                                                 out);
+  uint8_t out[8 * 32];
+  HmacSha256Batch(8, kviews, mviews, out);
+  for (int i = 0; i < 8; ++i) {
+    Bytes tag(out + 32 * i, out + 32 * (i + 1));
+    EXPECT_EQ(Hex(tag), kExpected[i]) << "batch lane=" << i;
+    EXPECT_EQ(Hex(tag), Hex(HmacSha256(keys[i], msgs[i])))
+        << "batch lane=" << i;
+  }
+  std::vector<md_internal::CompressFn> bodies = {
+      sha256_internal::CompressPortable};
+  if (CpuDetected().sha) bodies.push_back(sha256_internal::CompressShaNi);
+  for (md_internal::CompressFn body : bodies) {
     for (int i = 0; i < 8; ++i) {
-      Bytes tag(out + 32 * i, out + 32 * (i + 1));
-      EXPECT_EQ(Hex(tag), kExpected[i])
-          << "kernel=" << static_cast<int>(kernel) << " lane=" << i;
-      EXPECT_EQ(Hex(tag), Hex(HmacSha256(keys[i], msgs[i])))
-          << "kernel=" << static_cast<int>(kernel) << " lane=" << i;
+      uint8_t tag[32];
+      hmac_internal::HmacSha256With(body, kviews[i], mviews[i], tag);
+      EXPECT_EQ(Hex(Bytes(tag, tag + 32)), kExpected[i])
+          << "body="
+          << (body == sha256_internal::CompressShaNi ? "sha_ni" : "portable")
+          << " lane=" << i;
     }
   }
 }

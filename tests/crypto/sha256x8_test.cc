@@ -1,21 +1,22 @@
-// Differential tests pinning the 8-lane batch kernel to the scalar
-// one-shot implementations, bit for bit:
+// Differential tests pinning the SHA-256 batches (crypto/hmac.h) to one
+// HMAC at a time, bit for bit. (The file and its ctest keep the name of
+// the 8-lane SHA-256 kernel these cases were first written for.)
 //
 //   - HmacSha256Batch over >= 10^4 random (key, message) pairs with
-//     ragged lane lengths, on every kernel the machine can run — the
-//     batched epoch-key derivation inherits its correctness from here.
-//   - Forced-kernel equality: scalar vs AVX2 vs SHA-NI over identical
-//     inputs.
-//   - EpochPrfSha256Batch over scheduled keys (crypto::PrfKey, the
-//     derivation entry point EpochKeyCache actually uses) vs the
-//     one-shot EpochPrfSha256 of the raw keys, under every kernel.
-//   - Partial final groups (n not a multiple of 8) and n == 0.
+//     ragged key and message lengths, against the portable HMAC of each
+//     pair, and with zero pairs.
+//   - EpochPrfSha256Batch and PrfSha256Batch over scheduled keys
+//     (crypto::PrfKey, what EpochKeyCache derives through) against the
+//     one-shot PRF of each raw key: dispatched, and under every body this
+//     machine can run through hmac_internal::PrfSha256BatchWith, for
+//     n in {0, 1, 2, 3, 64, 255, 256, 257} (a lone last lane, the 64-key
+//     chunk boundaries) and for one shared message longer than 55 B.
 //
-// These run under check.sh --sanitize and --tsan; the KAT anchors (FIPS
-// vectors + Python-generated ragged-lane digests) live in kat_test.cc.
+// Also registered as a `_portable` twin under SIES_NATIVE=scalar; these
+// run under check.sh --sanitize and --tsan. The KAT anchors (FIPS
+// vectors, Python-generated ragged-pair digests) live in kat_test.cc.
 #include <algorithm>
 #include <cstring>
-#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -25,51 +26,26 @@
 #include "crypto/cpu_features.h"
 #include "crypto/hmac.h"
 #include "crypto/sha256.h"
-#include "crypto/sha256x8.h"
 
 namespace sies::crypto {
 namespace {
 
-std::vector<Sha256Kernel> AvailableKernels() {
-  std::vector<Sha256Kernel> kernels = {Sha256Kernel::kScalar};
-  for (Sha256Kernel k : {Sha256Kernel::kAvx2, Sha256Kernel::kShaNi}) {
-    if (sha256x8_internal::KernelAvailable(k)) kernels.push_back(k);
-  }
-  return kernels;
+std::vector<md_internal::CompressFn> Bodies() {
+  std::vector<md_internal::CompressFn> bodies = {
+      sha256_internal::CompressPortable};
+  if (CpuDetected().sha) bodies.push_back(sha256_internal::CompressShaNi);
+  return bodies;
 }
 
-TEST(Sha256x8, ScalarKernelAlwaysAvailable) {
-  EXPECT_TRUE(sha256x8_internal::KernelAvailable(Sha256Kernel::kScalar));
-  EXPECT_TRUE(sha256x8_internal::KernelAvailable(Sha256Kernel::kAuto));
-}
-
-TEST(Sha256x8, RandomMessagesMatchScalarHash) {
-  Xoshiro256 rng(0x5135'0001);
-  for (int round = 0; round < 200; ++round) {
-    Bytes msgs[8];
-    ByteView views[8];
-    for (int i = 0; i < 8; ++i) {
-      msgs[i] = rng.NextBytes(rng.NextBelow(300));
-      views[i] = ByteView(msgs[i]);
-    }
-    for (Sha256Kernel kernel : AvailableKernels()) {
-      uint8_t out[8][32];
-      sha256x8_internal::Sha256x8WithKernel(kernel, views, out);
-      for (int i = 0; i < 8; ++i) {
-        Bytes ref = Sha256::Hash(msgs[i]);
-        ASSERT_EQ(0, std::memcmp(out[i], ref.data(), 32))
-            << "round=" << round << " kernel=" << static_cast<int>(kernel)
-            << " lane=" << i << " len=" << msgs[i].size();
-      }
-    }
-  }
+const char* BodyName(md_internal::CompressFn body) {
+  return body == sha256_internal::CompressShaNi ? "sha_ni" : "portable";
 }
 
 // The acceptance-criteria differential: >= 10^4 random HMAC pairs with
-// ragged lane lengths, batch == scalar bit-identically on every kernel.
+// ragged lengths, batch == the portable HMAC of each pair.
 TEST(HmacSha256Batch, TenThousandRandomPairsMatchScalar) {
-  constexpr size_t kPairs = 10'016;  // 1252 full 8-lane groups
-  constexpr size_t kChunk = 32;      // exercises the internal grouping
+  constexpr size_t kPairs = 10'016;
+  constexpr size_t kChunk = 32;
   Xoshiro256 rng(0x5135'0002);
   size_t done = 0;
   while (done < kPairs) {
@@ -85,78 +61,31 @@ TEST(HmacSha256Batch, TenThousandRandomPairsMatchScalar) {
       mviews[i] = ByteView(msgs[i]);
     }
     std::vector<uint8_t> out(32 * n);
-    for (Sha256Kernel kernel : AvailableKernels()) {
-      sha256x8_internal::HmacSha256BatchWithKernel(kernel, n, kviews.data(),
-                                                   mviews.data(), out.data());
-      for (size_t i = 0; i < n; ++i) {
-        Bytes ref = HmacSha256(keys[i], msgs[i]);
-        ASSERT_EQ(0, std::memcmp(out.data() + 32 * i, ref.data(), 32))
-            << "pair=" << done + i << " kernel=" << static_cast<int>(kernel)
-            << " klen=" << keys[i].size() << " mlen=" << msgs[i].size();
-      }
+    HmacSha256Batch(n, kviews.data(), mviews.data(), out.data());
+    for (size_t i = 0; i < n; ++i) {
+      uint8_t ref[32];
+      hmac_internal::HmacSha256With(sha256_internal::CompressPortable,
+                                    kviews[i], mviews[i], ref);
+      ASSERT_EQ(0, std::memcmp(out.data() + 32 * i, ref, 32))
+          << "pair=" << done + i << " klen=" << keys[i].size()
+          << " mlen=" << msgs[i].size();
     }
     done += n;
   }
 }
 
-// Every forced kernel must agree with the scalar one directly (not only
-// via the one-shot reference): same inputs through each.
-TEST(HmacSha256Batch, ForcedKernelsAgree) {
-  const std::vector<Sha256Kernel> kernels = AvailableKernels();
-  if (kernels.size() == 1) {
-    GTEST_SKIP() << "no AVX2 or SHA-NI on this CPU; scalar-only build";
-  }
-  Xoshiro256 rng(0x5135'0003);
-  constexpr size_t kN = 64;
-  std::vector<Bytes> keys(kN), msgs(kN);
-  std::vector<ByteView> kviews(kN), mviews(kN);
-  for (size_t i = 0; i < kN; ++i) {
-    keys[i] = rng.NextBytes(rng.NextBelow(80));
-    msgs[i] = rng.NextBytes(rng.NextBelow(300));
-    kviews[i] = ByteView(keys[i]);
-    mviews[i] = ByteView(msgs[i]);
-  }
-  std::vector<uint8_t> scalar_out(32 * kN), forced_out(32 * kN);
-  sha256x8_internal::HmacSha256BatchWithKernel(
-      Sha256Kernel::kScalar, kN, kviews.data(), mviews.data(),
-      scalar_out.data());
-  for (Sha256Kernel kernel : kernels) {
-    sha256x8_internal::HmacSha256BatchWithKernel(kernel, kN, kviews.data(),
-                                                 mviews.data(),
-                                                 forced_out.data());
-    EXPECT_EQ(scalar_out, forced_out) << "kernel=" << static_cast<int>(kernel);
-  }
-}
-
-TEST(Sha256BatchKernel, AvailabilityFollowsCpuDetection) {
-  EXPECT_EQ(sha256x8_internal::KernelAvailable(Sha256Kernel::kShaNi),
-            CpuDetected().sha);
-}
-
-TEST(HmacSha256x8, MatchesBatchEntryPoint) {
-  Xoshiro256 rng(0x5135'0004);
-  Bytes keys[8], msgs[8];
-  ByteView kviews[8], mviews[8];
-  for (int i = 0; i < 8; ++i) {
-    keys[i] = rng.NextBytes(20);
-    msgs[i] = rng.NextBytes(rng.NextBelow(100));
-    kviews[i] = ByteView(keys[i]);
-    mviews[i] = ByteView(msgs[i]);
-  }
-  uint8_t a[8][32];
-  uint8_t b[8 * 32];
-  HmacSha256x8(kviews, mviews, a);
-  HmacSha256Batch(8, kviews, mviews, b);
-  EXPECT_EQ(0, std::memcmp(a, b, sizeof(b)));
+TEST(HmacSha256Batch, ZeroPairsIsANoOp) {
+  uint8_t sentinel = 0xAB;
+  HmacSha256Batch(0, nullptr, nullptr, &sentinel);
+  EXPECT_EQ(sentinel, 0xAB);
 }
 
 // The schedule-keyed epoch PRF (what EpochKeyCache derives through)
-// equals the one-shot scalar PRF of the raw key, for partial and full
-// groups, through the dispatched entry point and under every forced
-// kernel (the AVX2 lanes start from the schedules' chaining values).
-TEST(EpochPrfSha256Batch, ScheduledKeysMatchScalarPrfUnderEveryKernel) {
+// equals the one-shot PRF of the raw key, through the dispatched entry
+// point and under every pinned body, writing nothing past the n-th tag.
+TEST(EpochPrfSha256Batch, ScheduledKeysMatchOneShotPrfUnderEveryBody) {
   Xoshiro256 rng(0x5135'0005);
-  for (size_t n : {1, 7, 8, 9, 64, 257}) {
+  for (size_t n : {0, 1, 2, 3, 64, 255, 256, 257}) {
     std::vector<Bytes> keys(n);
     std::vector<PrfKey> scheduled;
     scheduled.reserve(n);
@@ -171,22 +100,22 @@ TEST(EpochPrfSha256Batch, ScheduledKeysMatchScalarPrfUnderEveryKernel) {
       const Bytes tag = EpochPrfSha256(keys[i], epoch);
       ref.insert(ref.end(), tag.begin(), tag.end());
     }
-    Bytes out(32 * n);
+    ref.push_back(0xEE);  // guard byte
+    Bytes out(32 * n + 1, 0xEE);
     EpochPrfSha256Batch(n, scheduled.data(), epoch, out.data());
     EXPECT_EQ(out, ref) << "n=" << n << " dispatched";
     const Bytes t = EncodeUint64(epoch);
-    for (Sha256Kernel kernel : AvailableKernels()) {
-      std::fill(out.begin(), out.end(), 0);
-      sha256x8_internal::PrfSha256BatchWithKernel(kernel, n, scheduled.data(),
-                                                  t, out.data());
-      EXPECT_EQ(out, ref) << "n=" << n
-                          << " kernel=" << static_cast<int>(kernel);
+    for (md_internal::CompressFn body : Bodies()) {
+      std::fill(out.begin(), out.end(), 0xEE);
+      hmac_internal::PrfSha256BatchWith(body, n, scheduled.data(), t,
+                                        out.data());
+      EXPECT_EQ(out, ref) << "n=" << n << " body=" << BodyName(body);
     }
   }
 }
 
 // The shared-message form over a message longer than one block (the
-// lanes' multi-block path) equals the one-shot HMAC too.
+// per-key generic path on every body) equals the one-shot HMAC too.
 TEST(PrfSha256Batch, LongSharedMessageMatchesScalarHmac) {
   Xoshiro256 rng(0x5135'0006);
   constexpr size_t kN = 19;
@@ -197,22 +126,23 @@ TEST(PrfSha256Batch, LongSharedMessageMatchesScalarHmac) {
     key = rng.NextBytes(20);
     scheduled.emplace_back(key);
   }
-  for (Sha256Kernel kernel : AvailableKernels()) {
-    Bytes out(32 * kN);
-    sha256x8_internal::PrfSha256BatchWithKernel(kernel, kN, scheduled.data(),
-                                                msg, out.data());
+  Bytes out(32 * kN);
+  PrfSha256Batch(kN, scheduled.data(), msg, out.data());
+  for (size_t i = 0; i < kN; ++i) {
+    EXPECT_EQ(Bytes(out.begin() + 32 * i, out.begin() + 32 * (i + 1)),
+              HmacSha256(keys[i], msg))
+        << "dispatched i=" << i;
+  }
+  for (md_internal::CompressFn body : Bodies()) {
+    std::fill(out.begin(), out.end(), 0);
+    hmac_internal::PrfSha256BatchWith(body, kN, scheduled.data(), msg,
+                                      out.data());
     for (size_t i = 0; i < kN; ++i) {
       EXPECT_EQ(Bytes(out.begin() + 32 * i, out.begin() + 32 * (i + 1)),
                 HmacSha256(keys[i], msg))
-          << "kernel=" << static_cast<int>(kernel) << " i=" << i;
+          << "body=" << BodyName(body) << " i=" << i;
     }
   }
-}
-
-TEST(HmacSha256Batch, ZeroPairsIsANoOp) {
-  uint8_t sentinel = 0xAB;
-  HmacSha256Batch(0, nullptr, nullptr, &sentinel);
-  EXPECT_EQ(sentinel, 0xAB);
 }
 
 }  // namespace

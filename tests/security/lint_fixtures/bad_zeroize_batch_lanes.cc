@@ -1,9 +1,9 @@
-// Lint fixture: a local staging buffer receives the 8-lane batch
-// kernel's digests (eight derived epoch keys at once) and is never
-// wiped. Must trip the zeroize rule.
+// Lint fixture: a local staging buffer receives the HM256 batch's
+// digests (one derived epoch key per key) and is never wiped. Must trip
+// the zeroize rule.
 #include <cstdint>
 
-#include "crypto/sha256x8.h"
+#include "crypto/hmac.h"
 
 namespace sies {
 

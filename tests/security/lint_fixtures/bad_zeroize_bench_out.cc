@@ -6,7 +6,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "crypto/sha256x8.h"
+#include "crypto/hmac.h"
 
 namespace sies {
 

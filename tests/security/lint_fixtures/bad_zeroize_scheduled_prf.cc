@@ -4,7 +4,6 @@
 #include <cstdint>
 
 #include "crypto/hmac.h"
-#include "crypto/sha256x8.h"
 
 namespace sies {
 

@@ -6,7 +6,7 @@
 
 #include "common/bytes.h"
 #include "common/secure.h"
-#include "crypto/sha256x8.h"
+#include "crypto/hmac.h"
 #include "telemetry/trace.h"
 
 namespace sies {

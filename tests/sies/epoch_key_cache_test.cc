@@ -49,7 +49,7 @@ TEST(EpochKeyCacheTest, ScheduledTablesEqualRawKeyDerivations) {
   // Every profile's tables, derived from schedules (through the batch
   // kernel, fanned out over a pool), equal the one-shot HMACs of the raw
   // keys: the fast Fp256 profile, a 320-bit generic one and the hardened
-  // HM256-share one. 70 sources leave a ragged final 8-lane batch.
+  // HM256-share one. 70 sources leave a partial final 64-key chunk.
   struct Profile {
     const char* name;
     Params params;
@@ -138,8 +138,8 @@ TEST(EpochKeyCacheTest, SourcesIdenticalWithAndWithoutPool) {
 }
 
 TEST(EpochKeyCacheTest, BatchedDerivationMatchesScalarAcrossGroups) {
-  // 300 sources spans multiple 256-wide derivation groups and a ragged
-  // final 8-lane batch; every cached entry must equal the per-index
+  // 300 sources spans two 256-wide derivation groups and a partial
+  // final 64-key chunk; every cached entry must equal the per-index
   // scalar derivation bit for bit, with and without a pool fanning the
   // groups out.
   Params params = MakeParams(300, 42).value();

@@ -113,7 +113,7 @@ TEST(ChannelEpochTest, DisjointAcrossChannels) {
   for (uint64_t epoch : {0ull, 1ull, 2ull, 100ull}) {
     for (Channel ch :
          {Channel::kSum, Channel::kSumSquares, Channel::kCount}) {
-      EXPECT_TRUE(salted.insert(ChannelEpoch(epoch, ch)).second);
+      EXPECT_TRUE(salted.insert(SaltedEpoch(epoch, 0, ch)).second);
     }
   }
 }
@@ -131,8 +131,9 @@ TEST(SaltedEpochTest, DisjointAcrossQueriesChannelsEpochs) {
   }
 }
 
-TEST(SaltedEpochTest, DefaultQueryIdMatchesChannelEpoch) {
-  EXPECT_EQ(ChannelEpoch(5, Channel::kSum), SaltedEpoch(5, 0, Channel::kSum));
+TEST(SaltedEpochTest, DefaultQueryIdSaltsOnlyTheChannel) {
+  EXPECT_EQ(SaltedEpoch(5, 0, Channel::kSum),
+            (uint64_t{5} << 16) | static_cast<uint64_t>(Channel::kSum));
 }
 
 TEST(CombineChannelsTest, SumUndoesScaling) {
