@@ -81,7 +81,8 @@ int main() {
         crypto::BigUint(kN * 250ull), p.ValueShiftBits());
     c = crypto::BigUint::ModAdd(
             c, crypto::BigUint::ModMul(
-                   core::DeriveEpochGlobalKey(p, guessed_key, msg.epoch),
+                   core::DeriveEpochGlobalKey(core::BigField(p), guessed_key,
+                                              msg.epoch),
                    forged, p.prime)
                    .value(),
             p.prime)

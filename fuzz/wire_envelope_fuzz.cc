@@ -1,8 +1,8 @@
-// Harness: sies::core::ParsePsr + ParseWireEnvelope + the contributor-set
-// codec — the wire surface every SIES party decodes. A hostile child or
-// aggregator controls every byte here, so the paper's security argument
-// (tamper => verification failure, never a crash or false acceptance)
-// must hold over arbitrary frames.
+// Harness: sies::core::ParsePsr (under both fields) + ParseWireEnvelope +
+// the contributor-set codec — the wire surface every SIES party decodes.
+// A hostile child or aggregator controls every byte here, so the paper's
+// security argument (tamper => verification failure, never a crash or
+// false acceptance) must hold over arbitrary frames.
 //
 // Input layout: [0] control byte, [1..] wire bytes.
 //   control & 0x07          expected channel-plan width (0..7)
@@ -19,6 +19,9 @@
 //     set is complete, and the envelope reserializes byte-identically
 //     (every accepted frame, in all three forms, has one encoding);
 //   * a single child's field survives a merge unchanged;
+//   * ParsePsr accepts or rejects every frame alike under FixedField and
+//     BigField, with the same message and the same value, and a parsed
+//     PSR stores back bit-identically under both;
 //   * while the widest field is narrower than one PSR, the same frame
 //     parsed against a DIFFERENT plan width must fail;
 //   * a well-formed single PSR never verifies against the committed
@@ -44,8 +47,31 @@ constexpr SourceRange kRanges[4] = {
 
 struct Fixture {
   Params params = MakeParams(kSources, 1).value();
+  FixedField fixed{params, *params.Fp()};
+  BigField big{params};
   Querier querier{params, GenerateKeys(params, {7})};
 };
+
+// The single-PSR parse under both fields; returns true when it accepted.
+bool CheckPsrParse(const Fixture& fixture, const Bytes& wire) {
+  auto fixed = ParsePsr(fixture.fixed, wire.data(), wire.size());
+  auto big = ParsePsr(fixture.big, wire.data(), wire.size());
+  SIES_FUZZ_ASSERT(fixed.ok() == big.ok(),
+                   "the fields disagree on accepting a PSR");
+  if (!big.ok()) {
+    SIES_FUZZ_ASSERT(fixed.status() == big.status(),
+                     "the fields reject a PSR with different messages");
+    return false;
+  }
+  SIES_FUZZ_ASSERT(fixed.value().ToBigUint() == big.value(),
+                   "the fields parse a PSR to different values");
+  Bytes stored_fixed(wire.size()), stored_big(wire.size());
+  fixture.fixed.Store(fixed.value(), stored_fixed.data());
+  fixture.big.Store(big.value(), stored_big.data());
+  SIES_FUZZ_ASSERT(stored_fixed == wire && stored_big == wire,
+                   "PSR does not reserialize bit-identically");
+  return true;
+}
 
 Fixture& GetFixture() {
   static Fixture* fixture = new Fixture();
@@ -116,16 +142,10 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   const bool parsed = CheckEnvelope(fixture.params, range, wire, channels);
 
   // Single-PSR surface + the false-acceptance oracle.
-  if (wire.size() == fixture.params.PsrBytes()) {
-    auto psr = ParsePsr(fixture.params, wire);
-    if (psr.ok()) {
-      auto bytes = SerializePsr(fixture.params, psr.value());
-      SIES_FUZZ_ASSERT(bytes.ok() && bytes.value() == wire,
-                       "PSR does not reserialize bit-identically");
-      auto eval = fixture.querier.Evaluate(wire, /*epoch=*/1);
-      SIES_FUZZ_ASSERT(!eval.ok() || !eval.value().verified,
-                       "querier verified a fuzzed PSR");
-    }
+  if (CheckPsrParse(fixture, wire)) {
+    auto eval = fixture.querier.Evaluate(wire, /*epoch=*/1);
+    SIES_FUZZ_ASSERT(!eval.ok() || !eval.value().verified,
+                     "querier verified a fuzzed PSR");
   }
   // Full wire evaluation of a root envelope. The parser rejects empty
   // sets, so any acceptance is a forgery.

@@ -123,9 +123,15 @@ StatusOr<Fp256> Fp256::Create(const BigUint& prime) {
 }
 
 StatusOr<U256> Fp256::Inverse(const U256& a) const {
-  auto inv = BigUint::ModInverse(a.ToBigUint(), prime_big_);
+  // The operand and the inverse are secrets (K_t, K_t^{-1}): wipe the
+  // BigUint copies before their limbs are freed.
+  BigUint big = a.ToBigUint();
+  auto inv = BigUint::ModInverse(big, prime_big_);
+  big.Wipe();
   if (!inv.ok()) return inv.status();
-  return U256::FromBigUint(inv.value());
+  StatusOr<U256> out = U256::FromBigUint(inv.value());
+  inv.value().Wipe();
+  return out;
 }
 
 }  // namespace sies::crypto

@@ -10,9 +10,9 @@
 // keep the wire format bit-identical to the generic path.
 //
 // Scope: Fp256 covers primes of exactly 256 bits — the paper's reference
-// configuration. Wider or narrower moduli (RSA, Paillier, SECOA SEALs,
-// the hardened HM256 share profile) stay on BigUint; see DESIGN.md
-// "Two-tier arithmetic".
+// configuration, SIES's FixedField (sies/field.h). Wider or narrower
+// moduli (RSA, Paillier, SECOA SEALs, the hardened HM256 share profile)
+// stay on BigUint; see DESIGN.md §7.
 #ifndef SIES_CRYPTO_FP256_H_
 #define SIES_CRYPTO_FP256_H_
 

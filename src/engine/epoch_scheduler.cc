@@ -64,16 +64,20 @@ Status EpochScheduler::Admit(const core::Query& query, uint64_t epoch) {
   record.query_id = query.query_id;
   record.sql = query.ToSql();
   record.admitted_epoch = epoch;
-  // One labeled series per (query, verdict), resolved here so that no
-  // epoch builds label strings or takes the registry's lock.
+  // One labeled series per (admission, verdict), resolved here so that
+  // no epoch builds label strings or takes the registry's lock. The
+  // admission epoch tells apart two admissions of one id, as the ledger
+  // does.
   auto& metrics = telemetry::MetricsRegistry::Global();
   const std::string label = "q" + std::to_string(query.query_id);
+  const std::string admitted = std::to_string(epoch);
   LiveRecord live;
-  live.verified = metrics.GetCounter("sies_engine_query_epochs_total",
-                                     {{"query", label}, {"verified", "true"}});
+  live.verified = metrics.GetCounter(
+      "sies_engine_query_epochs_total",
+      {{"query", label}, {"admitted", admitted}, {"verified", "true"}});
   live.unverified = metrics.GetCounter(
       "sies_engine_query_epochs_total",
-      {{"query", label}, {"verified", "false"}});
+      {{"query", label}, {"admitted", admitted}, {"verified", "false"}});
   std::lock_guard<std::mutex> lock(ledger_mu_);
   live.index = ledger_.size();
   ledger_.push_back(std::move(record));

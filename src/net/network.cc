@@ -66,17 +66,25 @@ StatusOr<EpochReport> Network::RunEpoch(AggregationProtocol& protocol,
   // `evaluate` span. Only the timeline reports transport, so transport
   // is timed only while it records.
   const std::string scheme = protocol.Name();
-  telemetry::Histogram* source_hist = PhaseHistogram(scheme, "source_init");
-  telemetry::Histogram* merge_hist = PhaseHistogram(scheme, "merge");
-  telemetry::Histogram* eval_hist = PhaseHistogram(scheme, "evaluate");
+  if (phase_histograms_.source_init == nullptr ||
+      phase_histograms_.scheme != scheme) {
+    phase_histograms_ = {scheme, PhaseHistogram(scheme, "source_init"),
+                         PhaseHistogram(scheme, "merge"),
+                         PhaseHistogram(scheme, "evaluate")};
+  }
+  telemetry::Histogram* source_hist = phase_histograms_.source_init;
+  telemetry::Histogram* merge_hist = phase_histograms_.merge;
+  telemetry::Histogram* eval_hist = phase_histograms_.evaluate;
   telemetry::AuditTrail& audit = telemetry::AuditTrail::Global();
   telemetry::EpochTimeline& timeline = telemetry::EpochTimeline::Global();
   const bool attribute = timeline.enabled();
 
   // What each node delivered to its parent this epoch, indexed by the
   // sender's id (the root's entry is the querier's input).
-  std::vector<Bytes> inbox(topology_.num_nodes());
-  std::vector<uint8_t> arrived(topology_.num_nodes(), 0);
+  std::vector<Bytes>& inbox = scratch_.inbox;
+  std::vector<uint8_t>& arrived = scratch_.arrived;
+  inbox.resize(topology_.num_nodes());
+  arrived.assign(topology_.num_nodes(), 0);
 
   Transport& transport = this->transport();
 
@@ -162,14 +170,16 @@ StatusOr<EpochReport> Network::RunEpoch(AggregationProtocol& protocol,
   // in source order below — the loss RNG consumes one draw per delivered
   // message in a fixed sequence, so the epoch's results are bit-identical
   // for any thread count. `live` is also the querier's participating set.
-  std::vector<NodeId> live;
-  live.reserve(topology_.sources().size());
+  std::vector<NodeId>& live = scratch_.live;
+  live.clear();
   for (NodeId src : topology_.sources()) {
     if (!failed_sources_.contains(src)) live.push_back(src);
   }
   // Empty OK slots own no heap; the fan-out overwrites every one.
-  std::vector<StatusOr<Bytes>> psrs(live.size(), Bytes());
-  std::vector<double> psr_seconds(live.size(), 0.0);
+  std::vector<StatusOr<Bytes>>& psrs = scratch_.psrs;
+  psrs.assign(live.size(), Bytes());
+  std::vector<double>& psr_seconds = scratch_.psr_seconds;
+  psr_seconds.assign(live.size(), 0.0);
   auto create_one = [&](size_t i) {
     Stopwatch psr_watch;
     psrs[i] = protocol.SourceInitialize(live[i], epoch);

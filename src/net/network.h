@@ -10,6 +10,7 @@
 
 #include <functional>
 #include <memory>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -20,6 +21,10 @@
 #include "net/message.h"
 #include "net/topology.h"
 #include "net/transport.h"
+
+namespace sies::telemetry {
+class Histogram;
+}  // namespace sies::telemetry
 
 namespace sies::net {
 
@@ -240,6 +245,27 @@ class Network {
   Transport* transport_ = nullptr;  ///< borrowed; nullptr = sim_transport_
   uint64_t lost_messages_ = 0;
   uint64_t retransmits_ = 0;
+  /// The `sies_phase_seconds` series of the scheme that ran last, looked
+  /// up once per scheme rather than once per epoch: each registry lookup
+  /// builds its label key under the registry's mutex, outside every
+  /// phase probe.
+  struct PhaseHistograms {
+    std::string scheme;
+    telemetry::Histogram* source_init = nullptr;
+    telemetry::Histogram* merge = nullptr;
+    telemetry::Histogram* evaluate = nullptr;
+  };
+  PhaseHistograms phase_histograms_;
+  /// RunEpoch's per-epoch working vectors, kept across epochs so that an
+  /// epoch allocates none of them.
+  struct EpochScratch {
+    std::vector<Bytes> inbox;
+    std::vector<uint8_t> arrived;
+    std::vector<NodeId> live;
+    std::vector<StatusOr<Bytes>> psrs;
+    std::vector<double> psr_seconds;
+  };
+  EpochScratch scratch_;
 };
 
 }  // namespace sies::net

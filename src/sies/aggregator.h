@@ -17,7 +17,7 @@ namespace sies::core {
 class Aggregator {
  public:
   explicit Aggregator(Params params) : params_(std::move(params)) {
-    params_.Fp();  // warm the fixed-width context before any sharing
+    params_.Fp();  // build the fixed-width context before any sharing
   }
 
   /// Merging phase: PSR' = Σ PSR_c mod p over the children's PSRs.
@@ -26,7 +26,7 @@ class Aggregator {
 
   /// Merge over `count` PSRs stored back to back at `psrs` (PSR i at
   /// `psrs + i * PsrBytes()`), writing the merged PSR to `out` (also
-  /// PsrBytes() wide). Allocation-free on the fixed-width fast path —
+  /// PsrBytes() wide). Allocation-free on FixedField (sies/field.h) —
   /// the form for PSRs held back to back in one buffer
   /// (bench/batched_crypto's N-source epoch), where the vector-of-Bytes
   /// overload would cost one heap slice per source. Identical bytes to

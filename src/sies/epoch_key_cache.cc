@@ -72,13 +72,15 @@ size_t EpochKeyCache::capacity() const {
   return capacity_;
 }
 
-std::shared_ptr<const EpochKeyCache::GlobalEntry> EpochKeyCache::Global(
-    const Params& params, const crypto::PrfKey& global_key, uint64_t epoch) {
+template <typename F>
+std::shared_ptr<const EpochKeyCache::GlobalEntry<F>> EpochKeyCache::Global(
+    const F& field, const crypto::PrfKey& global_key, uint64_t epoch) {
   static telemetry::Counter* hits = CacheCounter("global", "hit");
   static telemetry::Counter* misses = CacheCounter("global", "miss");
+  Table<GlobalEntry<F>>& table = TablesFor<F>().global;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (auto hit = Find(global_, epoch)) {
+    if (auto hit = Find(table, epoch)) {
       hits->Increment();
       global_hits_.fetch_add(1, std::memory_order_relaxed);
       return hit;
@@ -88,33 +90,28 @@ std::shared_ptr<const EpochKeyCache::GlobalEntry> EpochKeyCache::Global(
   global_misses_.fetch_add(1, std::memory_order_relaxed);
   telemetry::ScopedSpan span("key-derivation", "cache", epoch);
 
-  auto entry = std::make_shared<GlobalEntry>();
-  entry->key = DeriveEpochGlobalKey(params, global_key, epoch);
-  // K_t is in [1, p) and p is prime, so the inverse always exists.
-  entry->key_inv =
-      crypto::BigUint::ModInverse(entry->key, params.prime).value();
-  if (params.Fp() != nullptr) {
-    entry->fast = true;
-    entry->key_fp = crypto::U256::FromBigUint(entry->key).value();
-    entry->key_inv_fp = crypto::U256::FromBigUint(entry->key_inv).value();
-  }
+  auto entry = std::make_shared<GlobalEntry<F>>();
+  entry->key = DeriveEpochGlobalKey(field, global_key, epoch);
 
   std::lock_guard<std::mutex> lock(mu_);
   // A racing thread may have derived the same epoch; keep the first so
   // every caller shares one snapshot.
-  if (auto hit = Find(global_, epoch)) return hit;
-  Insert<GlobalEntry>(global_, epoch, entry);
+  if (auto hit = Find(table, epoch)) return hit;
+  Insert<GlobalEntry<F>>(table, epoch, entry);
   return entry;
 }
 
-std::shared_ptr<const EpochKeyCache::SourceEntry> EpochKeyCache::Sources(
-    const Params& params, const std::vector<crypto::PrfKey>& keys,
-    uint64_t epoch, common::ThreadPool* pool) {
+template <typename F>
+std::shared_ptr<const EpochKeyCache::SourceEntry<F>> EpochKeyCache::Sources(
+    const F& field, const crypto::PrfKey& global_key,
+    const std::vector<crypto::PrfKey>& keys, uint64_t epoch,
+    common::ThreadPool* pool) {
   static telemetry::Counter* hits = CacheCounter("sources", "hit");
   static telemetry::Counter* misses = CacheCounter("sources", "miss");
+  Table<SourceEntry<F>>& table = TablesFor<F>().sources;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (auto hit = Find(sources_, epoch)) {
+    if (auto hit = Find(table, epoch)) {
       hits->Increment();
       source_hits_.fetch_add(1, std::memory_order_relaxed);
       return hit;
@@ -126,20 +123,16 @@ std::shared_ptr<const EpochKeyCache::SourceEntry> EpochKeyCache::Sources(
   // "share-recompute" phase in the paper's cost model.
   telemetry::ScopedSpan span("share-recompute", "cache", epoch);
 
-  auto entry = std::make_shared<SourceEntry>();
+  auto entry = std::make_shared<SourceEntry<F>>();
+  typename F::Element key = DeriveEpochGlobalKey(field, global_key, epoch);
+  // K_t is in [1, p) and p is prime (MakeParams draws a prime, and
+  // provisioning rejects a composite modulus), so the inverse exists.
+  entry->key_inv = field.Inverse(key).value();
+  F::Wipe({&key, 1});
+
   const size_t n = keys.size();
-  // The fixed-width share derivation exists only for the HM1 profile (the
-  // only one whose layout fits under a 256-bit prime).
-  const crypto::Fp256* fp =
-      params.share_prf == SharePrf::kHmacSha1 ? params.Fp() : nullptr;
-  entry->fast = fp != nullptr;
-  if (fp != nullptr) {
-    entry->keys_fp.resize(n);
-    entry->shares_fp.resize(n);
-  } else {
-    entry->keys.resize(n);
-    entry->shares.resize(n);
-  }
+  entry->keys.resize(n);
+  entry->shares.resize(n);
   // Sources are derived in groups so the batch HMAC kernels (two lanes
   // on SHA-NI) always see full batches, and the pool fans out over
   // *groups* in one flat ParallelFor — never a nested dispatch per
@@ -152,22 +145,10 @@ std::shared_ptr<const EpochKeyCache::SourceEntry> EpochKeyCache::Sources(
   auto derive_group = [&](size_t g) {
     const size_t begin = g * kGroup;
     const size_t count = std::min(kGroup, n - begin);
-    if (fp != nullptr) {
-      DeriveEpochSourceKeysFpBatch(*fp, keys.data() + begin, count, epoch,
-                                   entry->keys_fp.data() + begin);
-      DeriveEpochSharesFpBatch(keys.data() + begin, count, epoch,
-                               entry->shares_fp.data() + begin);
-    } else {
-      DeriveEpochSourceKeysBatch(params, keys.data() + begin, count, epoch,
-                                 entry->keys.data() + begin);
-      if (params.share_prf == SharePrf::kHmacSha256) {
-        DeriveEpochSharesHm256Batch(keys.data() + begin, count, epoch,
-                                    entry->shares.data() + begin);
-      } else {
-        DeriveEpochSharesHm1Batch(keys.data() + begin, count, epoch,
-                                  entry->shares.data() + begin);
-      }
-    }
+    DeriveEpochSourceKeysBatch(field, keys.data() + begin, count, epoch,
+                               entry->keys.data() + begin);
+    DeriveEpochSharesBatch(field, keys.data() + begin, count, epoch,
+                           entry->shares.data() + begin);
   };
   if (pool != nullptr && num_groups > 1) {
     pool->ParallelFor(num_groups, derive_group);
@@ -176,15 +157,25 @@ std::shared_ptr<const EpochKeyCache::SourceEntry> EpochKeyCache::Sources(
   }
 
   std::lock_guard<std::mutex> lock(mu_);
-  if (auto hit = Find(sources_, epoch)) return hit;
-  Insert<SourceEntry>(sources_, epoch, entry);
+  if (auto hit = Find(table, epoch)) return hit;
+  Insert<SourceEntry<F>>(table, epoch, entry);
   return entry;
 }
 
+#define SIES_INSTANTIATE_CACHE(F)                                          \
+  template std::shared_ptr<const EpochKeyCache::GlobalEntry<F>>            \
+  EpochKeyCache::Global(const F&, const crypto::PrfKey&, uint64_t);        \
+  template std::shared_ptr<const EpochKeyCache::SourceEntry<F>>            \
+  EpochKeyCache::Sources(const F&, const crypto::PrfKey&,                  \
+                         const std::vector<crypto::PrfKey>&, uint64_t,     \
+                         common::ThreadPool*);
+SIES_INSTANTIATE_CACHE(FixedField)
+SIES_INSTANTIATE_CACHE(BigField)
+#undef SIES_INSTANTIATE_CACHE
+
 void EpochKeyCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  global_.clear();
-  sources_.clear();
+  tables_ = {};
 }
 
 }  // namespace sies::core

@@ -1,14 +1,17 @@
 // Per-epoch temporal-key cache shared by the SIES parties.
 //
-// The temporal material of an epoch t — K_t, K_t^{-1}, and the querier's
-// per-source k_{i,t} / ss_{i,t} — is a pure function of the long-term
-// keys, yet the naive protocol re-derives it at every use: each of N
-// sources pays one HM256 for the same K_t, and the querier pays an
-// extended-Euclid inverse on every channel of every evaluation. This
-// cache computes each epoch's material exactly once and hands out shared
+// The temporal material of an epoch t — K_t for the sources, K_t^{-1}
+// and every k_{i,t} / ss_{i,t} for the querier — is a pure function of
+// the long-term keys, yet the naive protocol re-derives it at every use:
+// each of N sources pays one HM256 for the same K_t, and the querier
+// pays an inverse on every channel of every evaluation. This cache
+// computes each epoch's material exactly once and hands out shared
 // immutable snapshots. Entries are keyed by the (salted) epoch, so
 // multi-channel queries — whose channels deliberately use distinct PRF
 // inputs via SaltedEpoch — occupy distinct entries.
+//
+// Each entry holds one representation, the elements of the field its
+// reader computes in (sies/field.h), and only what that reader uses.
 //
 // Eviction is FIFO with a small capacity: the simulator advances epochs
 // monotonically, and a histogram query touches B+1 salted epochs per
@@ -21,10 +24,11 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <tuple>
 #include <vector>
 
-#include "common/secure.h"
 #include "common/thread_pool.h"
+#include "sies/field.h"
 #include "sies/params.h"
 
 namespace sies::core {
@@ -37,56 +41,49 @@ class EpochKeyCache {
   /// `capacity` bounds the number of retained epochs per table.
   explicit EpochKeyCache(size_t capacity = 32);
 
-  /// Global-key material of one epoch. Zeroized on eviction/destruction:
-  /// an evicted K_t must not linger in freed heap pages.
+  /// K_t of one epoch, the table the sources read. Zeroized on
+  /// eviction/destruction: an evicted K_t must not linger in freed heap
+  /// pages.
+  template <typename F>
   struct GlobalEntry {
-    crypto::BigUint key;      ///< K_t in [1, p)
-    crypto::BigUint key_inv;  ///< K_t^{-1} mod p
-    bool fast = false;        ///< fixed-width mirrors below are valid
-    crypto::U256 key_fp;
-    crypto::U256 key_inv_fp;
+    typename F::Element key;  ///< K_t in [1, p)
 
-    ~GlobalEntry() {
-      key.Wipe();
-      key_inv.Wipe();
-      common::SecureZero(&key_fp, sizeof(key_fp));
-      common::SecureZero(&key_inv_fp, sizeof(key_inv_fp));
-    }
+    ~GlobalEntry() { F::Wipe({&key, 1}); }
   };
 
-  /// Per-source material of one epoch, index-aligned with the querier's
-  /// source_keys. Either the BigUint vectors or the U256 vectors are
-  /// populated, never both (`fast` says which).
+  /// The querier's material of one epoch: K_t^{-1} and, index-aligned
+  /// with its source keys, every k_{i,t} and ss_{i,t}. Zeroized like
+  /// GlobalEntry.
+  template <typename F>
   struct SourceEntry {
-    bool fast = false;
-    std::vector<crypto::BigUint> keys;    ///< k_{i,t}
-    std::vector<crypto::BigUint> shares;  ///< ss_{i,t}
-    std::vector<crypto::U256> keys_fp;
-    std::vector<crypto::U256> shares_fp;
+    typename F::Element key_inv;             ///< K_t^{-1} mod p
+    std::vector<typename F::Element> keys;    ///< k_{i,t}
+    std::vector<typename F::Element> shares;  ///< ss_{i,t}
 
     ~SourceEntry() {
-      for (crypto::BigUint& k : keys) k.Wipe();
-      for (crypto::BigUint& s : shares) s.Wipe();
-      common::SecureZero(keys_fp.data(),
-                         keys_fp.size() * sizeof(crypto::U256));
-      common::SecureZero(shares_fp.data(),
-                         shares_fp.size() * sizeof(crypto::U256));
+      F::Wipe({&key_inv, 1});
+      F::Wipe(keys);
+      F::Wipe(shares);
     }
   };
 
-  /// K_t and K_t^{-1} for `epoch`, derived (and memoized) on first use
-  /// from the schedule of K.
-  std::shared_ptr<const GlobalEntry> Global(const Params& params,
-                                            const crypto::PrfKey& global_key,
-                                            uint64_t epoch);
+  /// K_t for `epoch`, derived (and memoized) on first use from the
+  /// schedule of K. Counts under Stats::global_*.
+  template <typename F>
+  std::shared_ptr<const GlobalEntry<F>> Global(const F& field,
+                                               const crypto::PrfKey& global_key,
+                                               uint64_t epoch);
 
-  /// All sources' k_{i,t} / ss_{i,t} for `epoch`, derived once from the
-  /// schedules of k_i. `pool` (optional) fans the N derivations out
-  /// across lanes; the result is identical for any thread count since
-  /// every index writes its own slot.
-  std::shared_ptr<const SourceEntry> Sources(
-      const Params& params, const std::vector<crypto::PrfKey>& keys,
-      uint64_t epoch, common::ThreadPool* pool);
+  /// The querier's material for `epoch`: K_t^{-1} from the schedule of K,
+  /// and every source's k_{i,t} / ss_{i,t} from the schedules of k_i,
+  /// derived once. `pool` (optional) fans the N derivations out across
+  /// lanes; the result is identical for any thread count since every
+  /// index writes its own slot. Counts under Stats::source_*.
+  template <typename F>
+  std::shared_ptr<const SourceEntry<F>> Sources(
+      const F& field, const crypto::PrfKey& global_key,
+      const std::vector<crypto::PrfKey>& keys, uint64_t epoch,
+      common::ThreadPool* pool);
 
   /// Drops every entry (benchmarks use this to measure cold evaluations).
   /// Hit/miss statistics survive — they describe lookups, not contents.
@@ -103,7 +100,10 @@ class EpochKeyCache {
   /// Current per-table capacity.
   size_t capacity() const;
 
-  /// Lifetime hit/miss/eviction totals per table. Also exported as the
+  /// Lifetime hit/miss/eviction totals per table: `global_*` counts
+  /// Global (the sources' K_t), `source_*` counts Sources (the querier's
+  /// per-epoch material), so a querier's cache reads 0 under `global_*`.
+  /// Also exported as the
   /// labeled counter `sies_epoch_key_cache_events_total` (hits/misses)
   /// and `sies_epoch_key_cache_evictions_total` in the global metrics
   /// registry; these accessors exist so benches (fig6a) can report the
@@ -147,8 +147,18 @@ class EpochKeyCache {
   /// Guarded by mu_ (Insert runs under it).
   uint64_t newest_real_epoch_ = 0;
   mutable std::mutex mu_;
-  Table<GlobalEntry> global_;
-  Table<SourceEntry> sources_;
+  /// One pair of tables per field. A cache serves the parties of one
+  /// Params, so one field's tables stay empty.
+  template <typename F>
+  struct Tables {
+    Table<GlobalEntry<F>> global;
+    Table<SourceEntry<F>> sources;
+  };
+  template <typename F>
+  Tables<F>& TablesFor() {
+    return std::get<Tables<F>>(tables_);
+  }
+  std::tuple<Tables<FixedField>, Tables<BigField>> tables_;
   std::atomic<uint64_t> global_hits_{0};
   std::atomic<uint64_t> global_misses_{0};
   std::atomic<uint64_t> source_hits_{0};

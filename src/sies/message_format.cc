@@ -2,84 +2,84 @@
 
 namespace sies::core {
 
-StatusOr<crypto::BigUint> PackMessage(const Params& params, uint64_t value,
-                                      const crypto::BigUint& share) {
+template <typename F>
+StatusOr<typename F::Element> PackMessage(const F& field, uint64_t value,
+                                          const typename F::Element& share) {
+  const Params& params = field.params();
   if (params.value_bytes < 8) {
     uint64_t field_max = (uint64_t{1} << (8 * params.value_bytes)) - 1;
     if (value > field_max) {
       return Status::OutOfRange("value exceeds the value field width");
     }
   }
-  if (share.BitLength() > 8 * params.share_bytes) {
+  if (F::BitLength(share) > 8 * params.share_bytes) {
     return Status::OutOfRange("share exceeds the share field width");
   }
-  crypto::BigUint m = crypto::BigUint::Shl(crypto::BigUint(value),
-                                           params.ValueShiftBits());
-  return crypto::BigUint::Add(m, share);
+  // Value and share fields are disjoint, so the add never carries into
+  // the value field.
+  return F::IntAdd(F::Shl(F::FromUint64(value), params.ValueShiftBits()),
+                   share);
 }
 
-StatusOr<UnpackedMessage> UnpackMessage(const Params& params,
-                                        const crypto::BigUint& message) {
-  size_t shift = params.ValueShiftBits();
-  crypto::BigUint value = crypto::BigUint::Shr(message, shift);
-  if (value.BitLength() > 8 * params.value_bytes) {
+template <typename F>
+StatusOr<UnpackedMessage<F>> UnpackMessage(
+    const F& field, const typename F::Element& message) {
+  const size_t shift = field.params().ValueShiftBits();
+  typename F::Element value = F::Shr(message, shift);
+  if (F::BitLength(value) > 8 * field.params().value_bytes) {
     return Status::OutOfRange(
         "summed value overflows the value field; configure value_bytes=8");
   }
-  crypto::BigUint share_sum =
-      crypto::BigUint::Sub(message, crypto::BigUint::Shl(value, shift));
-  return UnpackedMessage{value.Low64(), std::move(share_sum)};
+  typename F::Element share_sum = F::IntSub(message, F::Shl(value, shift));
+  return UnpackedMessage<F>{F::Low64(value), std::move(share_sum)};
 }
 
-StatusOr<crypto::BigUint> Encrypt(const Params& params,
-                                  const crypto::BigUint& message,
-                                  const crypto::BigUint& epoch_global_key,
-                                  const crypto::BigUint& epoch_source_key) {
-  if (message >= params.prime) {
+template <typename F>
+StatusOr<typename F::Element> Encrypt(
+    const F& field, const typename F::Element& message,
+    const typename F::Element& epoch_global_key,
+    const typename F::Element& epoch_source_key) {
+  if (!field.IsResidue(message)) {
     return Status::OutOfRange("message must be < p");
   }
-  auto km = crypto::BigUint::ModMul(epoch_global_key, message, params.prime);
-  if (!km.ok()) return km.status();
-  return crypto::BigUint::ModAdd(km.value(), epoch_source_key, params.prime);
+  return field.Add(field.Mul(epoch_global_key, message), epoch_source_key);
 }
 
-StatusOr<crypto::BigUint> Decrypt(const Params& params,
-                                  const crypto::BigUint& ciphertext,
-                                  const crypto::BigUint& epoch_global_key,
-                                  const crypto::BigUint& key_sum) {
-  auto inv = crypto::BigUint::ModInverse(epoch_global_key, params.prime);
-  if (!inv.ok()) return inv.status();
-  return DecryptWithInverse(params, ciphertext, inv.value(), key_sum);
+template <typename F>
+typename F::Element Decrypt(const F& field,
+                            const typename F::Element& ciphertext,
+                            const typename F::Element& global_key_inv,
+                            const typename F::Element& key_sum) {
+  return field.Mul(field.Sub(ciphertext, key_sum), global_key_inv);
 }
 
-StatusOr<crypto::BigUint> DecryptWithInverse(
-    const Params& params, const crypto::BigUint& ciphertext,
-    const crypto::BigUint& global_key_inv, const crypto::BigUint& key_sum) {
-  auto diff = crypto::BigUint::ModSub(ciphertext, key_sum, params.prime);
-  if (!diff.ok()) return diff.status();
-  return crypto::BigUint::ModMul(diff.value(), global_key_inv, params.prime);
-}
-
-StatusOr<Bytes> SerializePsr(const Params& params,
-                             const crypto::BigUint& ciphertext) {
-  return ciphertext.ToBytes(params.PsrBytes());
-}
-
-StatusOr<crypto::BigUint> ParsePsr(const Params& params, const Bytes& psr) {
-  return ParsePsr(params, psr.data(), psr.size());
-}
-
-StatusOr<crypto::BigUint> ParsePsr(const Params& params, const uint8_t* data,
-                                   size_t size) {
-  if (size != params.PsrBytes()) {
+template <typename F>
+StatusOr<typename F::Element> ParsePsr(const F& field, const uint8_t* data,
+                                       size_t size) {
+  if (size != field.PsrBytes()) {
     return Status::InvalidArgument("PSR has wrong width");
   }
-  crypto::BigUint c = crypto::BigUint::FromBytes(data, size);
-  if (c >= params.prime) {
+  typename F::Element c = F::FromBytes(data, size);
+  if (!field.IsResidue(c)) {
     return Status::InvalidArgument("PSR is not a residue mod p");
   }
   return c;
 }
+
+#define SIES_INSTANTIATE_MESSAGE_FORMAT(F)                                  \
+  template StatusOr<F::Element> PackMessage(const F&, uint64_t,             \
+                                            const F::Element&);             \
+  template StatusOr<UnpackedMessage<F>> UnpackMessage(const F&,             \
+                                                      const F::Element&);   \
+  template StatusOr<F::Element> Encrypt(const F&, const F::Element&,        \
+                                        const F::Element&,                  \
+                                        const F::Element&);                 \
+  template F::Element Decrypt(const F&, const F::Element&,                  \
+                              const F::Element&, const F::Element&);        \
+  template StatusOr<F::Element> ParsePsr(const F&, const uint8_t*, size_t);
+SIES_INSTANTIATE_MESSAGE_FORMAT(FixedField)
+SIES_INSTANTIATE_MESSAGE_FORMAT(BigField)
+#undef SIES_INSTANTIATE_MESSAGE_FORMAT
 
 size_t WireEnvelopeBytes(const Params& params, size_t channels) {
   return channels * params.PsrBytes();
@@ -154,71 +154,6 @@ Status AppendMergedField(std::span<const net::SourceRange> child_ranges,
   }
   merged.AppendField(out);
   return Status::OK();
-}
-
-StatusOr<crypto::U256> PackMessageFp(const Params& params, uint64_t value,
-                                     const crypto::U256& share) {
-  if (params.value_bytes < 8) {
-    uint64_t field_max = (uint64_t{1} << (8 * params.value_bytes)) - 1;
-    if (value > field_max) {
-      return Status::OutOfRange("value exceeds the value field width");
-    }
-  }
-  if (share.BitLength() > 8 * params.share_bytes) {
-    return Status::OutOfRange("share exceeds the share field width");
-  }
-  // Value and share fields are disjoint (Validate guarantees the layout
-  // fits in the prime's 256 bits), so the add cannot carry.
-  crypto::U256 m;
-  crypto::U256::Add(crypto::U256::FromUint64(value).Shl(params.ValueShiftBits()),
-                    share, &m);
-  return m;
-}
-
-StatusOr<UnpackedMessageFp> UnpackMessageFp(const Params& params,
-                                            const crypto::U256& message) {
-  size_t shift = params.ValueShiftBits();
-  crypto::U256 value = message.Shr(shift);
-  if (value.BitLength() > 8 * params.value_bytes) {
-    return Status::OutOfRange(
-        "summed value overflows the value field; configure value_bytes=8");
-  }
-  crypto::U256 share_sum;
-  crypto::U256::Sub(message, value.Shl(shift), &share_sum);
-  return UnpackedMessageFp{value.Low64(), share_sum};
-}
-
-StatusOr<crypto::U256> EncryptFp(const crypto::Fp256& fp,
-                                 const crypto::U256& message,
-                                 const crypto::U256& epoch_global_key,
-                                 const crypto::U256& epoch_source_key) {
-  if (message.Compare(fp.prime_u256()) >= 0) {
-    return Status::OutOfRange("message must be < p");
-  }
-  return fp.Add(fp.Mul(epoch_global_key, message), epoch_source_key);
-}
-
-crypto::U256 DecryptFp(const crypto::Fp256& fp, const crypto::U256& ciphertext,
-                       const crypto::U256& global_key_inv,
-                       const crypto::U256& key_sum) {
-  return fp.Mul(fp.Sub(ciphertext, key_sum), global_key_inv);
-}
-
-StatusOr<crypto::U256> ParsePsrFp(const Params& params,
-                                  const crypto::Fp256& fp, const Bytes& psr) {
-  return ParsePsrFp(params, fp, psr.data(), psr.size());
-}
-
-StatusOr<crypto::U256> ParsePsrFp(const Params& params, const crypto::Fp256& fp,
-                                  const uint8_t* data, size_t size) {
-  if (size != params.PsrBytes()) {
-    return Status::InvalidArgument("PSR has wrong width");
-  }
-  crypto::U256 c = crypto::U256::FromBytesBE(data, size);
-  if (c.Compare(fp.prime_u256()) >= 0) {
-    return Status::InvalidArgument("PSR is not a residue mod p");
-  }
-  return c;
 }
 
 }  // namespace sies::core

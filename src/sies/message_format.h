@@ -14,58 +14,59 @@
 #include <span>
 
 #include "sies/contributor_set.h"
+#include "sies/field.h"
 #include "sies/params.h"
 
 namespace sies::core {
 
+// Each operation below is one template over the field it computes in
+// (sies/field.h), instantiated for FixedField and BigField; the two give
+// the same bytes and the same error messages.
+
 /// Packs a value and a share into the m_{i,t} integer.
 /// Fails if `value` exceeds the value field or `share` the share field.
-StatusOr<crypto::BigUint> PackMessage(const Params& params, uint64_t value,
-                                      const crypto::BigUint& share);
+template <typename F>
+StatusOr<typename F::Element> PackMessage(const F& field, uint64_t value,
+                                          const typename F::Element& share);
 
 /// Decoded contents of a summed message m_{f,t}.
+template <typename F>
 struct UnpackedMessage {
-  uint64_t sum = 0;            ///< res_t, the SUM result field
-  crypto::BigUint share_sum;   ///< s_t, the summed-share field (incl. carry)
+  uint64_t sum = 0;               ///< res_t, the SUM result field
+  typename F::Element share_sum;  ///< s_t, the summed-share field (+carry)
 };
 
 /// Splits a (possibly summed) message back into (res_t, s_t).
 /// Fails if the value field overflows its width (Σv too large for the
 /// configured value_bytes).
-StatusOr<UnpackedMessage> UnpackMessage(const Params& params,
-                                        const crypto::BigUint& message);
+template <typename F>
+StatusOr<UnpackedMessage<F>> UnpackMessage(const F& field,
+                                           const typename F::Element& message);
 
-/// E(m, K_t, k_{i,t}, p) = K_t · m + k_{i,t} mod p.
-StatusOr<crypto::BigUint> Encrypt(const Params& params,
-                                  const crypto::BigUint& message,
-                                  const crypto::BigUint& epoch_global_key,
-                                  const crypto::BigUint& epoch_source_key);
+/// E(m, K_t, k_{i,t}, p) = K_t · m + k_{i,t} mod p. Fails unless m < p.
+template <typename F>
+StatusOr<typename F::Element> Encrypt(
+    const F& field, const typename F::Element& message,
+    const typename F::Element& epoch_global_key,
+    const typename F::Element& epoch_source_key);
 
 /// D(c, K_t, k, p) = (c - k) · K_t^{-1} mod p, where k is the sum of the
-/// epoch source keys of all contributing sources.
-StatusOr<crypto::BigUint> Decrypt(const Params& params,
-                                  const crypto::BigUint& ciphertext,
-                                  const crypto::BigUint& epoch_global_key,
-                                  const crypto::BigUint& key_sum);
+/// epoch source keys of all contributing sources. Takes K_t^{-1}, which
+/// the querier derives once per epoch (EpochKeyCache) instead of paying
+/// an inverse on every channel of every evaluation.
+template <typename F>
+typename F::Element Decrypt(const F& field,
+                            const typename F::Element& ciphertext,
+                            const typename F::Element& global_key_inv,
+                            const typename F::Element& key_sum);
 
-/// Decrypt with K_t^{-1} already in hand: the querier derives the inverse
-/// once per epoch (EpochKeyCache) instead of paying an extended Euclid on
-/// every channel of every evaluation.
-StatusOr<crypto::BigUint> DecryptWithInverse(
-    const Params& params, const crypto::BigUint& ciphertext,
-    const crypto::BigUint& global_key_inv, const crypto::BigUint& key_sum);
-
-/// Serializes a ciphertext as a fixed-width (PsrBytes) big-endian PSR.
-StatusOr<Bytes> SerializePsr(const Params& params,
-                             const crypto::BigUint& ciphertext);
-
-/// Parses a PSR. Fails on wrong width or a value >= p.
-StatusOr<crypto::BigUint> ParsePsr(const Params& params, const Bytes& psr);
-
-/// In-place overload: parses `size` PSR bytes at `data` without copying
-/// (wire envelopes evaluate their body straight out of the payload).
-StatusOr<crypto::BigUint> ParsePsr(const Params& params, const uint8_t* data,
-                                   size_t size);
+/// Parses the `size` PSR bytes at `data` in place (wire envelopes
+/// evaluate their body straight out of the payload). Fails on wrong
+/// width or a value >= p. The inverse is the field's Store, which writes
+/// a ciphertext as the fixed-width (PsrBytes) big-endian PSR.
+template <typename F>
+StatusOr<typename F::Element> ParsePsr(const F& field, const uint8_t* data,
+                                       size_t size);
 
 // --- Loss-reporting wire envelope -----------------------------------------
 //
@@ -113,48 +114,6 @@ StatusOr<WirePayload> ParseWireEnvelope(const Params& params,
 Status AppendMergedField(std::span<const net::SourceRange> child_ranges,
                          const std::vector<Bytes>& children,
                          size_t body_bytes, Bytes& out);
-
-// --- Fixed-width fast path ------------------------------------------------
-//
-// Mirrors of the operations above over crypto::U256, used by every party
-// when params.Fp() is non-null (prime of exactly 256 bits, the reference
-// configuration). Semantics, wire bytes, and error messages are identical
-// to the BigUint path; only the arithmetic substrate changes.
-
-/// Fast-path PackMessage. The share must fit its field (HM1 shares are 20
-/// bytes, so on the fast path this holds by construction).
-StatusOr<crypto::U256> PackMessageFp(const Params& params, uint64_t value,
-                                     const crypto::U256& share);
-
-/// Fast-path UnpackMessage result.
-struct UnpackedMessageFp {
-  uint64_t sum = 0;         ///< res_t
-  crypto::U256 share_sum;   ///< s_t
-};
-
-/// Fast-path UnpackMessage. Fails on value-field overflow like the
-/// generic variant.
-StatusOr<UnpackedMessageFp> UnpackMessageFp(const Params& params,
-                                            const crypto::U256& message);
-
-/// Fast-path Encrypt: E(m) = K_t · m + k_{i,t} mod p.
-StatusOr<crypto::U256> EncryptFp(const crypto::Fp256& fp,
-                                 const crypto::U256& message,
-                                 const crypto::U256& epoch_global_key,
-                                 const crypto::U256& epoch_source_key);
-
-/// Fast-path Decrypt; the caller supplies the cached K_t^{-1}.
-crypto::U256 DecryptFp(const crypto::Fp256& fp, const crypto::U256& ciphertext,
-                       const crypto::U256& global_key_inv,
-                       const crypto::U256& key_sum);
-
-/// Fast-path ParsePsr (width + residue checks, same error messages).
-StatusOr<crypto::U256> ParsePsrFp(const Params& params,
-                                  const crypto::Fp256& fp, const Bytes& psr);
-
-/// In-place overload of the fast-path parse (see ParsePsr above).
-StatusOr<crypto::U256> ParsePsrFp(const Params& params, const crypto::Fp256& fp,
-                                  const uint8_t* data, size_t size);
 
 }  // namespace sies::core
 

@@ -8,6 +8,7 @@
 #include "crypto/hmac.h"
 #include "crypto/hmac_drbg.h"
 #include "crypto/prime.h"
+#include "sies/field.h"
 
 namespace sies::core {
 
@@ -118,84 +119,6 @@ void ShareInput(uint64_t epoch, uint8_t out[kShareInputBytes]) {
   StoreBigEndian64(epoch, out + 5);
 }
 
-}  // namespace
-
-crypto::BigUint DeriveEpochGlobalKey(const Params& params,
-                                     const crypto::PrfKey& global_key,
-                                     uint64_t epoch) {
-  // HM256(K, t) mod p is the k_{i,t} derivation applied to K.
-  crypto::BigUint k = DeriveEpochSourceKey(params, global_key, epoch);
-  if (k.IsZero()) k = crypto::BigUint(1);  // K_t must be invertible
-  return k;
-}
-
-crypto::BigUint DeriveEpochSourceKey(const Params& params,
-                                     const crypto::PrfKey& source_key,
-                                     uint64_t epoch) {
-  uint8_t prf[32];
-  crypto::EpochPrfSha256Into(source_key, epoch, prf);
-  crypto::BigUint raw = crypto::BigUint::FromBytes(prf, sizeof(prf));
-  common::SecureZero(prf, sizeof(prf));
-  crypto::BigUint k = crypto::BigUint::Mod(raw, params.prime).value();
-  raw.Wipe();
-  return k;
-}
-
-crypto::BigUint DeriveEpochShare(const Params& params,
-                                 const crypto::PrfKey& source_key,
-                                 uint64_t epoch) {
-  if (params.share_prf == SharePrf::kHmacSha1) {
-    return DeriveEpochShare(source_key, epoch);
-  }
-  uint8_t input[kShareInputBytes];
-  ShareInput(epoch, input);
-  uint8_t prf[32];
-  crypto::HmacSha256Into(source_key, crypto::ByteView(input, sizeof(input)),
-                         prf);
-  crypto::BigUint share = crypto::BigUint::FromBytes(prf, sizeof(prf));
-  common::SecureZero(prf, sizeof(prf));
-  return share;
-}
-
-crypto::BigUint DeriveEpochShare(const crypto::PrfKey& source_key,
-                                 uint64_t epoch) {
-  uint8_t prf[20];
-  crypto::EpochPrfSha1Into(source_key, epoch, prf);
-  crypto::BigUint share = crypto::BigUint::FromBytes(prf, sizeof(prf));
-  common::SecureZero(prf, sizeof(prf));
-  return share;
-}
-
-crypto::U256 DeriveEpochGlobalKeyFp(const crypto::Fp256& fp,
-                                    const crypto::PrfKey& global_key,
-                                    uint64_t epoch) {
-  // HM256(K, t) mod p is the k_{i,t} derivation applied to K.
-  crypto::U256 k = DeriveEpochSourceKeyFp(fp, global_key, epoch);
-  if (k.IsZero()) k = crypto::U256::FromUint64(1);  // K_t must be invertible
-  return k;
-}
-
-crypto::U256 DeriveEpochSourceKeyFp(const crypto::Fp256& fp,
-                                    const crypto::PrfKey& source_key,
-                                    uint64_t epoch) {
-  uint8_t prf[32];
-  crypto::EpochPrfSha256Into(source_key, epoch, prf);
-  crypto::U256 k = fp.Reduce(crypto::U256::FromBytesBE(prf, sizeof(prf)));
-  common::SecureZero(prf, sizeof(prf));
-  return k;
-}
-
-crypto::U256 DeriveEpochShareFp(const crypto::PrfKey& source_key,
-                                uint64_t epoch) {
-  uint8_t prf[20];
-  crypto::EpochPrfSha1Into(source_key, epoch, prf);
-  crypto::U256 share = crypto::U256::FromBytesBE(prf, sizeof(prf));
-  common::SecureZero(prf, sizeof(prf));
-  return share;
-}
-
-namespace {
-
 // Chunk width for the batch derivations: even, so the two-lane kernel
 // pairs every key of a full chunk, and small enough that the per-chunk
 // digest scratch (kDeriveChunk x 32 B) stays on the stack. The chunking
@@ -204,91 +127,111 @@ constexpr size_t kDeriveChunk = 64;
 
 }  // namespace
 
-void DeriveEpochSourceKeysFpBatch(const crypto::Fp256& fp,
-                                  const crypto::PrfKey* keys, size_t count,
-                                  uint64_t epoch, crypto::U256* out) {
+template <typename F>
+typename F::Element DeriveEpochGlobalKey(const F& field,
+                                         const crypto::PrfKey& global_key,
+                                         uint64_t epoch) {
+  // HM256(K, t) mod p is the k_{i,t} derivation applied to K.
+  typename F::Element k = DeriveEpochSourceKey(field, global_key, epoch);
+  if (F::IsZero(k)) k = F::FromUint64(1);  // K_t must be invertible
+  return k;
+}
+
+template <typename F>
+typename F::Element DeriveEpochSourceKey(const F& field,
+                                         const crypto::PrfKey& source_key,
+                                         uint64_t epoch) {
+  uint8_t prf[32];
+  crypto::EpochPrfSha256Into(source_key, epoch, prf);
+  typename F::Element k = field.Reduce(prf, sizeof(prf));
+  common::SecureZero(prf, sizeof(prf));
+  return k;
+}
+
+template <typename F>
+typename F::Element DeriveEpochShare(const F& field,
+                                     const crypto::PrfKey& source_key,
+                                     uint64_t epoch) {
+  if (field.params().share_prf == SharePrf::kHmacSha1) {
+    uint8_t prf[20];
+    crypto::EpochPrfSha1Into(source_key, epoch, prf);
+    typename F::Element share = F::FromBytes(prf, sizeof(prf));
+    common::SecureZero(prf, sizeof(prf));
+    return share;
+  }
+  uint8_t input[kShareInputBytes];
+  ShareInput(epoch, input);
+  uint8_t prf[32];
+  crypto::HmacSha256Into(source_key, crypto::ByteView(input, sizeof(input)),
+                         prf);
+  typename F::Element share = F::FromBytes(prf, sizeof(prf));
+  common::SecureZero(prf, sizeof(prf));
+  return share;
+}
+
+template <typename F>
+void DeriveEpochSourceKeysBatch(const F& field, const crypto::PrfKey* keys,
+                                size_t count, uint64_t epoch,
+                                typename F::Element* out) {
   uint8_t digests[kDeriveChunk * 32];
   for (size_t off = 0; off < count; off += kDeriveChunk) {
     const size_t take = std::min(kDeriveChunk, count - off);
     crypto::EpochPrfSha256Batch(take, keys + off, epoch, digests);
     for (size_t j = 0; j < take; ++j) {
-      out[off + j] =
-          fp.Reduce(crypto::U256::FromBytesBE(digests + 32 * j, 32));
+      out[off + j] = field.Reduce(digests + 32 * j, 32);
     }
   }
   common::SecureZero(digests, sizeof(digests));
 }
 
-void DeriveEpochSourceKeysBatch(const Params& params,
-                                const crypto::PrfKey* keys, size_t count,
-                                uint64_t epoch, crypto::BigUint* out) {
-  uint8_t digests[kDeriveChunk * 32];
-  for (size_t off = 0; off < count; off += kDeriveChunk) {
-    const size_t take = std::min(kDeriveChunk, count - off);
-    crypto::EpochPrfSha256Batch(take, keys + off, epoch, digests);
-    for (size_t j = 0; j < take; ++j) {
-      crypto::BigUint raw = crypto::BigUint::FromBytes(digests + 32 * j, 32);
-      out[off + j] = crypto::BigUint::Mod(raw, params.prime).value();
-      raw.Wipe();
+template <typename F>
+void DeriveEpochSharesBatch(const F& field, const crypto::PrfKey* keys,
+                            size_t count, uint64_t epoch,
+                            typename F::Element* out) {
+  if (field.params().share_prf == SharePrf::kHmacSha1) {
+    // HM1(k_i, t), a chunk at a time through the HM1 batch, which takes
+    // key pointers.
+    const crypto::PrfKey* chunk[kDeriveChunk];
+    uint8_t digests[kDeriveChunk * 20];
+    for (size_t off = 0; off < count; off += kDeriveChunk) {
+      const size_t take = std::min(kDeriveChunk, count - off);
+      for (size_t j = 0; j < take; ++j) chunk[j] = &keys[off + j];
+      crypto::EpochPrfSha1Batch(take, chunk, epoch, digests);
+      for (size_t j = 0; j < take; ++j) {
+        out[off + j] = F::FromBytes(digests + 20 * j, 20);
+      }
     }
+    common::SecureZero(digests, sizeof(digests));
+    return;
   }
-  common::SecureZero(digests, sizeof(digests));
-}
-
-namespace {
-
-// HM1(k_i, t) of the `count` keys at `keys`, a chunk at a time through
-// the HM1 batch (which takes key pointers); `emit(i, digest)` converts
-// tag i. The digest scratch is wiped once, after the last chunk.
-template <typename Emit>
-void EpochSharesHm1Batch(const crypto::PrfKey* keys, size_t count,
-                         uint64_t epoch, Emit emit) {
-  const crypto::PrfKey* chunk[kDeriveChunk];
-  uint8_t digests[kDeriveChunk * 20];
-  for (size_t off = 0; off < count; off += kDeriveChunk) {
-    const size_t take = std::min(kDeriveChunk, count - off);
-    for (size_t j = 0; j < take; ++j) chunk[j] = &keys[off + j];
-    crypto::EpochPrfSha1Batch(take, chunk, epoch, digests);
-    for (size_t j = 0; j < take; ++j) emit(off + j, digests + 20 * j);
-  }
-  common::SecureZero(digests, sizeof(digests));
-}
-
-}  // namespace
-
-void DeriveEpochSharesFpBatch(const crypto::PrfKey* keys, size_t count,
-                              uint64_t epoch, crypto::U256* out) {
-  EpochSharesHm1Batch(keys, count, epoch,
-                      [out](size_t i, const uint8_t* digest) {
-                        out[i] = crypto::U256::FromBytesBE(digest, 20);
-                      });
-}
-
-void DeriveEpochSharesHm1Batch(const crypto::PrfKey* keys, size_t count,
-                               uint64_t epoch, crypto::BigUint* out) {
-  EpochSharesHm1Batch(keys, count, epoch,
-                      [out](size_t i, const uint8_t* digest) {
-                        out[i] = crypto::BigUint::FromBytes(digest, 20);
-                      });
-}
-
-void DeriveEpochSharesHm256Batch(const crypto::PrfKey* keys, size_t count,
-                                 uint64_t epoch, crypto::BigUint* out) {
-  // Same domain-separated input as DeriveEpochShare's HM256 branch,
-  // identical for every source in the batch.
+  // HM256(k_i, "share" || t): the same input for every key in the batch.
   uint8_t input[kShareInputBytes];
   ShareInput(epoch, input);
   const crypto::ByteView msg(input, sizeof(input));
-
   uint8_t digests[kDeriveChunk * 32];
   for (size_t off = 0; off < count; off += kDeriveChunk) {
     const size_t take = std::min(kDeriveChunk, count - off);
     crypto::PrfSha256Batch(take, keys + off, msg, digests);
     for (size_t j = 0; j < take; ++j) {
-      out[off + j] = crypto::BigUint::FromBytes(digests + 32 * j, 32);
+      out[off + j] = F::FromBytes(digests + 32 * j, 32);
     }
   }
   common::SecureZero(digests, sizeof(digests));
 }
+
+#define SIES_INSTANTIATE_DERIVATIONS(F)                                    \
+  template F::Element DeriveEpochGlobalKey(const F&, const crypto::PrfKey&, \
+                                           uint64_t);                      \
+  template F::Element DeriveEpochSourceKey(const F&, const crypto::PrfKey&, \
+                                           uint64_t);                      \
+  template F::Element DeriveEpochShare(const F&, const crypto::PrfKey&,     \
+                                       uint64_t);                          \
+  template void DeriveEpochSourceKeysBatch(const F&, const crypto::PrfKey*, \
+                                           size_t, uint64_t, F::Element*); \
+  template void DeriveEpochSharesBatch(const F&, const crypto::PrfKey*,     \
+                                       size_t, uint64_t, F::Element*);
+SIES_INSTANTIATE_DERIVATIONS(FixedField)
+SIES_INSTANTIATE_DERIVATIONS(BigField)
+#undef SIES_INSTANTIATE_DERIVATIONS
 
 }  // namespace sies::core

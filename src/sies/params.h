@@ -58,12 +58,12 @@ struct Params {
   /// Checks internal consistency (field layout fits under p, etc.).
   Status Validate() const;
 
-  /// Fixed-width fast-path context for `prime`, or nullptr when the prime
-  /// is not exactly 256 bits (then all parties stay on the generic BigUint
-  /// path; see DESIGN.md "Two-tier arithmetic"). The context (Barrett
-  /// constant) is computed on first call and cached; copies of a Params
-  /// share the cached context. The first call is not thread-safe — parties
-  /// that share a Params across threads call Fp() once at construction.
+  /// Fixed-width context for `prime`, or nullptr when the prime is not
+  /// exactly 256 bits. sies/field.h's WithField reads it to pick the
+  /// field (DESIGN.md §7). The context (Barrett constant) is computed on
+  /// first call and cached; copies of a Params share the cached context.
+  /// The first call is not thread-safe — parties that share a Params
+  /// across threads call Fp() once at construction.
   const crypto::Fp256* Fp() const;
 
   /// Internal Fp() cache slot; tracks the prime it was computed for so a
@@ -106,94 +106,60 @@ QuerierKeys GenerateKeys(const Params& params, const Bytes& master_seed);
 StatusOr<SourceKeys> KeysForSource(const QuerierKeys& keys, uint32_t index);
 
 // --- Temporal key derivation (initialization phase, shared by source and
-// --- querier so it lives here). Every derivation runs from the long-term
-// --- key's schedule (crypto::PrfKey, built once per key by the party
-// --- that holds it): two SHA compressions per PRF instead of four, same
-// --- bytes as the one-shot HMAC of the raw key. ---
+// --- querier so it lives here). Each derivation is one template over the
+// --- field it computes in (sies/field.h: FixedField or BigField),
+// --- instantiated for both; F::Element is that field's element type.
+// --- Every derivation runs from the long-term key's schedule
+// --- (crypto::PrfKey, built once per key by the party that holds it):
+// --- two SHA compressions per PRF instead of four, same bytes as the
+// --- one-shot HMAC of the raw key. PRF outputs pass through wiped stack
+// --- buffers, so on FixedField a source's whole PSR creation allocates
+// --- nothing.
 
 /// K_t = HM256(K, t), reduced into [1, p): the multiplicative key must be
 /// nonzero for decryption to exist. The reduction is deterministic, so
 /// source and querier always agree.
-crypto::BigUint DeriveEpochGlobalKey(const Params& params,
-                                     const crypto::PrfKey& global_key,
-                                     uint64_t epoch);
+template <typename F>
+typename F::Element DeriveEpochGlobalKey(const F& field,
+                                         const crypto::PrfKey& global_key,
+                                         uint64_t epoch);
 
 /// k_{i,t} = HM256(k_i, t), reduced into [0, p).
-crypto::BigUint DeriveEpochSourceKey(const Params& params,
+template <typename F>
+typename F::Element DeriveEpochSourceKey(const F& field,
+                                         const crypto::PrfKey& source_key,
+                                         uint64_t epoch);
+
+/// ss_{i,t}: HM1(k_i, t) (20 bytes) or HM256(k_i, "share" || t)
+/// (32 bytes) depending on the field's params.share_prf, as an integer.
+/// The SHA-256 variant is domain-separated from the k_{i,t} derivation,
+/// which also uses HM256 on the same key.
+template <typename F>
+typename F::Element DeriveEpochShare(const F& field,
                                      const crypto::PrfKey& source_key,
                                      uint64_t epoch);
 
-/// ss_{i,t}: HM1(k_i, t) (20 bytes) or HM256(k_i, "share" || t)
-/// (32 bytes) depending on params.share_prf, as an integer. The SHA-256
-/// variant is domain-separated from the k_{i,t} derivation, which also
-/// uses HM256 on the same key.
-crypto::BigUint DeriveEpochShare(const Params& params,
-                                 const crypto::PrfKey& source_key,
-                                 uint64_t epoch);
-
-/// Paper-configuration convenience (HM1 shares).
-crypto::BigUint DeriveEpochShare(const crypto::PrfKey& source_key,
-                                 uint64_t epoch);
-
-// --- Fixed-width derivation (the Fp256 fast path). Bit-identical to the
-// --- BigUint derivations above: same PRF bytes, same reduction (a single
-// --- conditional subtract, since the PRF output is < 2^256 <= 2p). These
-// --- run the heap-free PRFs (crypto::EpochPrfSha*Into) into wiped stack
-// --- buffers, so a source's whole PSR creation allocates nothing.
-
-/// K_t as a U256, reduced into [1, p).
-crypto::U256 DeriveEpochGlobalKeyFp(const crypto::Fp256& fp,
-                                    const crypto::PrfKey& global_key,
-                                    uint64_t epoch);
-
-/// k_{i,t} as a U256, reduced into [0, p).
-crypto::U256 DeriveEpochSourceKeyFp(const crypto::Fp256& fp,
-                                    const crypto::PrfKey& source_key,
-                                    uint64_t epoch);
-
-/// ss_{i,t} as a U256. Only valid for the HM1 profile (20-byte shares) —
-/// the only share PRF whose layout fits under a 256-bit prime, hence the
-/// only one the fast path ever sees.
-crypto::U256 DeriveEpochShareFp(const crypto::PrfKey& source_key,
-                                uint64_t epoch);
-
-// --- Batched derivation (the multi-buffer fast path). Each function is
-// --- bit-identical to calling its scalar counterpart above once per
-// --- key — same PRF bytes (crypto::EpochPrfSha256Batch and
-// --- crypto::EpochPrfSha1Batch run the HMACs two lanes at a time on
+// --- Batched derivation. Each batch is bit-identical to calling its
+// --- single-key counterpart above once per key — same PRF bytes
+// --- (crypto::EpochPrfSha256Batch, crypto::EpochPrfSha1Batch and
+// --- crypto::PrfSha256Batch run the HMACs two lanes at a time on
 // --- SHA-NI, one at a time on the portable body), same reduction — so
 // --- cache contents never depend on whether the batch path ran. Pinned
-// --- by tests/sies/epoch_key_cache_test.cc, tests/crypto/sha256x8_test
-// --- and tests/crypto/hmac_lanes_test.
+// --- by tests/sies/field_test.cc, tests/sies/epoch_key_cache_test.cc,
+// --- tests/crypto/sha256x8_test and tests/crypto/hmac_lanes_test.
 
-/// k_{i,t} of the `count` keys at `keys` into out[0..count), as U256
-/// reduced into [0, p). Equals DeriveEpochSourceKeyFp per key.
-void DeriveEpochSourceKeysFpBatch(const crypto::Fp256& fp,
-                                  const crypto::PrfKey* keys, size_t count,
-                                  uint64_t epoch, crypto::U256* out);
+/// k_{i,t} of the `count` keys at `keys` into out[0..count).
+template <typename F>
+void DeriveEpochSourceKeysBatch(const F& field, const crypto::PrfKey* keys,
+                                size_t count, uint64_t epoch,
+                                typename F::Element* out);
 
-/// k_{i,t} of the `count` keys at `keys` into out[0..count), as BigUint
-/// reduced mod p. Equals DeriveEpochSourceKey per key.
-void DeriveEpochSourceKeysBatch(const Params& params,
-                                const crypto::PrfKey* keys, size_t count,
-                                uint64_t epoch, crypto::BigUint* out);
-
-/// ss_{i,t} of the HM1 profile as U256, the `count` keys at `keys` into
-/// out[0..count). Equals DeriveEpochShareFp per key.
-void DeriveEpochSharesFpBatch(const crypto::PrfKey* keys, size_t count,
-                              uint64_t epoch, crypto::U256* out);
-
-/// ss_{i,t} of the HM1 profile as BigUint, the `count` keys at `keys`
-/// into out[0..count). Equals DeriveEpochShare per key (only call when
-/// params.share_prf == SharePrf::kHmacSha1).
-void DeriveEpochSharesHm1Batch(const crypto::PrfKey* keys, size_t count,
-                               uint64_t epoch, crypto::BigUint* out);
-
-/// ss_{i,t} for the hardened HM256 profile, the `count` keys at `keys`
-/// into out[0..count). Equals DeriveEpochShare per key (only call when
-/// params.share_prf == SharePrf::kHmacSha256).
-void DeriveEpochSharesHm256Batch(const crypto::PrfKey* keys, size_t count,
-                                 uint64_t epoch, crypto::BigUint* out);
+/// ss_{i,t} of the `count` keys at `keys` into out[0..count), through the
+/// share PRF the field's params name.
+template <typename F>
+void DeriveEpochSharesBatch(const F& field, const crypto::PrfKey* keys,
+                            size_t count, uint64_t epoch,
+                            typename F::Element* out);
 
 }  // namespace sies::core
 

@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "crypto/prime.h"
 #include "crypto/secure_bytes.h"
 #include "crypto/sha256.h"
 
@@ -104,6 +105,13 @@ StatusOr<Params> ReadParams(Reader& reader) {
   if (!prime.ok()) return prime.status();
   params.prime = crypto::BigUint::FromBytes(prime.value());
   SIES_RETURN_IF_ERROR(params.Validate());
+  // Validate checks the layout only. A composite modulus would leave K_t
+  // without an inverse, so a file naming one is rejected here, before any
+  // party computes with it. (MakeParams draws a prime and skips this.)
+  Xoshiro256 rng(0x5349455350524d31ull);
+  if (!crypto::IsProbablePrime(params.prime, rng)) {
+    return Status::InvalidArgument("modulus is not prime");
+  }
   return params;
 }
 

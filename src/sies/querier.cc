@@ -1,6 +1,7 @@
 #include "sies/querier.h"
 
 #include <numeric>
+#include <type_traits>
 
 #include "telemetry/metrics.h"
 
@@ -37,7 +38,7 @@ Querier::Querier(Params params, crypto::PrfKey global_key,
       global_key_(std::move(global_key)),
       source_keys_(std::move(source_keys)),
       cache_(std::make_shared<EpochKeyCache>()) {
-  params_.Fp();  // warm the fixed-width context before any sharing
+  params_.Fp();  // build the fixed-width context before any sharing
   psr_bytes_ = params_.PsrBytes();
   all_sources_.resize(params_.num_sources);
   std::iota(all_sources_.begin(), all_sources_.end(), 0u);
@@ -55,11 +56,9 @@ StatusOr<Evaluation> Querier::EvaluateCore(
     const std::vector<uint32_t>& participating) const {
   const QuerierMetrics& metrics = QuerierMetrics::Get();
   metrics.evaluations->Increment();
-  const crypto::Fp256* fp =
-      params_.share_prf == SharePrf::kHmacSha1 ? params_.Fp() : nullptr;
-
-  if (fp != nullptr) {
-    auto ciphertext = ParsePsrFp(params_, *fp, body, body_len);
+  return WithField(params_, [&](const auto& field) -> StatusOr<Evaluation> {
+    using F = std::decay_t<decltype(field)>;
+    auto ciphertext = ParsePsr(field, body, body_len);
     if (!ciphertext.ok()) return ciphertext.status();
     for (uint32_t index : participating) {
       if (index >= source_keys_.size()) {
@@ -67,23 +66,21 @@ StatusOr<Evaluation> Querier::EvaluateCore(
       }
     }
 
-    auto global = cache_->Global(params_, global_key_, epoch);
-    auto per_source =
-        cache_->Sources(params_, source_keys_, epoch, pool_);
+    auto material =
+        cache_->Sources(field, global_key_, source_keys_, epoch, pool_);
 
     // Σ k_{i,t} mod p and the plain integer Σ ss_{i,t} over the
-    // participants. Shares are < 2^160 and N < 2^32, so the share sum
-    // stays below 2^192 — no carry out of a U256.
-    crypto::U256 key_sum;
-    crypto::U256 share_sum;
+    // participants. Shares are < 2^(8·share_bytes) and N < 2^pad_bits,
+    // so the share sum fits its field below p.
+    typename F::Element key_sum{};
+    typename F::Element share_sum{};
     for (uint32_t index : participating) {
-      key_sum = fp->Add(key_sum, per_source->keys_fp[index]);
-      crypto::U256::Add(share_sum, per_source->shares_fp[index], &share_sum);
+      key_sum = field.Add(key_sum, material->keys[index]);
+      share_sum = F::IntAdd(share_sum, material->shares[index]);
     }
 
-    crypto::U256 message =
-        DecryptFp(*fp, ciphertext.value(), global->key_inv_fp, key_sum);
-    auto unpacked = UnpackMessageFp(params_, message);
+    auto unpacked = UnpackMessage(
+        field, Decrypt(field, ciphertext.value(), material->key_inv, key_sum));
     if (!unpacked.ok()) {
       // A value-field overflow in a genuine run is a configuration error,
       // but an adversarial PSR can also produce it; report as unverified.
@@ -93,50 +90,10 @@ StatusOr<Evaluation> Querier::EvaluateCore(
     Evaluation eval;
     eval.sum = unpacked.value().sum;
     eval.verified =
-        crypto::U256::ConstantTimeEqual(unpacked.value().share_sum, share_sum);
+        F::ConstantTimeEqual(unpacked.value().share_sum, share_sum);
     if (!eval.verified) metrics.unverified->Increment();
     return eval;
-  }
-
-  auto ciphertext = ParsePsr(params_, body, body_len);
-  if (!ciphertext.ok()) return ciphertext.status();
-  for (uint32_t index : participating) {
-    if (index >= source_keys_.size()) {
-      return Status::NotFound("participating index out of range");
-    }
-  }
-
-  auto global = cache_->Global(params_, global_key_, epoch);
-  auto per_source =
-      cache_->Sources(params_, source_keys_, epoch, pool_);
-
-  // Σ k_{i,t} and Σ ss_{i,t} over the participating sources.
-  crypto::BigUint key_sum;
-  crypto::BigUint share_sum;
-  for (uint32_t index : participating) {
-    key_sum = crypto::BigUint::ModAdd(key_sum, per_source->keys[index],
-                                      params_.prime)
-                  .value();
-    share_sum = crypto::BigUint::Add(share_sum, per_source->shares[index]);
-  }
-
-  auto message = DecryptWithInverse(params_, ciphertext.value(),
-                                    global->key_inv, key_sum);
-  if (!message.ok()) return message.status();
-  auto unpacked = UnpackMessage(params_, message.value());
-  if (!unpacked.ok()) {
-    // A value-field overflow in a genuine run is a configuration error,
-    // but an adversarial PSR can also produce it; report as unverified.
-    metrics.unverified->Increment();
-    return Evaluation{0, false};
-  }
-
-  Evaluation eval;
-  eval.sum = unpacked.value().sum;
-  eval.verified =
-      crypto::BigUint::ConstantTimeEqual(unpacked.value().share_sum, share_sum);
-  if (!eval.verified) metrics.unverified->Increment();
-  return eval;
+  });
 }
 
 StatusOr<Evaluation> Querier::Evaluate(const Bytes& final_psr,
@@ -156,9 +113,10 @@ void Querier::WarmEpoch(uint64_t epoch) const {
 }
 
 void Querier::WarmEpoch(uint64_t epoch, bool use_pool) const {
-  cache_->Global(params_, global_key_, epoch);
-  cache_->Sources(params_, source_keys_, epoch,
-                  use_pool ? pool_ : nullptr);
+  WithField(params_, [&](const auto& field) {
+    cache_->Sources(field, global_key_, source_keys_, epoch,
+                    use_pool ? pool_ : nullptr);
+  });
 }
 
 StatusOr<Evaluation> Querier::EvaluateWire(

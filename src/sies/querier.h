@@ -6,10 +6,10 @@
 // — which simultaneously authenticates integrity and freshness
 // (Theorems 2 and 4).
 //
-// Per-epoch material (K_t, K_t^{-1}, all k_{i,t} and ss_{i,t}) is derived
-// exactly once per (salted) epoch through an EpochKeyCache, so repeated
-// evaluations and the extra channels of AVG/VARIANCE/histogram queries
-// skip both the N PRF invocations and the extended-Euclid inverse.
+// Per-epoch material (K_t^{-1}, all k_{i,t} and ss_{i,t}) is derived
+// exactly once per (salted) epoch into one EpochKeyCache entry, so
+// repeated evaluations and the extra channels of AVG/VARIANCE/histogram
+// queries skip both the N PRF invocations and the inverse.
 #ifndef SIES_SIES_QUERIER_H_
 #define SIES_SIES_QUERIER_H_
 
@@ -93,7 +93,7 @@ class Querier {
   /// outlive the querier (the runner owns it).
   void SetThreadPool(common::ThreadPool* pool) { pool_ = pool; }
 
-  /// Pre-derives the epoch material for `epoch` (global key + the N-way
+  /// Pre-derives the epoch material for `epoch` (K_t^{-1} and the N-way
   /// per-source tables) with the pool at full width. Callers that fan
   /// evaluations out over the same pool (the engine's per-channel
   /// dispatch) warm each epoch from the driver thread first: a cold

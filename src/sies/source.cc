@@ -1,7 +1,5 @@
 #include "sies/source.h"
 
-#include <cstring>
-
 #include "telemetry/metrics.h"
 
 namespace sies::core {
@@ -19,7 +17,7 @@ Source::Source(Params params, uint32_t index, crypto::PrfKey global_key,
       index_(index),
       global_key_(std::move(global_key)),
       source_key_(std::move(source_key)) {
-  params_.Fp();  // warm the fixed-width context before any sharing
+  params_.Fp();  // build the fixed-width context before any sharing
 }
 
 Status Source::CreatePsrInto(uint64_t value, uint64_t epoch,
@@ -28,39 +26,20 @@ Status Source::CreatePsrInto(uint64_t value, uint64_t epoch,
       telemetry::MetricsRegistry::Global().GetCounter(
           "sies_source_psr_total", {{"scheme", "SIES"}});
   psrs->Increment();
-  const crypto::Fp256* fp =
-      params_.share_prf == SharePrf::kHmacSha1 ? params_.Fp() : nullptr;
-  if (fp != nullptr) {
-    crypto::U256 epoch_global =
-        cache_ != nullptr
-            ? cache_->Global(params_, global_key_, epoch)->key_fp
-            : DeriveEpochGlobalKeyFp(*fp, global_key_, epoch);
-    crypto::U256 epoch_key = DeriveEpochSourceKeyFp(*fp, source_key_, epoch);
-    crypto::U256 share = DeriveEpochShareFp(source_key_, epoch);
+  return WithField(params_, [&](const auto& field) -> Status {
+    const auto epoch_global =
+        cache_ != nullptr ? cache_->Global(field, global_key_, epoch)->key
+                          : DeriveEpochGlobalKey(field, global_key_, epoch);
+    const auto epoch_key = DeriveEpochSourceKey(field, source_key_, epoch);
+    const auto share = DeriveEpochShare(field, source_key_, epoch);
 
-    auto message = PackMessageFp(params_, value, share);
+    auto message = PackMessage(field, value, share);
     if (!message.ok()) return message.status();
-    auto ciphertext = EncryptFp(*fp, message.value(), epoch_global, epoch_key);
+    auto ciphertext = Encrypt(field, message.value(), epoch_global, epoch_key);
     if (!ciphertext.ok()) return ciphertext.status();
-    ciphertext.value().ToBytesBE(out);  // PsrBytes() == 32 on this path
+    field.Store(ciphertext.value(), out);
     return Status::OK();
-  }
-
-  crypto::BigUint epoch_global =
-      cache_ != nullptr
-          ? cache_->Global(params_, global_key_, epoch)->key
-          : DeriveEpochGlobalKey(params_, global_key_, epoch);
-  crypto::BigUint epoch_key = DeriveEpochSourceKey(params_, source_key_, epoch);
-  crypto::BigUint share = DeriveEpochShare(params_, source_key_, epoch);
-
-  auto message = PackMessage(params_, value, share);
-  if (!message.ok()) return message.status();
-  auto ciphertext = Encrypt(params_, message.value(), epoch_global, epoch_key);
-  if (!ciphertext.ok()) return ciphertext.status();
-  auto psr = SerializePsr(params_, ciphertext.value());
-  if (!psr.ok()) return psr.status();
-  std::memcpy(out, psr.value().data(), psr.value().size());
-  return Status::OK();
+  });
 }
 
 StatusOr<Bytes> Source::CreatePsr(uint64_t value, uint64_t epoch) const {

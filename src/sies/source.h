@@ -37,7 +37,7 @@ class Source {
   /// CreatePsr writing the params().PsrBytes()-wide PSR into `out`
   /// instead of allocating — for loops assembling many PSRs into one
   /// buffer (the engine's multi-channel body, bench/batched_crypto's
-  /// N-source epoch). On the fixed-width fast path this performs no
+  /// N-source epoch). On FixedField (sies/field.h) this performs no
   /// heap allocation at all. Identical bytes to CreatePsr.
   Status CreatePsrInto(uint64_t value, uint64_t epoch, uint8_t* out) const;
 

@@ -202,14 +202,22 @@ TEST(FuzzTest, FromHexNeverCrashes) {
 
 TEST(FuzzTest, SiesParsePsrRandomBytes) {
   auto params = core::MakeParams(8, 1).value();
+  const core::FixedField fixed(params, *params.Fp());
+  const core::BigField big(params);
   Xoshiro256 rng(2);
   for (int t = 0; t < kTrials; ++t) {
     size_t len = rng.NextBelow(64);
     Bytes random = rng.NextBytes(len);
-    auto parsed = core::ParsePsr(params, random);
+    auto parsed = core::ParsePsr(big, random.data(), random.size());
+    auto parsed_fixed = core::ParsePsr(fixed, random.data(), random.size());
+    ASSERT_EQ(parsed.ok(), parsed_fixed.ok());
     if (parsed.ok()) {
-      // Whatever parsed must re-serialize identically.
-      EXPECT_EQ(core::SerializePsr(params, parsed.value()).value(), random);
+      // Whatever parsed must re-serialize identically, in both fields.
+      Bytes stored(random.size()), stored_fixed(random.size());
+      big.Store(parsed.value(), stored.data());
+      fixed.Store(parsed_fixed.value(), stored_fixed.data());
+      EXPECT_EQ(stored, random);
+      EXPECT_EQ(stored_fixed, random);
     }
   }
 }
@@ -467,6 +475,35 @@ TEST(FuzzTest, ProvisioningParsersRandomBytes) {
     EXPECT_FALSE(core::ParseDeployment(random).ok());
     EXPECT_FALSE(core::ParseSourceRegistration(random).ok());
     EXPECT_FALSE(core::ParseAggregatorRecord(random).ok());
+  }
+}
+
+// A provisioning file naming a composite modulus passes Params::Validate
+// (a layout check), but K_t has no inverse modulo it: every record type
+// rejects it when it is read, before the querier would abort.
+TEST(FuzzTest, ProvisioningRejectsCompositeModulus) {
+  core::Deployment deployment;
+  deployment.params = core::MakeParams(8, 1).value();
+  deployment.keys = core::GenerateKeys(deployment.params, {1});
+  Xoshiro256 rng(8);
+  for (int t = 0; t < 6; ++t) {
+    // 2^255 + 2, then odd composites that pass the small-prime sieve.
+    deployment.params.prime =
+        t == 0 ? crypto::BigUint::Add(
+                     crypto::BigUint::Shl(crypto::BigUint(1), 255),
+                     crypto::BigUint(2))
+               : crypto::BigUint::Mul(crypto::GeneratePrime(128, rng),
+                                      crypto::GeneratePrime(129, rng));
+    ASSERT_TRUE(deployment.params.Validate().ok());
+    EXPECT_FALSE(
+        core::ParseDeployment(core::SerializeDeployment(deployment).value())
+            .ok());
+    EXPECT_FALSE(core::ParseSourceRegistration(
+                     core::SerializeSourceRegistration(deployment, 3).value())
+                     .ok());
+    EXPECT_FALSE(core::ParseAggregatorRecord(
+                     core::SerializeAggregatorRecord(deployment.params).value())
+                     .ok());
   }
 }
 

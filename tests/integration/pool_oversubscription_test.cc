@@ -49,9 +49,10 @@ TEST(PoolOversubscriptionTest, BatchedSourcesDerivationNeverNests) {
   core::QuerierKeys keys = core::GenerateKeys(params, EncodeUint64(42));
   common::ThreadPool pool(4);
   core::EpochKeyCache cache;
-  auto entry = cache.Sources(params, crypto::ScheduleKeys(keys.source_keys),
-                             1, &pool);
-  ASSERT_EQ(entry->keys_fp.size(), 600u);
+  auto entry = cache.Sources(core::FixedField(params, *params.Fp()),
+                             crypto::PrfKey(keys.global_key),
+                             crypto::ScheduleKeys(keys.source_keys), 1, &pool);
+  ASSERT_EQ(entry->keys.size(), 600u);
   EXPECT_EQ(pool.nested_inline_jobs(), 0u);
   EXPECT_GE(pool.max_job_size(), 3u) << "groups must reach the workers";
 }

@@ -90,13 +90,14 @@ TEST(RunExperimentTest, EveryRunCountsItsEpochs) {
   config.adversary = AdversaryKind::kTamper;
   total_before = total->Value();
   unverified_before = unverified->Value();
-  // Each query counts its verdicts in its own series.
-  telemetry::Counter* sum_verified =
-      registry.GetCounter("sies_engine_query_epochs_total",
-                          {{"query", "q0"}, {"verified", "true"}});
-  telemetry::Counter* variance_unverified =
-      registry.GetCounter("sies_engine_query_epochs_total",
-                          {{"query", "q1"}, {"verified", "false"}});
+  // Each query counts its verdicts in its own series, labelled by its id
+  // and its admission epoch.
+  telemetry::Counter* sum_verified = registry.GetCounter(
+      "sies_engine_query_epochs_total",
+      {{"query", "q0"}, {"admitted", "1"}, {"verified", "true"}});
+  telemetry::Counter* variance_unverified = registry.GetCounter(
+      "sies_engine_query_epochs_total",
+      {{"query", "q1"}, {"admitted", "1"}, {"verified", "false"}});
   const uint64_t sum_verified_before = sum_verified->Value();
   const uint64_t variance_unverified_before = variance_unverified->Value();
   auto result = RunExperiment(config);
@@ -118,6 +119,16 @@ TEST(RunExperimentTest, ReusedQueryIdMeasuredAgainstTheLiveQuery) {
   humidity.attribute = core::Field::kHumidity;
   config.queries.push_back({temperature, 1, 3});
   config.queries.push_back({humidity, 4, 0});
+  // Each admission counts its verdicts in its own series.
+  auto& registry = telemetry::MetricsRegistry::Global();
+  telemetry::Counter* first = registry.GetCounter(
+      "sies_engine_query_epochs_total",
+      {{"query", "q0"}, {"admitted", "1"}, {"verified", "true"}});
+  telemetry::Counter* second = registry.GetCounter(
+      "sies_engine_query_epochs_total",
+      {{"query", "q0"}, {"admitted", "4"}, {"verified", "true"}});
+  const uint64_t first_before = first->Value();
+  const uint64_t second_before = second->Value();
   auto result = RunExperiment(config);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result.value().answered_epochs, 4u);
@@ -139,6 +150,8 @@ TEST(RunExperimentTest, ReusedQueryIdMeasuredAgainstTheLiveQuery) {
   EXPECT_EQ(queries[1].verified_epochs, 2u);
   EXPECT_EQ(queries[1].wire_channels, 1u);
   EXPECT_EQ(result.value().naive_channel_epochs, 4u);
+  EXPECT_EQ(first->Value() - first_before, 2u);
+  EXPECT_EQ(second->Value() - second_before, 2u);
 }
 
 // Queries, pipelining, the ops plane and the UDP transport are SIES

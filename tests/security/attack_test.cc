@@ -429,9 +429,11 @@ TEST(SiesCompromisedSourceTest, CannotDecryptOtherSources) {
   core::Source honest(fx.params, 5, core::KeysForSource(fx.keys, 5).value());
   uint64_t secret_value = 3141;
   Bytes psr = honest.CreatePsr(secret_value, 1).value();
-  auto c = core::ParsePsr(fx.params, psr).value();
-  crypto::BigUint kt = core::DeriveEpochGlobalKey(
-      fx.params, crypto::PrfKey(fx.keys.global_key), 1);
+  const core::BigField field(fx.params);
+  auto c = core::ParsePsr(field, psr.data(), psr.size()).value();
+  const crypto::BigUint kt = core::DeriveEpochGlobalKey(
+      field, crypto::PrfKey(fx.keys.global_key), 1);
+  const crypto::BigUint kt_inv = field.Inverse(kt).value();
   // Without k_{5,1}, the best the adversary can do is guess it; every
   // guess yields a different "plaintext", so the PSR carries no
   // information. Spot-check: 100 random guesses never produce a
@@ -441,8 +443,8 @@ TEST(SiesCompromisedSourceTest, CannotDecryptOtherSources) {
   for (int trial = 0; trial < 100; ++trial) {
     crypto::BigUint guess =
         crypto::BigUint::RandomBelow(fx.params.prime, rng);
-    auto m = core::Decrypt(fx.params, c, kt, guess).value();
-    auto unpacked = core::UnpackMessage(fx.params, m);
+    auto m = core::Decrypt(field, c, kt_inv, guess);
+    auto unpacked = core::UnpackMessage(field, m);
     if (unpacked.ok() && unpacked.value().sum == secret_value) ++hits;
   }
   EXPECT_EQ(hits, 0);

@@ -120,36 +120,40 @@ TEST(KeysForSourceTest, ExtractsAndBoundsChecks) {
 
 TEST(TemporalKeysTest, ReducedIntoPrimeField) {
   auto params = MakeParams(16, 1).value();
+  const BigField field(params);
   const crypto::PrfKey key(Bytes(20, 0x77));
   for (uint64_t epoch = 0; epoch < 20; ++epoch) {
-    crypto::BigUint kt = DeriveEpochGlobalKey(params, key, epoch);
+    crypto::BigUint kt = DeriveEpochGlobalKey(field, key, epoch);
     EXPECT_FALSE(kt.IsZero()) << "K_t must be invertible";
     EXPECT_LT(kt, params.prime);
-    EXPECT_LT(DeriveEpochSourceKey(params, key, epoch), params.prime);
+    EXPECT_LT(DeriveEpochSourceKey(field, key, epoch), params.prime);
   }
 }
 
 TEST(TemporalKeysTest, EpochSeparation) {
   auto params = MakeParams(16, 1).value();
+  const BigField field(params);
   const crypto::PrfKey key(Bytes(20, 0x77));
-  EXPECT_NE(DeriveEpochGlobalKey(params, key, 1),
-            DeriveEpochGlobalKey(params, key, 2));
-  EXPECT_NE(DeriveEpochSourceKey(params, key, 1),
-            DeriveEpochSourceKey(params, key, 2));
-  EXPECT_NE(DeriveEpochShare(key, 1), DeriveEpochShare(key, 2));
+  EXPECT_NE(DeriveEpochGlobalKey(field, key, 1),
+            DeriveEpochGlobalKey(field, key, 2));
+  EXPECT_NE(DeriveEpochSourceKey(field, key, 1),
+            DeriveEpochSourceKey(field, key, 2));
+  EXPECT_NE(DeriveEpochShare(field, key, 1), DeriveEpochShare(field, key, 2));
 }
 
 TEST(TemporalKeysTest, KeySeparation) {
   auto params = MakeParams(16, 1).value();
+  const BigField field(params);
   const crypto::PrfKey k1(Bytes(20, 0x01)), k2(Bytes(20, 0x02));
-  EXPECT_NE(DeriveEpochSourceKey(params, k1, 5),
-            DeriveEpochSourceKey(params, k2, 5));
-  EXPECT_NE(DeriveEpochShare(k1, 5), DeriveEpochShare(k2, 5));
+  EXPECT_NE(DeriveEpochSourceKey(field, k1, 5),
+            DeriveEpochSourceKey(field, k2, 5));
+  EXPECT_NE(DeriveEpochShare(field, k1, 5), DeriveEpochShare(field, k2, 5));
 }
 
 TEST(TemporalKeysTest, ShareIsTwentyBytes) {
+  auto params = MakeParams(16, 1).value();
   const crypto::PrfKey key(Bytes(20, 0x33));
-  crypto::BigUint share = DeriveEpochShare(key, 3);
+  crypto::BigUint share = DeriveEpochShare(BigField(params), key, 3);
   EXPECT_LE(share.BitLength(), 160u);
   EXPECT_FALSE(share.IsZero());  // 2^-160 chance; deterministic here
 }
@@ -162,12 +166,13 @@ TEST(HardenedProfileTest, Sha256SharesWork) {
   EXPECT_EQ(params.share_bytes, 32u);
   EXPECT_EQ(params.PsrBytes(), 44u);
   EXPECT_TRUE(params.Validate().ok());
+  const BigField field(params);
   const crypto::PrfKey key(Bytes(20, 0x33));
-  crypto::BigUint share = DeriveEpochShare(params, key, 3);
+  crypto::BigUint share = DeriveEpochShare(field, key, 3);
   EXPECT_GT(share.BitLength(), 160u);
   EXPECT_LE(share.BitLength(), 256u);
   // Domain separation: the share differs from the epoch source key.
-  EXPECT_NE(share, DeriveEpochSourceKey(params, key, 3));
+  EXPECT_NE(share, DeriveEpochSourceKey(field, key, 3));
 }
 
 TEST(HardenedProfileTest, Sha256SharesNeedWiderPrime) {
@@ -183,38 +188,32 @@ TEST(HardenedProfileTest, ValidateCatchesPrfSizeMismatch) {
 
 TEST(HardenedProfileTest, EndToEndExactAndSecure) {
   auto params = MakeParams(8, 5, 4, 352, SharePrf::kHmacSha256).value();
+  const BigField field(params);
   QuerierKeys keys = GenerateKeys(params, {7});
   // Full pipeline through Source/Querier (they use params.share_prf).
   const crypto::PrfKey global_key(keys.global_key);
+  const crypto::BigUint kt = DeriveEpochGlobalKey(field, global_key, 1);
   crypto::BigUint sum_cipher;
   uint64_t expected = 0;
   for (uint32_t i = 0; i < 8; ++i) {
     const crypto::PrfKey k_i(keys.source_keys[i]);
     uint64_t v = 100 + i;
     expected += v;
-    auto m = PackMessage(params, v, DeriveEpochShare(params, k_i, 1))
+    auto m = PackMessage(field, v, DeriveEpochShare(field, k_i, 1)).value();
+    auto c = Encrypt(field, m, kt, DeriveEpochSourceKey(field, k_i, 1))
                  .value();
-    auto c = Encrypt(params, m, DeriveEpochGlobalKey(params, global_key, 1),
-                     DeriveEpochSourceKey(params, k_i, 1))
-                 .value();
-    sum_cipher =
-        crypto::BigUint::ModAdd(sum_cipher, c, params.prime).value();
+    sum_cipher = field.Add(sum_cipher, c);
   }
   // Decrypt + verify by hand (mirrors Querier::Evaluate).
   crypto::BigUint key_sum, share_sum;
   for (uint32_t i = 0; i < 8; ++i) {
     const crypto::PrfKey k_i(keys.source_keys[i]);
-    key_sum = crypto::BigUint::ModAdd(key_sum,
-                                      DeriveEpochSourceKey(params, k_i, 1),
-                                      params.prime)
-                  .value();
-    share_sum =
-        crypto::BigUint::Add(share_sum, DeriveEpochShare(params, k_i, 1));
+    key_sum = field.Add(key_sum, DeriveEpochSourceKey(field, k_i, 1));
+    share_sum = BigField::IntAdd(share_sum, DeriveEpochShare(field, k_i, 1));
   }
-  auto m = Decrypt(params, sum_cipher,
-                   DeriveEpochGlobalKey(params, global_key, 1), key_sum)
-               .value();
-  auto unpacked = UnpackMessage(params, m).value();
+  auto m =
+      Decrypt(field, sum_cipher, field.Inverse(kt).value(), key_sum);
+  auto unpacked = UnpackMessage(field, m).value();
   EXPECT_EQ(unpacked.sum, expected);
   EXPECT_EQ(unpacked.share_sum, share_sum);
 }

@@ -107,6 +107,27 @@ TEST_F(ProvisioningTest, TrailingBytesRejected) {
   EXPECT_FALSE(ParseAggregatorRecord(blob).ok());
 }
 
+TEST_F(ProvisioningTest, CompositeModulusRejected) {
+  // Params::Validate checks the layout only, so 2^255 + 2 serializes.
+  // K_t has no inverse modulo a composite, so every record type naming
+  // one is rejected when it is read, before any party computes with it.
+  Deployment bad = deployment_;
+  bad.params.prime = crypto::BigUint::Add(
+      crypto::BigUint::Shl(crypto::BigUint(1), 255), crypto::BigUint(2));
+  ASSERT_TRUE(bad.params.Validate().ok());
+  const Status composite = Status::InvalidArgument("modulus is not prime");
+  EXPECT_EQ(ParseDeployment(SerializeDeployment(bad).value()).status(),
+            composite);
+  EXPECT_EQ(ParseSourceRegistration(
+                SerializeSourceRegistration(bad, 0).value())
+                .status(),
+            composite);
+  EXPECT_EQ(
+      ParseAggregatorRecord(SerializeAggregatorRecord(bad.params).value())
+          .status(),
+      composite);
+}
+
 TEST_F(ProvisioningTest, KeyCountMismatchRejected) {
   Deployment bad = deployment_;
   bad.keys.source_keys.pop_back();
